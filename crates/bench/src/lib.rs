@@ -5,14 +5,12 @@
 //! comment lines, so series can be piped straight into plotting tools.
 
 pub mod args;
-pub mod concurrent;
 pub mod datasets;
 pub mod loadgen;
 pub mod output;
 pub mod runner;
 
 pub use args::Args;
-pub use concurrent::{replay_concurrent, replay_interleaved, ConcurrentReplay};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use output::{moving_avg, print_cdf, print_header, Table};
 pub use runner::{run_workload, warm_full_cache, Outcome};

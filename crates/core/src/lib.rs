@@ -53,7 +53,7 @@ use session::{
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // Re-exports so downstream users need only this crate.
 pub use recache_cache::admission::AdmissionConfig as Admission;
@@ -456,55 +456,6 @@ impl ReCache {
             options.effective_threads(),
             request.get_tag(),
         ))
-    }
-
-    /// Parses and runs one SQL query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::sql(text)).map(QueryResponse::into_result)`"
-    )]
-    pub fn sql(&self, text: &str) -> Result<QueryResult> {
-        self.execute(&QueryRequest::sql(text))
-            .map(QueryResponse::into_result)
-    }
-
-    /// Runs one parsed query with default execution options.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::spec(spec.clone())).map(QueryResponse::into_result)`"
-    )]
-    pub fn run(&self, spec: &QuerySpec) -> Result<QueryResult> {
-        self.execute(&QueryRequest::spec(spec.clone()))
-            .map(QueryResponse::into_result)
-    }
-
-    /// Runs one parsed query under a wall-clock deadline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::spec(spec.clone()).options(options.clone()).deadline(timeout)).map(QueryResponse::into_result)`"
-    )]
-    pub fn run_with_timeout(
-        &self,
-        spec: &QuerySpec,
-        options: &ExecOptions,
-        timeout: Duration,
-    ) -> Result<QueryResult> {
-        self.execute(
-            &QueryRequest::spec(spec.clone())
-                .options(options.clone())
-                .deadline(timeout),
-        )
-        .map(QueryResponse::into_result)
-    }
-
-    /// Runs one parsed query under explicit [`ExecOptions`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session.execute(&QueryRequest::spec(spec.clone()).options(options.clone())).map(QueryResponse::into_result)`"
-    )]
-    pub fn run_with(&self, spec: &QuerySpec, options: &ExecOptions) -> Result<QueryResult> {
-        self.execute(&QueryRequest::spec(spec.clone()).options(options.clone()))
-            .map(QueryResponse::into_result)
     }
 
     /// The execution core behind [`ReCache::execute`]: one resolved

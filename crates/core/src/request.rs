@@ -4,9 +4,8 @@
 //! callers build a [`QueryRequest`] and hand it to
 //! [`ReCache::execute`](crate::ReCache::execute); the TCP front end
 //! (`recache-server`) serializes exactly this type over the wire, so a
-//! remote query is the same object as a local one. The builder collapses
-//! what used to be four entry points (`run`, `sql`, `run_with`,
-//! `run_with_timeout`) into one:
+//! remote query is the same object as a local one. One builder covers
+//! SQL text or a parsed spec, options, a deadline and a tag:
 //!
 //! ```
 //! use recache_core::{QueryRequest, ReCache};
@@ -284,8 +283,8 @@ impl QueryResponse {
         QueryResponse { result, telemetry }
     }
 
-    /// Consumes the response, keeping only the result (the deprecated
-    /// shims and callers that don't need telemetry).
+    /// Consumes the response, keeping only the result (for callers that
+    /// don't need telemetry).
     pub fn into_result(self) -> QueryResult {
         self.result
     }

@@ -11,9 +11,9 @@
 //! aggregate kernels fold the survivors — no per-row `Value`
 //! materialization on the hot path. Nested/ragged JSON shapes, offsets
 //! re-reads, and non-compilable predicates (`OR`, `NOT`, slot-vs-slot)
-//! fall back to the row-at-a-time path, which both
-//! [`ExecOptions::vectorized`]` = false` and the micro-benchmarks keep
-//! exercisable.
+//! fall back to the row-at-a-time path, which
+//! [`ExecOptions::vectorized`]` = false` keeps exercisable (the
+//! equivalence suites compare the two).
 //!
 //! D/C attribution: predicate-kernel time joins the store's
 //! mask-navigation/assembly time in `compute_ns`; aggregate and
@@ -106,18 +106,6 @@ impl ExecOptions {
         ExecOptions {
             threads,
             ..ExecOptions::default()
-        }
-    }
-
-    /// The row-at-a-time reference configuration (single-threaded,
-    /// non-vectorized): the baseline the equivalence suites and the
-    /// trajectory benches compare against.
-    pub fn row_reference() -> Self {
-        ExecOptions {
-            vectorized: false,
-            threads: 1,
-            cancel: None,
-            reprice: None,
         }
     }
 

@@ -1,5 +1,4 @@
-//! Query engine for ReCache: expressions, plans, physical execution and
-//! the sampled profiler.
+//! Query engine for ReCache: expressions, plans and physical execution.
 //!
 //! Proteus (the system ReCache extends) JIT-compiles a specialized engine
 //! per query with LLVM. This reproduction replaces code generation with
@@ -27,6 +26,8 @@
 //!   4096 is a multiple of 64 (validity views stay word-aligned) and
 //!   matches the timed-scan granularity the seed used, so per-batch
 //!   `ScanCost` sampling is unchanged.
+//! * **Timer cost** — the paper's §5.1 profiling overhead is amortized
+//!   by timing once per batch, not per row (`scan_store_batched_span`).
 //! * **Selection-vector short-circuiting** — [`CompiledPredicate`] turns
 //!   a conjunction of `slot <op> literal` clauses into per-column kernels
 //!   applied *in the query's clause order*; each kernel compacts the
@@ -54,7 +55,6 @@ pub mod exec;
 pub mod expr;
 pub mod kernel;
 pub mod plan;
-pub mod profiler;
 pub mod sql;
 
 pub use exactsum::ExactSum;
@@ -64,5 +64,4 @@ pub use exec::{
 pub use expr::{CmpOp, Expr, RangeClause};
 pub use kernel::{BatchAggregator, CompiledPredicate};
 pub use plan::{AccessPath, AggFunc, AggSpec, JoinSpec, QueryPlan, TablePlan};
-pub use profiler::{time_ns, SampledTimer};
 pub use sql::{parse_query, QualifiedPath, QuerySpec};

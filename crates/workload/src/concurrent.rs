@@ -2,11 +2,10 @@
 //! into M per-session streams, and seeded deterministic interleavings.
 //!
 //! The generators in this crate produce one flat query sequence; the
-//! concurrent replay driver (tests, `recache-bench`'s `concurrent`
-//! trajectory mode) needs that sequence dealt out to M sessions, plus —
-//! for the determinism checks — a reproducible global interleaving of
-//! the per-session streams (same seed ⇒ same turn order ⇒ same admitted
-//! entry set).
+//! concurrent replay tests need that sequence dealt out to M sessions,
+//! plus — for the determinism checks — a reproducible global
+//! interleaving of the per-session streams (same seed ⇒ same turn
+//! order ⇒ same admitted entry set).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

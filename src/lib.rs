@@ -12,7 +12,7 @@
 //! * [`types`] — schemas, values, nested paths, flattening.
 //! * [`data`] — raw-data access (positional maps) and dataset generators.
 //! * [`layout`] — cache layouts (row, columnar, Dremel nested columnar).
-//! * [`engine`] — query plans, operators, and the sampled profiler.
+//! * [`engine`] — query plans and the (vectorized, parallel) executor.
 //! * [`cache`] — admission, eviction and layout-selection policies.
 //! * [`workload`] — the paper's evaluation workload generators.
 //! * [`rtree`] — the balanced R-tree behind predicate subsumption.

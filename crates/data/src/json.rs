@@ -1,14 +1,19 @@
 //! From-scratch line-delimited JSON reader/writer.
 //!
 //! The reader is *schema-directed*: it parses each object against the
-//! expected [`Schema`], skipping unknown keys and — when given a top-level
-//! access bitmap — skipping the byte ranges of unaccessed fields without
-//! materializing them. Skipping a large nested array is dramatically
-//! cheaper than parsing it, which is exactly the asymmetry ReCache's cost
-//! model reacts to.
+//! expected [`Schema`], skipping unknown keys and — when given a
+//! [`LeafProjection`] — skipping the byte ranges of every field, at any
+//! depth, with no accessed leaf beneath it: an unaccessed top-level array
+//! and the unaccessed fields inside each element of an accessed array of
+//! objects alike go through the cheap structural skip instead of being
+//! materialized. Skipping is dramatically cheaper than parsing, which is
+//! exactly the asymmetry ReCache's cost model reacts to. Object keys are
+//! compared in place against the schema's field names; only a key with
+//! escapes is decoded into an owned string.
 
 use crate::posmap::PositionalMap;
 use recache_types::{DataType, Error, Field, Result, Schema, Value};
+use std::borrow::Cow;
 
 /// Serializes records (struct values matching `schema`) into
 /// line-delimited JSON. `Null` fields are omitted, as in real-world
@@ -134,31 +139,37 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses a JSON string, decoding escapes.
-    fn parse_string(&mut self) -> Result<String> {
+    /// Parses a JSON string, decoding escapes: borrowed from the input
+    /// when it has none, decoded into an owned string otherwise. Invalid
+    /// UTF-8 is the same typed error on both paths.
+    fn parse_str(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
         let start = self.pos;
+        let utf8 = |bytes: &'a [u8]| {
+            std::str::from_utf8(bytes)
+                .map_err(|_| Error::parse_at("invalid utf-8 in string", start))
+        };
         // Fast path: no escapes.
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
                 b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error::parse_at("invalid utf-8 in string", start))?
-                        .to_owned();
+                    let s = utf8(&self.bytes[start..self.pos])?;
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(Cow::Borrowed(s));
                 }
                 b'\\' => break,
                 _ => self.pos += 1,
             }
         }
-        // Slow path with escape decoding.
-        let mut s = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+        // Slow path with escape decoding. Runs of plain bytes end at an
+        // ASCII `"` or `\`, never inside a multi-byte character, so
+        // validating run by run validates the whole string.
+        let mut s = utf8(&self.bytes[start..self.pos])?.to_owned();
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(Cow::Owned(s));
                 }
                 b'\\' => {
                     self.pos += 1;
@@ -194,7 +205,7 @@ impl<'a> Cursor<'a> {
                         }
                     }
                 }
-                b => {
+                _ => {
                     // Collect a run of plain bytes.
                     let run_start = self.pos;
                     while self.pos < self.bytes.len()
@@ -203,8 +214,7 @@ impl<'a> Cursor<'a> {
                     {
                         self.pos += 1;
                     }
-                    s.push_str(&String::from_utf8_lossy(&self.bytes[run_start..self.pos]));
-                    let _ = b;
+                    s.push_str(utf8(&self.bytes[run_start..self.pos])?);
                 }
             }
         }
@@ -284,10 +294,15 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses a value of the expected type. Type mismatches degrade to
-    /// `Null` (heterogeneous raw data is messy; queries treat unexpected
-    /// shapes as missing).
-    fn parse_typed(&mut self, ty: &DataType) -> Result<Value> {
+    /// Parses a value of the expected type, materializing what `want`
+    /// asks for (a [`Want::Skip`] value is skipped and reads as `Null`).
+    /// Type mismatches degrade to `Null` (heterogeneous raw data is
+    /// messy; queries treat unexpected shapes as missing).
+    fn parse_typed(&mut self, ty: &DataType, want: &Want) -> Result<Value> {
+        if matches!(want, Want::Skip) {
+            self.skip_value()?;
+            return Ok(Value::Null);
+        }
         self.skip_ws();
         match self.peek() {
             Some(b'n') => {
@@ -303,14 +318,14 @@ impl<'a> Cursor<'a> {
                 Ok(coerce_bool(false, ty))
             }
             Some(b'"') => {
-                let s = self.parse_string()?;
+                let s = self.parse_str()?;
                 match ty {
-                    DataType::Str => Ok(Value::Str(s)),
+                    DataType::Str => Ok(Value::Str(s.into_owned())),
                     _ => Ok(Value::Null),
                 }
             }
             Some(b'{') => match ty {
-                DataType::Struct(fields) => self.parse_object(fields, None),
+                DataType::Struct(fields) => self.parse_object(fields, want),
                 _ => {
                     self.skip_value()?;
                     Ok(Value::Null)
@@ -319,10 +334,11 @@ impl<'a> Cursor<'a> {
             Some(b'[') => match ty {
                 DataType::List(inner) => {
                     self.expect(b'[')?;
+                    let want = want.element();
                     let mut items = Vec::new();
                     if !self.try_consume(b']') {
                         loop {
-                            items.push(self.parse_typed(inner)?);
+                            items.push(self.parse_typed(inner, want)?);
                             if !self.try_consume(b',') {
                                 break;
                             }
@@ -360,21 +376,22 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses an object against known fields; unknown keys are skipped.
-    /// When `accessed` is given, known-but-unaccessed fields are *skipped*
-    /// rather than parsed — the selective-parse fast path.
-    fn parse_object(&mut self, fields: &[Field], accessed: Option<&[bool]>) -> Result<Value> {
+    /// Parses an object against known fields; unknown keys are skipped,
+    /// and so are known fields whose `want` is [`Want::Skip`]. Keys are
+    /// matched borrowed; a repeated key overwrites (last wins).
+    fn parse_object(&mut self, fields: &[Field], want: &Want) -> Result<Value> {
         self.expect(b'{')?;
         let mut children = vec![Value::Null; fields.len()];
         if !self.try_consume(b'}') {
             loop {
-                let key = self.parse_string()?;
+                let key = self.parse_str()?;
                 self.expect(b':')?;
                 match fields.iter().position(|f| f.name == key) {
-                    Some(idx) if accessed.is_none_or(|a| a[idx]) => {
-                        children[idx] = self.parse_typed(&fields[idx].data_type)?;
+                    Some(idx) => {
+                        children[idx] =
+                            self.parse_typed(&fields[idx].data_type, want.field(idx))?;
                     }
-                    _ => self.skip_value()?,
+                    None => self.skip_value()?,
                 }
                 if !self.try_consume(b',') {
                     break;
@@ -383,6 +400,93 @@ impl<'a> Cursor<'a> {
             self.expect(b'}')?;
         }
         Ok(Value::Struct(children))
+    }
+}
+
+/// What a parse materializes of one schema node.
+#[derive(Debug, Clone, PartialEq)]
+enum Want {
+    /// Everything beneath.
+    All,
+    /// Nothing: the value is skipped and reads as `Null`.
+    Skip,
+    /// A struct with one want per field.
+    Fields(Vec<Want>),
+    /// A list whose elements are parsed with this want.
+    Elements(Box<Want>),
+}
+
+impl Want {
+    /// Compiles the want of a node of type `ty` whose first leaf is
+    /// `*leaf`, advancing `*leaf` past its leaves.
+    fn of(ty: &DataType, accessed: &[bool], leaf: &mut usize) -> Want {
+        match ty {
+            DataType::Struct(fields) => Want::of_fields(fields, accessed, leaf),
+            DataType::List(inner) => match Want::of(inner, accessed, leaf) {
+                want @ (Want::All | Want::Skip) => want,
+                want => Want::Elements(Box::new(want)),
+            },
+            _ => {
+                *leaf += 1;
+                if accessed[*leaf - 1] {
+                    Want::All
+                } else {
+                    Want::Skip
+                }
+            }
+        }
+    }
+
+    fn of_fields(fields: &[Field], accessed: &[bool], leaf: &mut usize) -> Want {
+        let wants: Vec<Want> = fields
+            .iter()
+            .map(|f| Want::of(&f.data_type, accessed, leaf))
+            .collect();
+        if wants.iter().all(|w| *w == Want::All) {
+            Want::All
+        } else if wants.iter().all(|w| *w == Want::Skip) {
+            Want::Skip
+        } else {
+            Want::Fields(wants)
+        }
+    }
+
+    /// The want of a struct's field `idx`.
+    fn field(&self, idx: usize) -> &Want {
+        match self {
+            Want::Fields(wants) => &wants[idx],
+            Want::Skip => &Want::Skip,
+            Want::All | Want::Elements(_) => &Want::All,
+        }
+    }
+
+    /// The want of a list's elements.
+    fn element(&self) -> &Want {
+        match self {
+            Want::Elements(want) => want,
+            Want::Skip => &Want::Skip,
+            Want::All | Want::Fields(_) => &Want::All,
+        }
+    }
+}
+
+/// A leaf access mask (indexed by leaf id in [`Schema::leaves`] order)
+/// compiled against its schema once per scan: a selective parse
+/// materializes exactly the fields, at any depth, with an accessed leaf
+/// beneath them and skips the rest. Unaccessed leaves read as `Null`, and
+/// lists with accessed leaves keep every element, so the accessed leaves
+/// flatten to the same rows as after a full parse.
+#[derive(Debug, Clone)]
+pub struct LeafProjection {
+    root: Want,
+}
+
+impl LeafProjection {
+    pub fn new(schema: &Schema, accessed: &[bool]) -> Self {
+        let mut leaf = 0usize;
+        let root = Want::of_fields(schema.fields(), accessed, &mut leaf);
+        debug_assert_eq!(leaf, accessed.len(), "one access bit per leaf");
+        LeafProjection { root }
     }
 }
 
@@ -429,13 +533,13 @@ pub(crate) fn parse_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)
 
 /// Decodes the JSON string whose opening quote sits at `bytes[pos]`,
 /// returning the decoded content and the position just past the closing
-/// quote. This is the row tokenizer's [`Cursor::parse_string`] — shared
+/// quote. This is the row tokenizer's [`Cursor::parse_str`] — shared
 /// so the batched flat-JSON tokenizer (`json_batch`) decodes escapes
 /// with byte-identical semantics (including `\u` surrogate fallback and
 /// unknown-escape errors).
 pub(crate) fn decode_string_at(bytes: &[u8], pos: usize) -> Result<(String, usize)> {
     let mut cursor = Cursor { bytes, pos };
-    let s = cursor.parse_string()?;
+    let s = cursor.parse_str()?.into_owned();
     Ok((s, cursor.pos))
 }
 
@@ -447,22 +551,24 @@ fn coerce_bool(b: bool, ty: &DataType) -> Value {
     }
 }
 
-/// Parses a single JSON record against a schema. When `accessed_top` is
-/// provided, unaccessed *top-level* fields are skipped without parsing
-/// (their children remain `Null`).
-pub fn parse_record(bytes: &[u8], schema: &Schema, accessed_top: Option<&[bool]>) -> Result<Value> {
-    let mut cursor = Cursor::new(bytes);
-    let value = cursor.parse_object(schema.fields(), accessed_top)?;
-    Ok(value)
+/// Parses a single JSON record against a schema: every field, or with a
+/// `projection` only the fields with an accessed leaf beneath them (the
+/// rest stay `Null`).
+pub fn parse_record(
+    bytes: &[u8],
+    schema: &Schema,
+    projection: Option<&LeafProjection>,
+) -> Result<Value> {
+    let want = projection.map_or(&Want::All, |p| &p.root);
+    Cursor::new(bytes).parse_object(schema.fields(), want)
 }
 
 /// Full scan over line-delimited JSON: parses each record (restricted to
-/// `accessed_top` top-level fields if given) and builds a record-level
-/// positional map.
+/// `projection` if given) and builds a record-level positional map.
 pub fn scan_build_map(
     bytes: &[u8],
     schema: &Schema,
-    accessed_top: Option<&[bool]>,
+    projection: Option<&LeafProjection>,
     mut on_record: impl FnMut(usize, Value) -> Result<()>,
 ) -> Result<PositionalMap> {
     let mut record_offsets = Vec::with_capacity(bytes.len() / 64 + 2);
@@ -471,7 +577,7 @@ pub fn scan_build_map(
     while pos < bytes.len() {
         record_offsets.push(pos as u64);
         let end = line_end(bytes, pos);
-        let record = parse_record(&bytes[pos..end], schema, accessed_top)?;
+        let record = parse_record(&bytes[pos..end], schema, projection)?;
         on_record(record_id, record)?;
         record_id += 1;
         pos = end + 1;
@@ -486,14 +592,14 @@ pub fn scan_with_map(
     bytes: &[u8],
     schema: &Schema,
     map: &PositionalMap,
-    accessed_top: Option<&[bool]>,
+    projection: Option<&LeafProjection>,
     mut on_record: impl FnMut(usize, Value) -> Result<()>,
 ) -> Result<()> {
     for record in 0..map.record_count() {
-        let (start, end) = map.record_span(record);
-        let end = trim_newline(bytes, start, end);
-        let value = parse_record(&bytes[start..end], schema, accessed_top)?;
-        on_record(record, value)?;
+        on_record(
+            record,
+            parse_record_at(bytes, schema, map, record, projection)?,
+        )?;
     }
     Ok(())
 }
@@ -504,11 +610,11 @@ pub fn parse_record_at(
     schema: &Schema,
     map: &PositionalMap,
     record: usize,
-    accessed_top: Option<&[bool]>,
+    projection: Option<&LeafProjection>,
 ) -> Result<Value> {
     let (start, end) = map.record_span(record);
     let end = trim_newline(bytes, start, end);
-    parse_record(&bytes[start..end], schema, accessed_top)
+    parse_record(&bytes[start..end], schema, projection)
 }
 
 fn line_end(bytes: &[u8], start: usize) -> usize {
@@ -579,12 +685,8 @@ mod tests {
     fn selective_parse_skips_nested_array() {
         let schema = nested_schema();
         let bytes = write_json(&schema, &[sample_record()]);
-        let record = parse_record(
-            &bytes[..bytes.len() - 1],
-            &schema,
-            Some(&[true, false, false]),
-        )
-        .unwrap();
+        let projection = LeafProjection::new(&schema, &[true, false, false, false]);
+        let record = parse_record(&bytes[..bytes.len() - 1], &schema, Some(&projection)).unwrap();
         assert_eq!(
             record,
             Value::Struct(vec![Value::Int(1), Value::Null, Value::Null])
@@ -722,5 +824,160 @@ mod tests {
             record,
             Value::Struct(vec![Value::Bool(false), Value::Int(1)])
         );
+    }
+
+    #[test]
+    fn escaped_key_matches_its_field() {
+        let schema = crate::gen::tpch::order_lineitems_schema();
+        let n = schema.leaves().len();
+        let line = br#"{"o_\u006frderkey":42,"lineitems":[{"l_\u0071uantity":3}]}"#;
+        let full = parse_record(line, &schema, None).unwrap();
+        let Value::Struct(fields) = &full else {
+            panic!("records parse to structs")
+        };
+        assert_eq!(fields[0], Value::Int(42));
+        let mut accessed = vec![false; n];
+        accessed[0] = true;
+        let quantity = schema
+            .leaf_index(&recache_types::FieldPath::parse("lineitems.l_quantity"))
+            .unwrap();
+        accessed[quantity] = true;
+        let projected = parse_record(
+            line,
+            &schema,
+            Some(&LeafProjection::new(&schema, &accessed)),
+        )
+        .unwrap();
+        assert_eq!(
+            recache_types::flatten_record_projected(&schema, &projected, &accessed),
+            vec![vec![Value::Int(42), Value::Int(3)]]
+        );
+    }
+
+    #[test]
+    fn duplicate_keys_are_last_wins_under_a_leaf_mask() {
+        let schema = nested_schema();
+        let projection = LeafProjection::new(&schema, &[true, false, true, false]);
+        let record = parse_record(
+            br#"{"a":1,"b":0.5,"a":2,"items":[{"q":1,"tag":"x","q":7}],"b":9}"#,
+            &schema,
+            Some(&projection),
+        )
+        .unwrap();
+        assert_eq!(
+            record,
+            Value::Struct(vec![
+                Value::Int(2),
+                Value::Null,
+                Value::List(vec![Value::Struct(vec![Value::Int(7), Value::Null])]),
+            ])
+        );
+    }
+
+    #[test]
+    fn non_object_elements_of_a_projected_list_degrade_to_null() {
+        let schema = nested_schema();
+        let projection = LeafProjection::new(&schema, &[false, false, true, false]);
+        let line = br#"{"a":1,"items":[5,{"q":2,"tag":"t"},"x",[1],null]}"#;
+        let record = parse_record(line, &schema, Some(&projection)).unwrap();
+        let Value::Struct(fields) = &record else {
+            panic!("records parse to structs")
+        };
+        assert_eq!(
+            fields[2],
+            Value::List(vec![
+                Value::Null,
+                Value::Struct(vec![Value::Int(2), Value::Null]),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ])
+        );
+        // The same rows a full parse flattens to.
+        let full = parse_record(line, &schema, None).unwrap();
+        let accessed = [false, false, true, false];
+        assert_eq!(
+            recache_types::flatten_record_projected(&schema, &record, &accessed),
+            recache_types::flatten_record_projected(&schema, &full, &accessed)
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_skipped_key_is_an_error() {
+        let schema = nested_schema();
+        let projection = LeafProjection::new(&schema, &[true, false, false, false]);
+        for line in [
+            &b"{\"a\":1,\"\xff\":2}"[..],
+            &b"{\"a\":1,\"items\":[{\"q\":1}],\"z\\n\xff\":2}"[..],
+        ] {
+            assert!(parse_record(line, &schema, Some(&projection)).is_err());
+            assert!(parse_record(line, &schema, None).is_err());
+        }
+        // Inside the elements of a projected list too.
+        let projection = LeafProjection::new(&schema, &[false, false, true, false]);
+        let line = b"{\"items\":[{\"\xfe\":1,\"q\":1}]}";
+        assert!(parse_record(line, &schema, Some(&projection)).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_is_the_same_error_before_and_after_an_escape() {
+        let schema = Schema::new(vec![Field::required("s", DataType::Str)]);
+        // No escape: the borrowed fast path.
+        let fast = parse_record(b"{\"s\":\"ab\xffc\"}", &schema, None).unwrap_err();
+        // After an escape: the decoding slow path.
+        let slow = parse_record(b"{\"s\":\"a\\nb\xffc\"}", &schema, None).unwrap_err();
+        assert_eq!(fast.to_string(), slow.to_string());
+        assert!(fast.to_string().contains("invalid utf-8"), "{fast}");
+        // The batched tokenizer decodes through the same routine.
+        let fast = decode_string_at(b"\"ab\xff\"", 0).unwrap_err();
+        let slow = decode_string_at(b"\"a\\tb\xff\"", 0).unwrap_err();
+        assert_eq!(fast.to_string(), slow.to_string());
+        assert!(fast.to_string().contains("invalid utf-8"), "{fast}");
+        // Valid multi-byte text still decodes on both paths.
+        assert_eq!(
+            decode_string_at("\"é\\té\"".as_bytes(), 0).unwrap().0,
+            "é\té"
+        );
+    }
+
+    #[test]
+    fn tpch_leaf_projections_flatten_like_a_full_parse() {
+        use crate::gen::tpch;
+        use crate::source::{FileFormat, RawFile};
+        let schema = tpch::order_lineitems_schema();
+        let bytes = write_json(&schema, &tpch::gen_order_lineitems(0.0001, 11));
+        let mut full = Vec::new();
+        scan_build_map(&bytes, &schema, None, |_, v| {
+            full.push(v);
+            Ok(())
+        })
+        .unwrap();
+        let n = schema.leaves().len();
+        let singles = (0..n).map(|i| vec![i]);
+        let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| vec![i, j]));
+        let file = RawFile::from_bytes(bytes, FileFormat::Json, schema.clone());
+        for leaves in singles.chain(pairs) {
+            let mut accessed = vec![false; n];
+            for &leaf in &leaves {
+                accessed[leaf] = true;
+            }
+            let expected: Vec<(usize, Vec<Value>)> = full
+                .iter()
+                .enumerate()
+                .flat_map(|(id, record)| {
+                    recache_types::flatten_record_projected(&schema, record, &accessed)
+                        .into_iter()
+                        .map(move |row| (id, row))
+                })
+                .collect();
+            // First scan (building the map), then a mapped re-scan.
+            file.reset_scan_state();
+            for _ in 0..2 {
+                let mut got = Vec::new();
+                file.scan_projected(&accessed, &mut |id, row| got.push((id, row)))
+                    .unwrap();
+                assert_eq!(got, expected, "leaves {leaves:?}");
+            }
+        }
     }
 }

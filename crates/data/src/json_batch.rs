@@ -545,7 +545,7 @@ impl<'a> RecordWalk<'a> {
     /// Walks one `{...}` record, staging accessed fields and skipping the
     /// rest. Keys match as raw bytes against the accessed names (decoded
     /// first only when the key itself contains escapes); keys are
-    /// UTF-8-validated exactly as the row tokenizer's `parse_string`
+    /// UTF-8-validated exactly as the row tokenizer's `parse_str`
     /// validates every key it touches.
     ///
     /// With `capture`, keys match against the full schema instead and

@@ -7,8 +7,7 @@ use crate::raw_batch::{self, RawBatchIndex};
 use crate::{csv, json, json_batch};
 use recache_layout::{BatchScratch, ColumnBatch, ScanCost, SelectionVector, BATCH_ROWS};
 use recache_types::{
-    flatten_record_projected, DataType, FlatRow, LeafField, Result, ScalarType, ScanCtl, Schema,
-    Value,
+    FlatRow, FlatRows, Flattener, LeafField, Result, ScalarType, ScanCtl, Schema, Value,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,9 +48,6 @@ pub struct RawFile {
     schema: Schema,
     bytes: Vec<u8>,
     leaves: Vec<LeafField>,
-    /// For each leaf, the index of the top-level field it lives under
-    /// (drives selective JSON parsing).
-    leaf_top: Vec<usize>,
     posmap: Mutex<Option<Arc<PositionalMap>>>,
     /// Batched-scan state for flat files (CSV and flat JSON): the SWAR
     /// newline record index plus, until the positional map is assembled,
@@ -87,14 +83,11 @@ impl RawFile {
     /// Wraps raw bytes (used by tests and generators).
     pub fn from_bytes(bytes: Vec<u8>, format: FileFormat, schema: Schema) -> Self {
         let leaves = schema.leaves();
-        let leaf_top = leaf_top_indices(&schema);
-        debug_assert_eq!(leaves.len(), leaf_top.len());
         RawFile {
             format,
             schema,
             bytes,
             leaves,
-            leaf_top,
             posmap: Mutex::new(None),
             batch: Mutex::new(None),
             faults: Mutex::new(FaultState::default()),
@@ -221,14 +214,11 @@ impl RawFile {
                 }
             }
             FileFormat::Json => {
-                let accessed_top = self.accessed_top(accessed);
+                let projection = json::LeafProjection::new(&self.schema, accessed);
+                let flattener = Flattener::projected(&self.schema, accessed);
                 let mut emit = |id: usize, record: Value| {
-                    let rows = flatten_record_projected(&self.schema, &record, accessed);
                     metrics.records += 1;
-                    metrics.rows += rows.len();
-                    for row in rows {
-                        on_row(id, row);
-                    }
+                    metrics.rows += emit_flattened(&flattener, id, &record, on_row);
                     Ok(())
                 };
                 match existing {
@@ -236,14 +226,14 @@ impl RawFile {
                         &self.bytes,
                         &self.schema,
                         &map,
-                        Some(&accessed_top),
+                        Some(&projection),
                         emit,
                     )?,
                     None => {
                         let map = json::scan_build_map(
                             &self.bytes,
                             &self.schema,
-                            Some(&accessed_top),
+                            Some(&projection),
                             &mut emit,
                         )?;
                         self.install_posmap(map);
@@ -287,21 +277,18 @@ impl RawFile {
                 }
             }
             FileFormat::Json => {
-                let accessed_top = self.accessed_top(accessed);
+                let projection = json::LeafProjection::new(&self.schema, accessed);
+                let flattener = Flattener::projected(&self.schema, accessed);
                 for &id in record_ids {
                     let record = json::parse_record_at(
                         &self.bytes,
                         &self.schema,
                         &map,
                         id as usize,
-                        Some(&accessed_top),
+                        Some(&projection),
                     )?;
-                    let rows = flatten_record_projected(&self.schema, &record, accessed);
                     metrics.records += 1;
-                    metrics.rows += rows.len();
-                    for row in rows {
-                        on_row(id as usize, row);
-                    }
+                    metrics.rows += emit_flattened(&flattener, id as usize, &record, on_row);
                 }
             }
         }
@@ -845,39 +832,28 @@ impl RawFile {
     fn install_posmap(&self, map: PositionalMap) {
         *self.posmap.lock().expect("posmap lock") = Some(Arc::new(map));
     }
-
-    /// Top-level access bitmap derived from a leaf access bitmap.
-    fn accessed_top(&self, accessed: &[bool]) -> Vec<bool> {
-        let mut top = vec![false; self.schema.len()];
-        for (leaf, &a) in accessed.iter().enumerate() {
-            if a {
-                top[self.leaf_top[leaf]] = true;
-            }
-        }
-        top
-    }
 }
 
-/// For each leaf (in canonical order), the top-level field it belongs to.
-fn leaf_top_indices(schema: &Schema) -> Vec<usize> {
-    fn count(ty: &DataType) -> usize {
-        match ty {
-            DataType::Struct(fields) => fields.iter().map(|f| count(&f.data_type)).sum(),
-            DataType::List(inner) => count(inner),
-            _ => 1,
-        }
+/// Emits the projected flattened rows of one parsed record, returning how
+/// many there were.
+fn emit_flattened(
+    flattener: &Flattener,
+    id: usize,
+    record: &Value,
+    on_row: &mut dyn FnMut(usize, FlatRow),
+) -> usize {
+    let mut rows = FlatRows::new();
+    flattener.flatten_into(record, &mut rows);
+    for (row, _) in rows.iter() {
+        on_row(id, row.iter().map(|&v| v.clone()).collect());
     }
-    let mut out = Vec::new();
-    for (i, field) in schema.fields().iter().enumerate() {
-        out.extend(std::iter::repeat_n(i, count(&field.data_type)));
-    }
-    out
+    rows.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recache_types::Field;
+    use recache_types::{DataType, Field};
 
     fn csv_file() -> RawFile {
         let schema = Schema::new(vec![
@@ -997,12 +973,6 @@ mod tests {
         assert!(matches!(records[0], Value::Struct(_)));
         // Map installed as a side effect.
         assert_eq!(file.record_count(), Some(2));
-    }
-
-    #[test]
-    fn leaf_top_mapping() {
-        let file = json_file();
-        assert_eq!(super::leaf_top_indices(file.schema()), vec![0, 1]);
     }
 
     fn wide_csv_file(rows: usize) -> RawFile {

@@ -16,7 +16,7 @@ pub const DICT_MAX_RATIO: f64 = 0.125;
 pub const DICT_MIN_ROWS: usize = 64;
 
 /// Typed value storage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
@@ -303,7 +303,7 @@ impl ColumnData {
 }
 
 /// A column: typed data plus a validity mask.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     pub data: ColumnData,
     /// Set bit = valid (non-null).

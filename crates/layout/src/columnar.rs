@@ -14,11 +14,11 @@ use crate::batch::{ColumnBatch, SelectionVector, BATCH_ROWS};
 use crate::column::Column;
 use crate::shape::{self, ShapeCursor};
 use crate::ScanCost;
-use recache_types::{flatten_record_masks, Schema, Value};
+use recache_types::{Schema, Value};
 use std::time::Instant;
 
 /// Flattened, column-oriented store of cached records.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStore {
     schema: Schema,
     columns: Vec<Column>,
@@ -56,26 +56,26 @@ impl ColumnStore {
         records: impl IntoIterator<Item = &'a Value>,
         dict_max_ratio: Option<f64>,
     ) -> Self {
-        let leaves = schema.leaves();
-        let mut columns: Vec<Column> = leaves.iter().map(|l| Column::new(l.scalar_type)).collect();
-        let mut masks = Vec::new();
-        let mut record_rows = vec![0u32];
-        let mut shape_lens = Vec::new();
-        let mut shape_offsets = vec![0u32];
-        let mut total_rows = 0u32;
-        for record in records {
-            shape::capture(schema.fields(), record, &mut shape_lens);
-            shape_offsets.push(shape_lens.len() as u32);
-            let rows = flatten_record_masks(schema, record);
-            for (row, mask) in &rows {
-                masks.push(*mask);
-                for (col, value) in columns.iter_mut().zip(row) {
-                    col.push(value);
-                }
+        Self::build_flattened(schema, records, dict_max_ratio, shape::is_flat(schema))
+    }
+
+    /// The build proper; `flat` selects the one-row-per-record shortcut.
+    pub(crate) fn build_flattened<'a>(
+        schema: &Schema,
+        records: impl IntoIterator<Item = &'a Value>,
+        dict_max_ratio: Option<f64>,
+        flat: bool,
+    ) -> Self {
+        let mut columns: Vec<Column> = schema
+            .leaves()
+            .iter()
+            .map(|l| Column::new(l.scalar_type))
+            .collect();
+        let index = shape::flatten_records(schema, records, flat, |row| {
+            for (col, value) in columns.iter_mut().zip(row) {
+                col.push(value);
             }
-            total_rows += rows.len() as u32;
-            record_rows.push(total_rows);
-        }
+        });
         if let Some(ratio) = dict_max_ratio {
             for col in &mut columns {
                 col.maybe_dict_encode(ratio, crate::column::DICT_MIN_ROWS);
@@ -84,10 +84,10 @@ impl ColumnStore {
         ColumnStore {
             schema: schema.clone(),
             columns,
-            masks,
-            record_rows,
-            shape_lens,
-            shape_offsets,
+            masks: index.masks,
+            record_rows: index.record_rows,
+            shape_lens: index.shape_lens,
+            shape_offsets: index.shape_offsets,
             source_ids: None,
         }
     }

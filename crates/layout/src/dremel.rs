@@ -21,7 +21,7 @@ use crate::bitmap::Bitmap;
 use crate::column::ColumnData;
 use crate::shape::{self, leaf_count, ShapeCursor};
 use crate::ScanCost;
-use recache_types::{flatten_record_projected, DataType, Field, Schema, Value};
+use recache_types::{DataType, Field, FlatRows, Flattener, Schema, Value};
 use std::time::Instant;
 
 /// Records per assembly chunk (amortizes the phase timers).
@@ -263,21 +263,19 @@ impl DremelStore {
         chunk_end: usize,
         want_ids: bool,
     ) -> (Vec<Vec<Value>>, Vec<u32>) {
-        let mut index_rows: Vec<Vec<Value>> = Vec::new();
+        let placeholders: Vec<Value> = (rec..chunk_end)
+            .map(|_| assemble_struct(self, self.schema.fields(), 0, 0, 0, accessed, cursors))
+            .collect();
+        let flattener = Flattener::projected(&self.schema, accessed);
+        let mut flat = FlatRows::new();
         let mut row_recs: Vec<u32> = Vec::new();
-        for r in rec..chunk_end {
-            let placeholder =
-                assemble_struct(self, self.schema.fields(), 0, 0, 0, accessed, cursors);
-            index_rows.extend(flatten_record_projected(
-                &self.schema,
-                &placeholder,
-                accessed,
-            ));
+        for (r, placeholder) in (rec..chunk_end).zip(&placeholders) {
+            flattener.flatten_into(placeholder, &mut flat);
             if want_ids {
-                row_recs.resize(index_rows.len(), self.source_id(r));
+                row_recs.resize(flat.len(), self.source_id(r));
             }
         }
-        (index_rows, row_recs)
+        (flat.to_rows(), row_recs)
     }
 
     /// Per-leaf cursor positions at the start of record `start_rec`,
@@ -563,7 +561,7 @@ impl DremelStore {
     }
 }
 
-/// `flatten_record_projected` emits accessed leaves in canonical order;
+/// [`Flattener::projected`] emits accessed leaves in canonical order;
 /// maps canonical positions back to projection order.
 fn projection_order(projection: &[usize]) -> Vec<usize> {
     let mut sorted: Vec<usize> = projection.to_vec();

@@ -8,7 +8,7 @@
 use crate::batch::{BatchScratch, ColumnBatch, SelectionVector, BATCH_ROWS};
 use crate::shape;
 use crate::ScanCost;
-use recache_types::{flatten_record_masks, Schema, Value};
+use recache_types::{Schema, Value};
 use std::time::Instant;
 
 const TAG_NULL: u8 = 0;
@@ -19,7 +19,7 @@ const TAG_FLOAT: u8 = 4;
 const TAG_STR: u8 = 5;
 
 /// Flattened rows packed back-to-back in a byte buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowStore {
     schema: Schema,
     buf: Vec<u8>,
@@ -41,37 +41,32 @@ pub struct RowStore {
 impl RowStore {
     /// Builds the store by flattening and packing `records`.
     pub fn build<'a>(schema: &Schema, records: impl IntoIterator<Item = &'a Value>) -> Self {
-        let n_leaves = schema.leaves().len();
+        Self::build_flattened(schema, records, shape::is_flat(schema))
+    }
+
+    /// The build proper; `flat` selects the one-row-per-record shortcut.
+    pub(crate) fn build_flattened<'a>(
+        schema: &Schema,
+        records: impl IntoIterator<Item = &'a Value>,
+        flat: bool,
+    ) -> Self {
         let mut buf = Vec::new();
         let mut row_offsets = vec![0u32];
-        let mut masks = Vec::new();
-        let mut record_rows = vec![0u32];
-        let mut shape_lens = Vec::new();
-        let mut shape_offsets = vec![0u32];
-        let mut total_rows = 0u32;
-        for record in records {
-            shape::capture(schema.fields(), record, &mut shape_lens);
-            shape_offsets.push(shape_lens.len() as u32);
-            let rows = flatten_record_masks(schema, record);
-            for (row, mask) in &rows {
-                masks.push(*mask);
-                for value in row {
-                    encode_value(&mut buf, value);
-                }
-                row_offsets.push(buf.len() as u32);
+        let index = shape::flatten_records(schema, records, flat, |row| {
+            for value in row {
+                encode_value(&mut buf, value);
             }
-            total_rows += rows.len() as u32;
-            record_rows.push(total_rows);
-        }
+            row_offsets.push(buf.len() as u32);
+        });
         RowStore {
             schema: schema.clone(),
             buf,
             row_offsets,
-            masks,
-            record_rows,
-            shape_lens,
-            shape_offsets,
-            n_leaves,
+            masks: index.masks,
+            record_rows: index.record_rows,
+            shape_lens: index.shape_lens,
+            shape_offsets: index.shape_offsets,
+            n_leaves: schema.leaves().len(),
             source_ids: None,
         }
     }

@@ -13,6 +13,13 @@
 //! only non-nested attributes sees one row per record ("4x fewer rows", as
 //! the paper observes on `orderLineitems`), while the same query over the
 //! relational columnar cache iterates all flattened rows.
+//!
+//! There is one implementation: a [`Flattener`] compiles a schema (and
+//! optionally a leaf projection) once, then walks each record in a single
+//! pass, appending every flattened row exactly once — as borrowed `&Value`
+//! leaves plus its list-dimension mask — to a caller-owned [`FlatRows`]
+//! buffer. Nothing is cloned or allocated per value; [`flatten_record`]
+//! and [`flatten_record_projected`] are owned-row conveniences over it.
 
 use crate::datatype::{DataType, Field, Schema};
 use crate::value::Value;
@@ -20,11 +27,14 @@ use crate::value::Value;
 /// A flattened row: one scalar per accessed leaf, in schema-leaf order.
 pub type FlatRow = Vec<Value>;
 
+/// Stand-in for absent struct children and the elements of empty lists.
+static NULL: Value = Value::Null;
+
 /// Leaf-id range `(start, end)` covered by each list node of a schema, in
 /// depth-first preorder. These are the *flattening dimensions*: a store
 /// flattened over all lists can recover projected-flattening semantics by
 /// keeping only rows whose unprojected dimensions sit at element index 0
-/// (see [`flatten_record_masks`]).
+/// (see [`Flattener::new`]).
 pub fn list_dim_ranges(schema: &Schema) -> Vec<(usize, usize)> {
     fn walk(ty: &DataType, leaf: &mut usize, out: &mut Vec<(usize, usize)>) {
         match ty {
@@ -51,132 +61,245 @@ pub fn list_dim_ranges(schema: &Schema) -> Vec<(usize, usize)> {
     out
 }
 
-/// Flattens a record over all leaves, additionally reporting for each row
-/// a bitmask with bit `d` set iff list dimension `d` (in
-/// [`list_dim_ranges`] order) is at a non-zero element index.
-///
-/// The first row of a record always has mask 0; a query that accesses
-/// leaf set `A` gets exactly the rows of `flatten_record_projected` by
-/// keeping rows where `mask & unaccessed_dims == 0`.
-///
-/// Panics if the schema has more than 64 list nodes (no realistic schema
-/// comes close).
-pub fn flatten_record_masks(schema: &Schema, record: &Value) -> Vec<(FlatRow, u64)> {
-    let n_dims = list_dim_ranges(schema).len();
-    assert!(
-        n_dims <= 64,
-        "schemas with more than 64 list dimensions are unsupported"
-    );
-    let children = match record {
-        Value::Struct(children) => children.as_slice(),
-        _ => &[],
-    };
-    let mut dim = 0usize;
-    flatten_struct_masks(schema.fields(), children, &mut dim)
-}
-
-fn flatten_struct_masks(
-    fields: &[Field],
-    children: &[Value],
-    dim: &mut usize,
-) -> Vec<(FlatRow, u64)> {
-    let mut rows: Vec<(FlatRow, u64)> = vec![(Vec::new(), 0)];
-    for (i, field) in fields.iter().enumerate() {
-        let child = children.get(i).unwrap_or(&Value::Null);
-        let child_rows = flatten_value_masks(&field.data_type, child, dim);
-        rows = product_masks(rows, child_rows);
-    }
-    rows
-}
-
-fn flatten_value_masks(ty: &DataType, value: &Value, dim: &mut usize) -> Vec<(FlatRow, u64)> {
-    match ty {
-        DataType::Struct(fields) => {
-            let children = match value {
-                Value::Struct(children) => children.as_slice(),
-                _ => &[],
-            };
-            flatten_struct_masks(fields, children, dim)
-        }
-        DataType::List(inner) => {
-            let this_dim = *dim;
-            *dim += 1;
-            let dims_below = count_dims(inner);
-            match value {
-                Value::List(items) if !items.is_empty() => {
-                    let mut out = Vec::with_capacity(items.len());
-                    let mut after = *dim;
-                    for (i, item) in items.iter().enumerate() {
-                        let mut d = *dim;
-                        let rows = flatten_value_masks(inner, item, &mut d);
-                        after = d;
-                        let elem_bit = if i > 0 { 1u64 << this_dim } else { 0 };
-                        for (row, mask) in rows {
-                            out.push((row, mask | elem_bit));
-                        }
-                    }
-                    *dim = after;
-                    out
-                }
-                _ => {
-                    // Empty/absent list: one all-null row at index 0.
-                    let mut d = *dim;
-                    let rows = null_rows_masks(inner, &mut d);
-                    *dim += dims_below;
-                    rows
-                }
-            }
-        }
-        _ => vec![(vec![value.clone()], 0)],
-    }
-}
-
-fn null_rows_masks(ty: &DataType, dim: &mut usize) -> Vec<(FlatRow, u64)> {
-    match ty {
-        DataType::Struct(fields) => {
-            let mut row = Vec::new();
-            for field in fields {
-                for (r, _) in null_rows_masks(&field.data_type, dim) {
-                    row.extend(r);
-                }
-            }
-            vec![(row, 0)]
-        }
-        DataType::List(inner) => {
-            *dim += 1;
-            null_rows_masks(inner, dim)
-        }
-        _ => vec![(vec![Value::Null], 0)],
-    }
-}
-
-fn count_dims(ty: &DataType) -> usize {
-    match ty {
-        DataType::Struct(fields) => fields.iter().map(|f| count_dims(&f.data_type)).sum(),
-        DataType::List(inner) => 1 + count_dims(inner),
-        _ => 0,
-    }
-}
-
-fn product_masks(left: Vec<(FlatRow, u64)>, right: Vec<(FlatRow, u64)>) -> Vec<(FlatRow, u64)> {
-    let mut out = Vec::with_capacity(left.len() * right.len());
-    for (l, lm) in &left {
-        for (r, rm) in &right {
-            let mut row = Vec::with_capacity(l.len() + r.len());
-            row.extend(l.iter().cloned());
-            row.extend(r.iter().cloned());
-            out.push((row, lm | rm));
-        }
-    }
-    out
-}
-
 /// Number of scalar leaves in a type tree.
 fn leaf_count(ty: &DataType) -> usize {
     match ty {
         DataType::Struct(fields) => fields.iter().map(|f| leaf_count(&f.data_type)).sum(),
         DataType::List(inner) => leaf_count(inner),
         _ => 1,
+    }
+}
+
+/// One node of a compiled schema. In a projection, subtrees without an
+/// accessed leaf are compiled away: they contribute no column and never
+/// multiply rows.
+#[derive(Debug, Clone)]
+enum Node {
+    /// An emitted scalar leaf.
+    Leaf,
+    /// A struct: `(field index, node)` of each child that emits anything.
+    Struct(Vec<(u32, u32)>),
+    /// A list with element node `inner`; `bit` is its dimension's mask
+    /// bit (0 past the 64th dimension).
+    List { inner: u32, bit: u64 },
+}
+
+/// A schema compiled for flattening: build once per scan or store build,
+/// then [`Flattener::flatten_into`] each record.
+#[derive(Debug, Clone)]
+pub struct Flattener {
+    nodes: Vec<Node>,
+    /// Root struct node; `None` when nothing is emitted at all.
+    root: Option<u32>,
+    width: usize,
+}
+
+impl Flattener {
+    /// Flattens over every leaf. Each row's mask has bit `d` set iff list
+    /// dimension `d` (in [`list_dim_ranges`] order) is at a non-zero
+    /// element index, so the first row of a record always has mask 0, and
+    /// a query that accesses leaf set `A` gets exactly the rows of
+    /// [`Flattener::projected`] by keeping rows where
+    /// `mask & unaccessed_dims == 0`.
+    ///
+    /// Panics if the schema has more than 64 list nodes (no realistic
+    /// schema comes close).
+    pub fn new(schema: &Schema) -> Self {
+        assert!(
+            list_dim_ranges(schema).len() <= 64,
+            "schemas with more than 64 list dimensions are unsupported"
+        );
+        Self::compile(schema, None)
+    }
+
+    /// Flattens over the accessed leaves only (indexed by leaf id in
+    /// [`Schema::leaves`] order). Lists with no accessed leaf beneath them
+    /// do not multiply rows.
+    pub fn projected(schema: &Schema, accessed: &[bool]) -> Self {
+        Self::compile(schema, Some(accessed))
+    }
+
+    fn compile(schema: &Schema, accessed: Option<&[bool]>) -> Self {
+        let mut flattener = Flattener {
+            nodes: Vec::new(),
+            root: None,
+            width: 0,
+        };
+        let (mut leaf, mut dim) = (0usize, 0usize);
+        flattener.root = flattener.compile_struct(schema.fields(), accessed, &mut leaf, &mut dim);
+        debug_assert!(accessed.is_none_or(|a| a.len() == leaf));
+        flattener
+    }
+
+    /// Compiles `ty`, returning its node id, or `None` when the subtree
+    /// emits no leaf (its leaf and dimension ids are still consumed).
+    fn compile_node(
+        &mut self,
+        ty: &DataType,
+        accessed: Option<&[bool]>,
+        leaf: &mut usize,
+        dim: &mut usize,
+    ) -> Option<u32> {
+        let node = match ty {
+            DataType::Struct(fields) => return self.compile_struct(fields, accessed, leaf, dim),
+            DataType::List(inner) => {
+                let bit = 1u64.checked_shl(*dim as u32).unwrap_or(0);
+                *dim += 1;
+                let inner = self.compile_node(inner, accessed, leaf, dim)?;
+                Node::List { inner, bit }
+            }
+            _ => {
+                let id = *leaf;
+                *leaf += 1;
+                if !accessed.is_none_or(|a| a[id]) {
+                    return None;
+                }
+                self.width += 1;
+                Node::Leaf
+            }
+        };
+        Some(self.push(node))
+    }
+
+    /// [`Flattener::compile_node`] for a struct with these fields.
+    fn compile_struct(
+        &mut self,
+        fields: &[Field],
+        accessed: Option<&[bool]>,
+        leaf: &mut usize,
+        dim: &mut usize,
+    ) -> Option<u32> {
+        let kids: Vec<(u32, u32)> = fields
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| {
+                let kid = self.compile_node(&f.data_type, accessed, leaf, dim)?;
+                Some((i as u32, kid))
+            })
+            .collect();
+        if kids.is_empty() && accessed.is_some() {
+            return None;
+        }
+        Some(self.push(Node::Struct(kids)))
+    }
+
+    fn push(&mut self, node: Node) -> u32 {
+        self.nodes.push(node);
+        self.nodes.len() as u32 - 1
+    }
+
+    /// Appends the flattened rows of `record` to `out`, each once, in
+    /// canonical order (leftmost field varies slowest, list elements in
+    /// order). A non-struct record flattens like a struct of nulls.
+    pub fn flatten_into<'v>(&self, record: &'v Value, out: &mut FlatRows<'v>) {
+        out.width = self.width;
+        match self.root {
+            Some(root) => {
+                debug_assert!(out.todo.is_empty() && out.row.is_empty());
+                out.todo.push((root, record));
+                self.walk(out, 0);
+                out.todo.clear();
+            }
+            None => out.masks.push(0),
+        }
+    }
+
+    /// Pops the next pending `(node, value)`, expands it, and recurses
+    /// over the rest; with nothing pending, `out.row` is one finished
+    /// row. Every call leaves `out.todo` and `out.row` as it found them.
+    fn walk<'v>(&self, out: &mut FlatRows<'v>, mask: u64) {
+        let Some((id, value)) = out.todo.pop() else {
+            out.values.extend_from_slice(&out.row);
+            out.masks.push(mask);
+            return;
+        };
+        match &self.nodes[id as usize] {
+            Node::Leaf => {
+                out.row.push(value);
+                self.walk(out, mask);
+                out.row.pop();
+            }
+            Node::Struct(kids) => {
+                let children: &'v [Value] = match value {
+                    Value::Struct(children) => children,
+                    _ => &[],
+                };
+                let base = out.todo.len();
+                for &(field, kid) in kids.iter().rev() {
+                    let child = children.get(field as usize).unwrap_or(&NULL);
+                    out.todo.push((kid, child));
+                }
+                self.walk(out, mask);
+                out.todo.truncate(base);
+            }
+            &Node::List { inner, bit } => match value {
+                Value::List(items) if !items.is_empty() => {
+                    for (i, item) in items.iter().enumerate() {
+                        out.todo.push((inner, item));
+                        self.walk(out, if i == 0 { mask } else { mask | bit });
+                        out.todo.pop();
+                    }
+                }
+                // Empty/absent list: one all-null row at element index 0.
+                _ => {
+                    out.todo.push((inner, &NULL));
+                    self.walk(out, mask);
+                    out.todo.pop();
+                }
+            },
+        }
+        out.todo.push((id, value));
+    }
+}
+
+/// Caller-owned output of [`Flattener::flatten_into`]: rows of borrowed
+/// leaf values, row-major, with one mask per row. Reuse one across
+/// records (call [`FlatRows::clear`] in between) to flatten without
+/// allocating.
+#[derive(Debug, Default)]
+pub struct FlatRows<'v> {
+    width: usize,
+    values: Vec<&'v Value>,
+    masks: Vec<u64>,
+    /// Walk scratch: the row under construction and the pending nodes.
+    row: Vec<&'v Value>,
+    todo: Vec<(u32, &'v Value)>,
+}
+
+impl<'v> FlatRows<'v> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of rows held.
+    pub fn len(&self) -> usize {
+        self.masks.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.masks.is_empty()
+    }
+
+    /// Drops the rows, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.masks.clear();
+    }
+
+    /// The rows with their masks, in emission order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[&'v Value], u64)> + '_ {
+        let width = self.width;
+        self.masks
+            .iter()
+            .enumerate()
+            .map(move |(i, &mask)| (&self.values[i * width..(i + 1) * width], mask))
+    }
+
+    /// Owned copies of the rows.
+    pub fn to_rows(&self) -> Vec<FlatRow> {
+        self.iter()
+            .map(|(row, _)| row.iter().map(|&v| v.clone()).collect())
+            .collect()
     }
 }
 
@@ -196,135 +319,9 @@ pub fn flatten_record_projected(
     accessed: &[bool],
 ) -> Vec<FlatRow> {
     debug_assert_eq!(accessed.len(), schema.leaves().len());
-    let children = match record {
-        Value::Struct(children) => children.as_slice(),
-        _ => &[],
-    };
-    let mut leaf_id = 0;
-    flatten_struct(schema.fields(), children, accessed, &mut leaf_id)
-}
-
-/// Flattens a struct's fields into the cartesian product of its children's
-/// row sets.
-fn flatten_struct(
-    fields: &[Field],
-    children: &[Value],
-    accessed: &[bool],
-    leaf_id: &mut usize,
-) -> Vec<FlatRow> {
-    let mut rows: Vec<FlatRow> = vec![Vec::new()];
-    for (i, field) in fields.iter().enumerate() {
-        let child = children.get(i).unwrap_or(&Value::Null);
-        let child_rows = flatten_value(&field.data_type, child, accessed, leaf_id);
-        rows = product(rows, child_rows);
-    }
-    rows
-}
-
-fn flatten_value(
-    ty: &DataType,
-    value: &Value,
-    accessed: &[bool],
-    leaf_id: &mut usize,
-) -> Vec<FlatRow> {
-    match ty {
-        DataType::Struct(fields) => {
-            let children = match value {
-                Value::Struct(children) => children.as_slice(),
-                _ => &[],
-            };
-            flatten_struct(fields, children, accessed, leaf_id)
-        }
-        DataType::List(inner) => {
-            let n_leaves = leaf_count(inner);
-            let start = *leaf_id;
-            let any_accessed = accessed[start..start + n_leaves].iter().any(|&a| a);
-            if !any_accessed {
-                // Unaccessed list: contributes no columns, no row expansion.
-                *leaf_id += n_leaves;
-                return vec![Vec::new()];
-            }
-            match value {
-                Value::List(items) if !items.is_empty() => {
-                    let mut out = Vec::with_capacity(items.len());
-                    for item in items {
-                        // Each element re-reads the same leaf-id range.
-                        let mut id = start;
-                        out.extend(flatten_value(inner, item, accessed, &mut id));
-                    }
-                    *leaf_id = start + n_leaves;
-                    out
-                }
-                _ => {
-                    // Empty/absent list: one row of nulls for accessed leaves.
-                    let mut id = start;
-                    let rows = null_rows(inner, accessed, &mut id);
-                    *leaf_id = start + n_leaves;
-                    rows
-                }
-            }
-        }
-        _ => {
-            let id = *leaf_id;
-            *leaf_id += 1;
-            if accessed[id] {
-                vec![vec![value.clone()]]
-            } else {
-                vec![Vec::new()]
-            }
-        }
-    }
-}
-
-/// One row with `Null` for every accessed leaf in the subtree.
-fn null_rows(ty: &DataType, accessed: &[bool], leaf_id: &mut usize) -> Vec<FlatRow> {
-    match ty {
-        DataType::Struct(fields) => {
-            let mut row = Vec::new();
-            for field in fields {
-                for r in null_rows(&field.data_type, accessed, leaf_id) {
-                    row.extend(r);
-                }
-            }
-            vec![row]
-        }
-        DataType::List(inner) => null_rows(inner, accessed, leaf_id),
-        _ => {
-            let id = *leaf_id;
-            *leaf_id += 1;
-            if accessed[id] {
-                vec![vec![Value::Null]]
-            } else {
-                vec![Vec::new()]
-            }
-        }
-    }
-}
-
-/// Cartesian product of row sets, concatenating value vectors. The common
-/// case (`right` has one row) avoids cloning the left rows.
-fn product(left: Vec<FlatRow>, mut right: Vec<FlatRow>) -> Vec<FlatRow> {
-    if right.len() == 1 {
-        let suffix = right.pop().expect("len checked");
-        let mut left = left;
-        if suffix.is_empty() {
-            return left;
-        }
-        for row in &mut left {
-            row.extend(suffix.iter().cloned());
-        }
-        return left;
-    }
-    let mut out = Vec::with_capacity(left.len() * right.len());
-    for l in &left {
-        for r in &right {
-            let mut row = Vec::with_capacity(l.len() + r.len());
-            row.extend(l.iter().cloned());
-            row.extend(r.iter().cloned());
-            out.push(row);
-        }
-    }
-    out
+    let mut rows = FlatRows::new();
+    Flattener::projected(schema, accessed).flatten_into(record, &mut rows);
+    rows.to_rows()
 }
 
 #[cfg(test)]
@@ -511,10 +508,19 @@ mod tests {
         assert_eq!(list_dim_ranges(&schema), vec![(1, 3), (2, 3), (3, 4)]);
     }
 
+    /// Owned `(row, mask)` pairs of an all-leaves flattening.
+    fn masked_rows(schema: &Schema, record: &Value) -> Vec<(FlatRow, u64)> {
+        let mut rows = FlatRows::new();
+        Flattener::new(schema).flatten_into(record, &mut rows);
+        rows.iter()
+            .map(|(row, mask)| (row.iter().map(|&v| v.clone()).collect(), mask))
+            .collect()
+    }
+
     #[test]
     fn masks_mark_non_first_elements() {
         // {"a":1, "c":[4,6,9]} with dims = [c].
-        let rows = flatten_record_masks(&abc_schema(), &abc_record());
+        let rows = masked_rows(&abc_schema(), &abc_record());
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].1, 0);
         assert_eq!(rows[1].1, 1);
@@ -536,7 +542,7 @@ mod tests {
             }
         }
         let expected = flatten_record_projected(schema, record, accessed);
-        let got: Vec<FlatRow> = flatten_record_masks(schema, record)
+        let got: Vec<FlatRow> = masked_rows(schema, record)
             .into_iter()
             .filter(|(_, mask)| mask & unaccessed == 0)
             .map(|(row, _)| {
@@ -589,5 +595,393 @@ mod tests {
             let accessed: Vec<bool> = (0..4).map(|i| bits & (1 << i) != 0).collect();
             assert_mask_filter_matches_projection(&schema, &record, &accessed);
         }
+    }
+}
+
+/// The recursive cartesian-product flattener the walker replaced, kept
+/// verbatim as the reference the property tests below compare against.
+#[cfg(test)]
+mod oracle {
+    use super::{leaf_count, FlatRow};
+    use crate::datatype::{DataType, Field, Schema};
+    use crate::value::Value;
+
+    pub fn flatten_record_masks(schema: &Schema, record: &Value) -> Vec<(FlatRow, u64)> {
+        let children = match record {
+            Value::Struct(children) => children.as_slice(),
+            _ => &[],
+        };
+        let mut dim = 0usize;
+        flatten_struct_masks(schema.fields(), children, &mut dim)
+    }
+
+    fn flatten_struct_masks(
+        fields: &[Field],
+        children: &[Value],
+        dim: &mut usize,
+    ) -> Vec<(FlatRow, u64)> {
+        let mut rows: Vec<(FlatRow, u64)> = vec![(Vec::new(), 0)];
+        for (i, field) in fields.iter().enumerate() {
+            let child = children.get(i).unwrap_or(&Value::Null);
+            let child_rows = flatten_value_masks(&field.data_type, child, dim);
+            rows = product_masks(rows, child_rows);
+        }
+        rows
+    }
+
+    fn flatten_value_masks(ty: &DataType, value: &Value, dim: &mut usize) -> Vec<(FlatRow, u64)> {
+        match ty {
+            DataType::Struct(fields) => {
+                let children = match value {
+                    Value::Struct(children) => children.as_slice(),
+                    _ => &[],
+                };
+                flatten_struct_masks(fields, children, dim)
+            }
+            DataType::List(inner) => {
+                let this_dim = *dim;
+                *dim += 1;
+                let dims_below = count_dims(inner);
+                match value {
+                    Value::List(items) if !items.is_empty() => {
+                        let mut out = Vec::with_capacity(items.len());
+                        let mut after = *dim;
+                        for (i, item) in items.iter().enumerate() {
+                            let mut d = *dim;
+                            let rows = flatten_value_masks(inner, item, &mut d);
+                            after = d;
+                            let elem_bit = if i > 0 { 1u64 << this_dim } else { 0 };
+                            for (row, mask) in rows {
+                                out.push((row, mask | elem_bit));
+                            }
+                        }
+                        *dim = after;
+                        out
+                    }
+                    _ => {
+                        let mut d = *dim;
+                        let rows = null_rows_masks(inner, &mut d);
+                        *dim += dims_below;
+                        rows
+                    }
+                }
+            }
+            _ => vec![(vec![value.clone()], 0)],
+        }
+    }
+
+    fn null_rows_masks(ty: &DataType, dim: &mut usize) -> Vec<(FlatRow, u64)> {
+        match ty {
+            DataType::Struct(fields) => {
+                let mut row = Vec::new();
+                for field in fields {
+                    for (r, _) in null_rows_masks(&field.data_type, dim) {
+                        row.extend(r);
+                    }
+                }
+                vec![(row, 0)]
+            }
+            DataType::List(inner) => {
+                *dim += 1;
+                null_rows_masks(inner, dim)
+            }
+            _ => vec![(vec![Value::Null], 0)],
+        }
+    }
+
+    fn count_dims(ty: &DataType) -> usize {
+        match ty {
+            DataType::Struct(fields) => fields.iter().map(|f| count_dims(&f.data_type)).sum(),
+            DataType::List(inner) => 1 + count_dims(inner),
+            _ => 0,
+        }
+    }
+
+    fn product_masks(left: Vec<(FlatRow, u64)>, right: Vec<(FlatRow, u64)>) -> Vec<(FlatRow, u64)> {
+        let mut out = Vec::with_capacity(left.len() * right.len());
+        for (l, lm) in &left {
+            for (r, rm) in &right {
+                let mut row = Vec::with_capacity(l.len() + r.len());
+                row.extend(l.iter().cloned());
+                row.extend(r.iter().cloned());
+                out.push((row, lm | rm));
+            }
+        }
+        out
+    }
+
+    pub fn flatten_record_projected(
+        schema: &Schema,
+        record: &Value,
+        accessed: &[bool],
+    ) -> Vec<FlatRow> {
+        let children = match record {
+            Value::Struct(children) => children.as_slice(),
+            _ => &[],
+        };
+        let mut leaf_id = 0;
+        flatten_struct(schema.fields(), children, accessed, &mut leaf_id)
+    }
+
+    fn flatten_struct(
+        fields: &[Field],
+        children: &[Value],
+        accessed: &[bool],
+        leaf_id: &mut usize,
+    ) -> Vec<FlatRow> {
+        let mut rows: Vec<FlatRow> = vec![Vec::new()];
+        for (i, field) in fields.iter().enumerate() {
+            let child = children.get(i).unwrap_or(&Value::Null);
+            let child_rows = flatten_value(&field.data_type, child, accessed, leaf_id);
+            rows = product(rows, child_rows);
+        }
+        rows
+    }
+
+    fn flatten_value(
+        ty: &DataType,
+        value: &Value,
+        accessed: &[bool],
+        leaf_id: &mut usize,
+    ) -> Vec<FlatRow> {
+        match ty {
+            DataType::Struct(fields) => {
+                let children = match value {
+                    Value::Struct(children) => children.as_slice(),
+                    _ => &[],
+                };
+                flatten_struct(fields, children, accessed, leaf_id)
+            }
+            DataType::List(inner) => {
+                let n_leaves = leaf_count(inner);
+                let start = *leaf_id;
+                let any_accessed = accessed[start..start + n_leaves].iter().any(|&a| a);
+                if !any_accessed {
+                    *leaf_id += n_leaves;
+                    return vec![Vec::new()];
+                }
+                match value {
+                    Value::List(items) if !items.is_empty() => {
+                        let mut out = Vec::with_capacity(items.len());
+                        for item in items {
+                            let mut id = start;
+                            out.extend(flatten_value(inner, item, accessed, &mut id));
+                        }
+                        *leaf_id = start + n_leaves;
+                        out
+                    }
+                    _ => {
+                        let mut id = start;
+                        let rows = null_rows(inner, accessed, &mut id);
+                        *leaf_id = start + n_leaves;
+                        rows
+                    }
+                }
+            }
+            _ => {
+                let id = *leaf_id;
+                *leaf_id += 1;
+                if accessed[id] {
+                    vec![vec![value.clone()]]
+                } else {
+                    vec![Vec::new()]
+                }
+            }
+        }
+    }
+
+    fn null_rows(ty: &DataType, accessed: &[bool], leaf_id: &mut usize) -> Vec<FlatRow> {
+        match ty {
+            DataType::Struct(fields) => {
+                let mut row = Vec::new();
+                for field in fields {
+                    for r in null_rows(&field.data_type, accessed, leaf_id) {
+                        row.extend(r);
+                    }
+                }
+                vec![row]
+            }
+            DataType::List(inner) => null_rows(inner, accessed, leaf_id),
+            _ => {
+                let id = *leaf_id;
+                *leaf_id += 1;
+                if accessed[id] {
+                    vec![vec![Value::Null]]
+                } else {
+                    vec![Vec::new()]
+                }
+            }
+        }
+    }
+
+    fn product(left: Vec<FlatRow>, mut right: Vec<FlatRow>) -> Vec<FlatRow> {
+        if right.len() == 1 {
+            let suffix = right.pop().expect("len checked");
+            let mut left = left;
+            if suffix.is_empty() {
+                return left;
+            }
+            for row in &mut left {
+                row.extend(suffix.iter().cloned());
+            }
+            return left;
+        }
+        let mut out = Vec::with_capacity(left.len() * right.len());
+        for l in &left {
+            for r in &right {
+                let mut row = Vec::with_capacity(l.len() + r.len());
+                row.extend(l.iter().cloned());
+                row.extend(r.iter().cloned());
+                out.push(row);
+            }
+        }
+        out
+    }
+}
+
+/// Seeded random schemas and records: the walker must reproduce the
+/// oracle's rows, masks and order exactly, for every projection.
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::datatype::Field;
+
+    /// SplitMix64: a dependency-free seeded generator for the tests.
+    pub(crate) struct Rng(u64);
+
+    impl Rng {
+        pub(crate) fn new(seed: u64) -> Self {
+            Rng(seed)
+        }
+
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        pub(crate) fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    fn random_type(rng: &mut Rng, depth: u32) -> DataType {
+        let nested = depth < 3;
+        match rng.below(if nested { 8 } else { 4 }) {
+            0 => DataType::Int,
+            1 => DataType::Float,
+            2 => DataType::Str,
+            3 => DataType::Bool,
+            4 | 5 => DataType::List(Box::new(random_type(rng, depth + 1))),
+            _ => DataType::Struct(random_fields(rng, depth + 1)),
+        }
+    }
+
+    fn random_fields(rng: &mut Rng, depth: u32) -> Vec<Field> {
+        (0..1 + rng.below(3))
+            .map(|i| Field::new(format!("f{i}"), random_type(rng, depth)))
+            .collect()
+    }
+
+    /// A value for `ty`: mostly well-typed, with nulls, empty lists,
+    /// short structs and type mismatches mixed in.
+    fn random_value(rng: &mut Rng, ty: &DataType) -> Value {
+        if rng.chance(10) {
+            return Value::Null;
+        }
+        if rng.chance(5) {
+            // Type mismatch: a scalar where a container belongs, or a
+            // container where a scalar belongs.
+            return match ty {
+                DataType::List(_) | DataType::Struct(_) => Value::Int(rng.below(9) as i64),
+                _ => Value::List(vec![Value::Int(1)]),
+            };
+        }
+        match ty {
+            DataType::Int => Value::Int(rng.below(100) as i64),
+            DataType::Float => Value::Float(rng.below(100) as f64 / 4.0),
+            DataType::Str => Value::Str(format!("s{}", rng.below(20))),
+            DataType::Bool => Value::Bool(rng.chance(50)),
+            DataType::List(inner) => Value::List(
+                (0..rng.below(4))
+                    .map(|_| random_value(rng, inner))
+                    .collect(),
+            ),
+            DataType::Struct(fields) => {
+                // Sometimes shorter than the schema: absent trailing fields.
+                let n = fields.len() - usize::from(rng.chance(20));
+                Value::Struct(
+                    fields[..n]
+                        .iter()
+                        .map(|f| random_value(rng, &f.data_type))
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    pub(crate) fn random_schema(rng: &mut Rng) -> Schema {
+        Schema::new(random_fields(rng, 0))
+    }
+
+    pub(crate) fn random_record(rng: &mut Rng, schema: &Schema) -> Value {
+        random_value(rng, &DataType::Struct(schema.fields().to_vec()))
+    }
+
+    /// Every subset of leaves for small schemas, a seeded sample otherwise.
+    fn projections(rng: &mut Rng, n_leaves: usize) -> Vec<Vec<bool>> {
+        let masks: Vec<u64> = if n_leaves <= 6 {
+            (0..1u64 << n_leaves).collect()
+        } else {
+            (0..64).map(|_| rng.next()).collect()
+        };
+        masks
+            .into_iter()
+            .map(|bits| (0..n_leaves).map(|i| bits >> i & 1 == 1).collect())
+            .collect()
+    }
+
+    #[test]
+    fn walker_matches_the_recursive_oracle() {
+        let mut rng = Rng::new(0xF1A7);
+        let mut rows_seen = 0usize;
+        for case in 0..300 {
+            let schema = random_schema(&mut rng);
+            let n_leaves = schema.leaves().len();
+            let full = Flattener::new(&schema);
+            for _ in 0..4 {
+                let record = random_record(&mut rng, &schema);
+                let mut rows = FlatRows::new();
+                full.flatten_into(&record, &mut rows);
+                let got: Vec<(FlatRow, u64)> = rows
+                    .iter()
+                    .map(|(row, mask)| (row.iter().map(|&v| v.clone()).collect(), mask))
+                    .collect();
+                assert_eq!(
+                    got,
+                    oracle::flatten_record_masks(&schema, &record),
+                    "case {case}: masks of {record:?} under {schema:?}"
+                );
+                rows_seen += got.len();
+                for accessed in projections(&mut rng, n_leaves) {
+                    assert_eq!(
+                        flatten_record_projected(&schema, &record, &accessed),
+                        oracle::flatten_record_projected(&schema, &record, &accessed),
+                        "case {case}: projection {accessed:?} of {record:?} under {schema:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            rows_seen > 1500,
+            "the generator must produce multi-row records"
+        );
     }
 }

@@ -169,7 +169,7 @@ impl ReCacheBuilder {
 
     /// Replaces the shared-scan configuration (default:
     /// [`SharedScanConfig::from_env`], i.e. enabled with the
-    /// `RECACHE_SHARED_SCAN*` env overrides applied).
+    /// `RECACHE_SHARED_SCAN` env override applied).
     pub fn shared_scans(mut self, config: SharedScanConfig) -> Self {
         self.shared_scans = config;
         self
@@ -462,7 +462,7 @@ impl ReCache {
     /// spec under final options (deadline already folded into `cancel`).
     fn run_spec(&self, spec: &QuerySpec, options: &ExecOptions) -> Result<QueryResult> {
         let t_run = Instant::now();
-        let _live = LiveGuard::enter(&self.live);
+        let _live = LiveGuard::enter(&self.live, &self.shared);
         self.queries_run.fetch_add(1, Ordering::Relaxed);
         self.registry.tick();
         if let Err(err) = options.check_cancel() {
@@ -1063,19 +1063,26 @@ impl ReCache {
 }
 
 /// RAII increment of the session's live-query gauge (decrements on every
-/// exit path from `run_spec`, including errors and panics).
-struct LiveGuard<'a>(&'a AtomicUsize);
+/// exit path from `run_spec`, including errors and panics). A departure
+/// wakes every gathering shared-scan leader to re-read the gauge.
+struct LiveGuard<'a> {
+    gauge: &'a AtomicUsize,
+    shared: &'a SharedScans,
+}
 
 impl<'a> LiveGuard<'a> {
-    fn enter(gauge: &'a AtomicUsize) -> Self {
+    fn enter(gauge: &'a AtomicUsize, shared: &'a SharedScans) -> Self {
         gauge.fetch_add(1, Ordering::Relaxed);
-        LiveGuard(gauge)
+        LiveGuard { gauge, shared }
     }
 }
 
 impl Drop for LiveGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        // Decrement before waking: the group lock taken in between orders
+        // the decrement before the woken leader's re-read.
+        self.gauge.fetch_sub(1, Ordering::Relaxed);
+        self.shared.wake_gathers();
     }
 }
 

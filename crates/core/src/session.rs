@@ -373,10 +373,9 @@ impl Drop for FlightGuard<'_> {
 
 /// Tuning of the shared multi-predicate scan rendezvous.
 ///
-/// Env knobs (read by [`SharedScanConfig::from_env`], the session
+/// Env knob (read by [`SharedScanConfig::from_env`], the session
 /// builder's default): `RECACHE_SHARED_SCAN` (`0`/`false`/`off`
-/// disables), `RECACHE_SHARED_SCAN_WAIT_MS` (gather window),
-/// `RECACHE_SHARED_SCAN_MAX` (max participants per pass).
+/// disables). The window and group size are set through the builder.
 #[derive(Debug, Clone)]
 pub struct SharedScanConfig {
     /// Master switch; disabled groups never form and every query scans
@@ -402,22 +401,12 @@ impl Default for SharedScanConfig {
 }
 
 impl SharedScanConfig {
-    /// The default config with any `RECACHE_SHARED_SCAN*` env overrides
+    /// The default config with the `RECACHE_SHARED_SCAN` env override
     /// applied.
     pub fn from_env() -> Self {
         let mut cfg = SharedScanConfig::default();
         if let Ok(v) = std::env::var("RECACHE_SHARED_SCAN") {
             cfg.enabled = !matches!(v.trim(), "0" | "false" | "off");
-        }
-        if let Ok(ms) = std::env::var("RECACHE_SHARED_SCAN_WAIT_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                cfg.gather_window = Duration::from_millis(ms);
-            }
-        }
-        if let Ok(n) = std::env::var("RECACHE_SHARED_SCAN_MAX") {
-            if let Ok(n) = n.trim().parse::<usize>() {
-                cfg.max_participants = n.max(1);
-            }
         }
         cfg
     }
@@ -498,12 +487,6 @@ pub(crate) struct GatherLead<'a> {
     group: Arc<Gather>,
 }
 
-/// Poll granularity inside the gather wait. Members joining signal the
-/// group's condvar, but a co-runner *finishing* (live-gauge decrement)
-/// does not — the leader re-reads the gauge at this cadence so it never
-/// sleeps out the window waiting for queries that no longer exist.
-const GATHER_POLL: Duration = Duration::from_micros(500);
-
 impl GatherLead<'_> {
     /// Waits out the gather window, un-maps and seals the group, and
     /// returns every participant's plan in ticket order (the leader's at
@@ -511,7 +494,9 @@ impl GatherLead<'_> {
     /// usefully arrive: when the group fills to `max_participants`, or
     /// when every query counted by the session's live gauge is already
     /// in the group (a future joiner increments the gauge *before*
-    /// rendezvousing, so a pending joiner is always counted). After this
+    /// rendezvousing, so a pending joiner is always counted). Joining
+    /// members and departing live queries both notify the group's
+    /// condvar, so the wait needs no polling. After this
     /// returns no further member can join, so `publish` may size its
     /// serves off the returned plans.
     pub(crate) fn gather(&self, live: &AtomicUsize) -> Vec<QueryPlan> {
@@ -529,7 +514,7 @@ impl GatherLead<'_> {
                 let (guard, _) = self
                     .group
                     .cv
-                    .wait_timeout(state, (deadline - now).min(GATHER_POLL))
+                    .wait_timeout(state, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 state = guard;
             }
@@ -633,6 +618,19 @@ impl SharedScans {
             source: source.to_owned(),
             group,
         })
+    }
+
+    /// Wakes every gathering leader to re-read the live gauge; called
+    /// after a query leaves it. Each group's state lock is taken before
+    /// notifying (map → group state, the board's lock order), so a
+    /// leader between reading the gauge and waiting cannot miss the
+    /// wake-up.
+    pub(crate) fn wake_gathers(&self) {
+        let groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
+        for group in groups.values() {
+            let _state = group.state.lock().unwrap_or_else(|e| e.into_inner());
+            group.cv.notify_all();
+        }
     }
 
     fn unmap(&self, source: &str, group: &Arc<Gather>) {
@@ -1411,13 +1409,54 @@ mod tests {
         };
         assert_eq!(t, 1);
         // Two live queries, both in the group: nobody else can arrive,
-        // so the gather returns after at most one poll slice.
+        // so the gather returns at once.
         let start = Instant::now();
         let plans = lead.gather(&AtomicUsize::new(2));
         assert_eq!(plans.len(), 2);
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "gather slept toward the window instead of sealing on the live gauge"
+        );
+    }
+
+    #[test]
+    fn gather_seals_once_a_live_non_member_departs() {
+        let shared = SharedScans::new(SharedScanConfig {
+            enabled: true,
+            max_participants: 8,
+            // Far longer than the test tolerates: the seal must come from
+            // the departure's wake-up, not window expiry.
+            gather_window: Duration::from_secs(10),
+        });
+        let live = AtomicUsize::new(0);
+        let _leader = crate::LiveGuard::enter(&live, &shared);
+        let _member = crate::LiveGuard::enter(&live, &shared);
+        let outsider = crate::LiveGuard::enter(&live, &shared);
+        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
+            panic!("must lead");
+        };
+        let SharedRole::Member(_m, _) = shared.rendezvous("t", &tiny_plan()) else {
+            panic!("must join");
+        };
+        let start = Instant::now();
+        let gathering = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let gather = scope.spawn(|| {
+                gathering.wait();
+                lead.gather(&live).len()
+            });
+            gathering.wait();
+            // Either order must seal promptly: a departure before the
+            // leader reads the gauge is seen by that read, and one after
+            // it wakes the wait. The pause makes the second order, the
+            // one the wake-up exists for, the likely one.
+            std::thread::sleep(Duration::from_millis(50));
+            drop(outsider);
+            assert_eq!(gather.join().unwrap(), 2);
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "gather slept toward the window after the last non-member left"
         );
     }
 

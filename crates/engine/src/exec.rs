@@ -18,8 +18,14 @@
 //! D/C attribution: predicate-kernel time joins the store's
 //! mask-navigation/assembly time in `compute_ns`; aggregate and
 //! materialization gathers join the store's value gathering in
-//! `data_ns`. See `scan_store_batched` for how this relates to the row
-//! path's in-sink predicate evaluation.
+//! `data_ns`. See `scan_grid` for how this relates to the row path's
+//! in-sink predicate evaluation.
+//!
+//! # One batched pass for every single-table scan
+//!
+//! A solo batched query is a shared pass with one participant: both run
+//! through `scan_participants`, and every batched scan (solo, shared, or
+//! a join input) fans its chunk grid out through `scan_grid`.
 
 use crate::exactsum::ExactSum;
 use crate::kernel::{BatchAggregator, CompiledPredicate};
@@ -34,7 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use workpool::ThreadPool;
 
-/// A callback the executor invokes between a shared scan's chunk waves
+/// A callback the executor invokes between a batched scan's chunk waves
 /// to re-observe the query's negotiated thread share (mid-query
 /// scheduler repricing): threads freed by departed streams rebalance
 /// into the running scan instead of idling until the next query.
@@ -81,9 +87,10 @@ pub struct ExecOptions {
     /// [`Error::Timeout`] and releases the query's thread budget
     /// promptly (workers finish their current chunk and stop).
     pub cancel: Option<Arc<CancelToken>>,
-    /// Mid-query repricing hook, consulted by [`execute_shared`] between
-    /// chunk waves. `None` (the default) keeps the initial `threads`
-    /// budget for the whole query.
+    /// Mid-query repricing hook, consulted between the chunk waves of
+    /// every batched scan (solo, shared, or a join input). `None` (the
+    /// default) runs each scan in one span under the initial `threads`
+    /// budget.
     pub reprice: Option<Repricer>,
 }
 
@@ -272,17 +279,15 @@ pub fn execute_with(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutp
 /// Streaming path: scan → filter → aggregate without materializing rows.
 fn execute_single(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> {
     let table = &plan.tables[0];
-    let agg_slots: Vec<Option<usize>> = plan.aggregates.iter().map(|a| a.slot).collect();
 
-    // Vectorized fast path: cache store + (absent or compilable)
-    // predicate. One sink body serves every thread count: the scan
-    // yields per-task sinks (a single inline task at `threads = 1`),
-    // merged in task (= row) order.
+    // Vectorized fast path: a batchable source + (absent or compilable)
+    // predicate runs as a batched pass with this plan as its one
+    // participant.
     let mut degraded = false;
     if let Some((store, pred)) = batchable(table, options) {
         let raw = !store.is_cache_store();
-        match execute_single_batched(plan, table, &agg_slots, store, pred, options) {
-            Ok(output) => return Ok(output),
+        match scan_participants(store, vec![(plan, pred)], options) {
+            Ok(mut outputs) => return Ok(outputs.remove(0)),
             // A raw batched scan whose I/O error survived bounded retry
             // degrades to the row-at-a-time fallback below: the row
             // tokenizer re-reads the source independently (its own
@@ -313,9 +318,9 @@ fn execute_single(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput
         if let Some(ids) = satisfying.as_mut() {
             ids.push(record_id as u32);
         }
-        for (state, slot) in aggs.iter_mut().zip(&agg_slots) {
-            match slot {
-                Some(s) => state.update(&row[*s]),
+        for (state, spec) in aggs.iter_mut().zip(&plan.aggregates) {
+            match spec.slot {
+                Some(s) => state.update(&row[s]),
                 None => state.update_count_star(),
             }
         }
@@ -330,85 +335,6 @@ fn execute_single(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput
         total_ns: 0,
     };
     stats.tables[0].degraded_fallback = degraded;
-    Ok(QueryOutput {
-        values,
-        rows_aggregated: rows_out,
-        stats,
-    })
-}
-
-/// The vectorized arm of [`execute_single`], separated so a failed raw
-/// batched scan can fall back to the row path.
-fn execute_single_batched(
-    plan: &QueryPlan,
-    table: &TablePlan,
-    agg_slots: &[Option<usize>],
-    store: StoreRef<'_>,
-    pred: Option<CompiledPredicate>,
-    options: &ExecOptions,
-) -> Result<QueryOutput> {
-    let mut satisfying: Option<Vec<u32>> = table.collect_satisfying.then(Vec::new);
-    let mut rows_out = 0usize;
-    let want_ids = satisfying.is_some();
-    let threads = options.effective_threads();
-    struct TaskSink {
-        aggs: Vec<BatchAggregator>,
-        rows_out: usize,
-        ids: Option<Vec<u32>>,
-    }
-    let t0 = Instant::now();
-    let (scan, sinks) = scan_store_batched(
-        store,
-        table,
-        pred.as_ref(),
-        want_ids,
-        threads,
-        options.cancel.as_ref(),
-        || TaskSink {
-            aggs: plan
-                .aggregates
-                .iter()
-                .map(|a| BatchAggregator::new(a.func))
-                .collect(),
-            rows_out: 0,
-            ids: want_ids.then(Vec::new),
-        },
-        |sink, batch, sel| {
-            sink.rows_out += sel.len();
-            if let Some(ids) = sink.ids.as_mut() {
-                for &i in sel.as_slice() {
-                    ids.push(batch.record_ids[i as usize]);
-                }
-            }
-            for (state, slot) in sink.aggs.iter_mut().zip(agg_slots) {
-                state.update(slot.map(|s| &batch.columns[s]), sel);
-            }
-        },
-    )?;
-    let mut merged: Option<Vec<BatchAggregator>> = None;
-    for sink in sinks {
-        rows_out += sink.rows_out;
-        if let (Some(all), Some(part)) = (satisfying.as_mut(), sink.ids) {
-            all.extend(part);
-        }
-        match merged.as_mut() {
-            None => merged = Some(sink.aggs),
-            Some(base) => {
-                for (into, part) in base.iter_mut().zip(sink.aggs) {
-                    into.merge(part);
-                }
-            }
-        }
-    }
-    let aggs = merged.unwrap_or_default();
-    let exec_ns = t0.elapsed().as_nanos() as u64;
-    let values: Vec<Value> = aggs.into_iter().map(BatchAggregator::finish).collect();
-    let stats = ExecStats {
-        tables: vec![table_stats(table, scan, exec_ns, rows_out, satisfying)],
-        join_ns: 0,
-        agg_ns: 0, // folded into exec_ns on the streaming path
-        total_ns: 0,
-    };
     Ok(QueryOutput {
         values,
         rows_aggregated: rows_out,
@@ -456,13 +382,12 @@ fn execute_join(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> 
             // Per-task row/key buffers, concatenated in task (= row)
             // order, so the materialized table is identical at every
             // thread count (a single inline task at `threads = 1`).
-            let attempt = scan_store_batched(
+            let attempt = scan_grid(
                 store,
-                table,
-                pred.as_ref(),
+                &table.accessed,
+                table.record_level,
                 want_ids,
-                threads,
-                options.cancel.as_ref(),
+                options,
                 || {
                     (
                         Vec::<Vec<Value>>::new(),
@@ -470,7 +395,13 @@ fn execute_join(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> 
                         vec![Vec::<Option<JoinKey>>::new(); slots.len()],
                     )
                 },
-                |(rows, ids, keys), batch, sel| {
+                |(rows, ids, keys), batch, sel, phases| {
+                    if let Some(pred) = &pred {
+                        let t_kernel = Instant::now();
+                        pred.filter(&batch.columns, sel);
+                        phases.compute_ns += t_kernel.elapsed().as_nanos() as u64;
+                    }
+                    let t_sink = Instant::now();
                     rows.reserve(sel.len());
                     for &i in sel.as_slice() {
                         let i = i as usize;
@@ -487,6 +418,7 @@ fn execute_join(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> 
                             out.push(batch_join_key(col, i as usize));
                         }
                     }
+                    phases.data_ns += t_sink.elapsed().as_nanos() as u64;
                 },
             );
             match attempt {
@@ -650,6 +582,7 @@ fn execute_join(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> 
 }
 
 /// Result of scanning one table (before stats assembly).
+#[derive(Clone)]
 struct ScanOutcome {
     access: AccessKind,
     cache_scan: Option<ScanCost>,
@@ -819,196 +752,356 @@ fn batchable<'a>(
     Some((store, pred))
 }
 
+/// The source and compiled predicate of a plan that can join a shared
+/// multi-predicate pass (see [`shareable`]).
+fn share_of<'a>(
+    plan: &'a QueryPlan,
+    options: &ExecOptions,
+) -> Option<(&'a Arc<RawFile>, Option<CompiledPredicate>)> {
+    let [table] = plan.tables.as_slice() else {
+        return None;
+    };
+    let AccessPath::Raw(file) = &table.access else {
+        return None;
+    };
+    if !plan.joins.is_empty() {
+        return None;
+    }
+    let (_, pred) = batchable(table, options)?;
+    Some((file, pred))
+}
+
 /// Whether `plan` can participate in a shared multi-predicate scan: a
 /// single-table, join-free query over a *batchable raw* source (flat
 /// CSV / flat JSON) whose predicate compiles to kernels. Cache-store
 /// scans are excluded — they are already cheap, and sharing them would
 /// only serialize independent reads.
 pub fn shareable(plan: &QueryPlan, options: &ExecOptions) -> bool {
-    plan.tables.len() == 1
-        && plan.joins.is_empty()
-        && matches!(&plan.tables[0].access, AccessPath::Raw(f) if f.supports_batch_scan())
-        && batchable(&plan.tables[0], options).is_some()
+    share_of(plan, options).is_some()
 }
 
 /// Executes K single-table plans over the *same* raw source as one
-/// shared multi-predicate pass: the file is tokenized once, each batch's
-/// identity selection is filtered per participant
-/// ([`CompiledPredicate::filter_from`], slots remapped onto the union
-/// projection), and per-participant selection vectors feed that
-/// participant's own aggregates/ids. Outputs return in plan order and
-/// are **bit-identical** to running each plan alone: the chunk grid is
-/// projection-independent, clause order within each predicate is
-/// preserved, and per-task partials merge in ascending chunk order
-/// (order-exact sums via [`ExactSum`]).
-///
-/// When [`ExecOptions::reprice`] is set, the pass runs in chunk *waves*
-/// and re-observes the thread budget between waves (mid-query scheduler
-/// repricing). A single shared [`ScanCtl`] spans all waves, so fault
-/// retry bookkeeping, skip-above-failure, and deterministic error
-/// selection behave exactly as in a solo scan.
+/// shared multi-predicate pass: the file is tokenized once and every
+/// participant filters and aggregates its own share of each batch — the
+/// same batched driver a solo query runs as a pass of one. Outputs
+/// return in plan order and are **bit-identical** to running each plan
+/// alone.
 ///
 /// Any error (validation, I/O surviving bounded retry, cancellation)
 /// fails the *whole* pass — callers fall back to independent execution
 /// per participant, where the solo degraded-fallback path applies.
 pub fn execute_shared(plans: &[QueryPlan], options: &ExecOptions) -> Result<Vec<QueryOutput>> {
     let t_start = Instant::now();
-    let first = plans
-        .first()
-        .ok_or_else(|| Error::plan("shared scan needs at least one plan"))?;
-    let AccessPath::Raw(file) = &first.tables[0].access else {
-        return Err(Error::plan("shared scan requires raw access"));
-    };
-    let mut union: Vec<usize> = Vec::new();
+    let mut source: Option<&Arc<RawFile>> = None;
+    let mut members = Vec::with_capacity(plans.len());
     for plan in plans {
-        if !shareable(plan, options) {
-            return Err(Error::plan("plan is not shareable"));
-        }
-        let AccessPath::Raw(f) = &plan.tables[0].access else {
-            unreachable!("shareable implies raw access");
-        };
-        if !Arc::ptr_eq(f, file) {
+        let (file, pred) =
+            share_of(plan, options).ok_or_else(|| Error::plan("plan is not shareable"))?;
+        if source.is_some_and(|s| !Arc::ptr_eq(s, file)) {
             return Err(Error::plan("shared scan plans target different sources"));
         }
-        union.extend(plan.tables[0].accessed.iter().copied());
+        source = Some(file);
+        members.push((plan, pred));
     }
-    union.sort_unstable();
-    union.dedup();
+    let file = source.ok_or_else(|| Error::plan("shared scan needs at least one plan"))?;
+    let mut outputs = scan_participants(StoreRef::Raw(file), members, options)?;
+    let total_ns = t_start.elapsed().as_nanos() as u64;
+    for output in &mut outputs {
+        output.stats.total_ns = total_ns;
+    }
+    Ok(outputs)
+}
 
-    // Per-participant compiled state, slots rebound onto the union
-    // projection (participant slot `i` addresses its `accessed[i]`,
-    // which lives at that leaf's position in `union`).
-    struct Part<'p> {
-        plan: &'p QueryPlan,
-        pred: Option<CompiledPredicate>,
-        agg_slots: Vec<Option<usize>>,
-        want_ids: bool,
-    }
-    let mut parts: Vec<Part<'_>> = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let table = &plan.tables[0];
-        let map: Vec<usize> = table
-            .accessed
-            .iter()
-            .map(|leaf| {
-                union
-                    .binary_search(leaf)
-                    .expect("union contains every accessed leaf")
-            })
-            .collect();
-        let pred = match table.predicate.as_ref() {
-            None => None,
-            Some(p) => Some(
-                CompiledPredicate::compile(p)
-                    .ok_or_else(|| Error::plan("shared participant predicate must compile"))?
-                    .remap_slots(&map),
-            ),
-        };
-        parts.push(Part {
-            plan,
-            pred,
-            agg_slots: plan
+/// A single-table plan riding a batched pass, rebound onto the pass's
+/// union projection.
+struct Participant<'p> {
+    plan: &'p QueryPlan,
+    pred: Option<CompiledPredicate>,
+    /// Aggregate input slots as union positions (`None` = `count(*)`).
+    agg_slots: Vec<Option<usize>>,
+}
+
+/// One participant's output from one task's chunks.
+struct Sink {
+    aggs: Vec<BatchAggregator>,
+    rows_out: usize,
+    /// Satisfying record ids, when the plan collects them.
+    ids: Option<Vec<u32>>,
+}
+
+impl Sink {
+    fn new(plan: &QueryPlan) -> Self {
+        Sink {
+            aggs: plan
                 .aggregates
                 .iter()
-                .map(|a| a.slot.map(|s| map[s]))
+                .map(|a| BatchAggregator::new(a.func))
                 .collect(),
-            want_ids: table.collect_satisfying,
-        });
+            rows_out: 0,
+            ids: plan.tables[0].collect_satisfying.then(Vec::new),
+        }
     }
-    let want_record_ids = parts.iter().any(|p| p.want_ids);
 
-    // The one synthetic scan everyone rides: union projection, no scan-
-    // level predicate (participants filter from the identity selection
-    // themselves), no id collection beyond what any participant needs.
-    let shared_table = TablePlan {
-        name: first.tables[0].name.clone(),
-        access: AccessPath::Raw(Arc::clone(file)),
-        accessed: union.clone(),
-        predicate: None,
-        record_level: false,
-        collect_satisfying: false,
-    };
-    let store = StoreRef::Raw(file);
-    // Sampled before the scan: the first wave installs the positional
-    // map, so sampling later would mislabel a first scan as mapped.
-    let access = store.access_kind();
-    let n_chunks = store.batch_chunks(&union, false);
-    let ctl = ScanCtl::new(options.cancel.clone());
-
-    struct PartSink {
-        aggs: Vec<BatchAggregator>,
-        rows_out: usize,
-        ids: Option<Vec<u32>>,
+    fn consume(
+        &mut self,
+        agg_slots: &[Option<usize>],
+        batch: &ColumnBatch<'_>,
+        sel: &SelectionVector,
+    ) {
+        self.rows_out += sel.len();
+        if let Some(ids) = self.ids.as_mut() {
+            ids.extend(sel.as_slice().iter().map(|&i| batch.record_ids[i as usize]));
+        }
+        for (state, slot) in self.aggs.iter_mut().zip(agg_slots) {
+            state.update(slot.map(|s| &batch.columns[s]), sel);
+        }
     }
-    let make = || {
-        let sinks: Vec<PartSink> = parts
-            .iter()
-            .map(|p| PartSink {
-                aggs: p
-                    .plan
-                    .aggregates
-                    .iter()
-                    .map(|a| BatchAggregator::new(a.func))
-                    .collect(),
-                rows_out: 0,
-                ids: p.want_ids.then(Vec::new),
-            })
-            .collect();
-        (sinks, SelectionVector::new())
-    };
-    let consume = |(sinks, scratch): &mut (Vec<PartSink>, SelectionVector),
-                   batch: &ColumnBatch<'_>,
-                   sel: &SelectionVector| {
-        for (part, sink) in parts.iter().zip(sinks.iter_mut()) {
-            // Each participant filters its own copy of the batch's base
-            // selection — identical kernels, clause order, and survivor
-            // set to its solo scan.
-            let survivors: &SelectionVector = match &part.pred {
-                Some(pred) => {
-                    pred.filter_from(&batch.columns, sel, scratch);
-                    scratch
-                }
-                None => sel,
-            };
-            sink.rows_out += survivors.len();
-            if let Some(ids) = sink.ids.as_mut() {
-                for &i in survivors.as_slice() {
-                    ids.push(batch.record_ids[i as usize]);
-                }
-            }
-            for (state, slot) in sink.aggs.iter_mut().zip(&part.agg_slots) {
-                state.update(slot.map(|s| &batch.columns[s]), survivors);
+
+    /// Appends the sink of the next task (task order is row order).
+    fn merge(&mut self, next: Sink) {
+        self.rows_out += next.rows_out;
+        if let (Some(all), Some(part)) = (self.ids.as_mut(), next.ids) {
+            all.extend(part);
+        }
+        for (into, part) in self.aggs.iter_mut().zip(next.aggs) {
+            into.merge(part);
+        }
+    }
+}
+
+/// The batched single-table driver: runs K ≥ 1 plans over one source in
+/// one chunk-grid pass ([`scan_grid`]). A solo query is a pass with one
+/// participant; [`execute_shared`] runs passes with several.
+///
+/// The pass projects the union of the participants' leaves in
+/// first-appearance order, so a lone participant's (sorted) projection
+/// maps onto itself. Each participant's predicate and aggregate slots
+/// are rebound onto the union. Per batch, participants 0..K−2 filter a
+/// copy of the base selection into per-task scratch
+/// ([`CompiledPredicate::filter_from`]) and the last one filters the
+/// base selection in place, so a pass of one copies nothing. Every
+/// participant's kernel time is charged to compute `C` and its sink time
+/// to data `D`.
+///
+/// Outputs return in participant order and are bit-identical to running
+/// each plan alone: the chunk grid does not depend on the projection,
+/// clause order is preserved, and per-task sinks merge in ascending task
+/// order (order-exact sums via [`ExactSum`]). The pass's chunk retries
+/// happened once, so they are charged to slot 0 only and registry
+/// counters are not inflated K-fold.
+fn scan_participants(
+    store: StoreRef<'_>,
+    members: Vec<(&QueryPlan, Option<CompiledPredicate>)>,
+    options: &ExecOptions,
+) -> Result<Vec<QueryOutput>> {
+    let t0 = Instant::now();
+    let mut union: Vec<usize> = Vec::new();
+    for (plan, _) in &members {
+        for &leaf in &plan.tables[0].accessed {
+            if !union.contains(&leaf) {
+                union.push(leaf);
             }
         }
+    }
+    let parts: Vec<Participant<'_>> = members
+        .into_iter()
+        .map(|(plan, pred)| {
+            let map: Vec<usize> = plan.tables[0]
+                .accessed
+                .iter()
+                .map(|leaf| {
+                    union
+                        .iter()
+                        .position(|u| u == leaf)
+                        .expect("the union holds every accessed leaf")
+                })
+                .collect();
+            Participant {
+                plan,
+                pred: pred.map(|p| p.remap_slots(&map)),
+                agg_slots: plan
+                    .aggregates
+                    .iter()
+                    .map(|a| a.slot.map(|s| map[s]))
+                    .collect(),
+            }
+        })
+        .collect();
+    let want_ids = parts.iter().any(|p| p.plan.tables[0].collect_satisfying);
+    let last = parts.len() - 1;
+    let make = || {
+        let sinks: Vec<Sink> = parts.iter().map(|p| Sink::new(p.plan)).collect();
+        (sinks, SelectionVector::new())
     };
+    let (scan, tasks) = scan_grid(
+        store,
+        &union,
+        parts[0].plan.tables[0].record_level,
+        want_ids,
+        options,
+        make,
+        |(sinks, scratch), batch, sel, phases| {
+            for (i, (part, sink)) in parts.iter().zip(sinks.iter_mut()).enumerate() {
+                let survivors: &SelectionVector = match &part.pred {
+                    None => sel,
+                    Some(pred) => {
+                        let t_kernel = Instant::now();
+                        if i < last {
+                            pred.filter_from(&batch.columns, sel, scratch);
+                        } else {
+                            pred.filter(&batch.columns, sel);
+                        }
+                        phases.compute_ns += t_kernel.elapsed().as_nanos() as u64;
+                        if i < last {
+                            scratch
+                        } else {
+                            sel
+                        }
+                    }
+                };
+                let t_sink = Instant::now();
+                sink.consume(&part.agg_slots, batch, survivors);
+                phases.data_ns += t_sink.elapsed().as_nanos() as u64;
+            }
+        },
+    )?;
+    let mut merged: Option<Vec<Sink>> = None;
+    for (sinks, _scratch) in tasks {
+        match merged.as_mut() {
+            None => merged = Some(sinks),
+            Some(acc) => {
+                for (into, next) in acc.iter_mut().zip(sinks) {
+                    into.merge(next);
+                }
+            }
+        }
+    }
+    let sinks = merged.expect("a chunk grid runs at least one task");
+    let exec_ns = t0.elapsed().as_nanos() as u64;
+    Ok(parts
+        .iter()
+        .zip(sinks)
+        .enumerate()
+        .map(|(i, (part, sink))| {
+            let scan = ScanOutcome {
+                retried_chunks: if i == 0 { scan.retried_chunks } else { 0 },
+                ..scan.clone()
+            };
+            let table = &part.plan.tables[0];
+            QueryOutput {
+                values: sink.aggs.into_iter().map(BatchAggregator::finish).collect(),
+                rows_aggregated: sink.rows_out,
+                stats: ExecStats {
+                    tables: vec![table_stats(table, scan, exec_ns, sink.rows_out, sink.ids)],
+                    // Aggregation is folded into exec_ns on the streaming
+                    // path; the caller stamps total_ns.
+                    ..ExecStats::default()
+                },
+            }
+        })
+        .collect())
+}
 
+/// The one chunk-grid driver behind every batched scan. The store's
+/// batch-chunk grid is split into contiguous task ranges
+/// ([`task_ranges`] — a single range at `threads = 1`, which the pool
+/// runs inline on the caller); each task feeds its batches to `on_batch`
+/// against its own state (`make()`), and the states return **in task
+/// order** — ascending row position — for the caller to merge.
+/// `want_record_ids` materializes per-row source ids (only needed when
+/// collecting satisfying ids — skipping it keeps the columnar mask walk a
+/// pure bitmask loop).
+///
+/// With [`ExecOptions::reprice`] set, the grid runs in chunk *waves* of
+/// one full task grid each and re-observes the thread budget between
+/// waves (mid-query scheduler repricing); without it one span covers the
+/// grid. One [`ScanCtl`] spans all waves, so fault-retry bookkeeping,
+/// skip-above-failure and deterministic error selection (all keyed by
+/// global chunk index) behave exactly as in a single span.
+///
+/// Attribution: `on_batch` charges predicate-kernel time to
+/// `phases.compute_ns` (`C`) and consumer gather time to
+/// `phases.data_ns` (`D`). The row path cannot split these — it
+/// evaluates the predicate inside the store's gather loop, so its
+/// `data_ns` includes predicate time; vectorized `C` is therefore a
+/// slight superset of the row path's, matching the cost model's
+/// definition of `C` as "everything that is not a plain value load".
+/// D/C phase timings accumulate per worker and are summed on merge, so
+/// the cost model sees total CPU work (`exec_ns` wall time still
+/// reflects the parallel speedup; the `D`/`C` split prices the work
+/// itself, which parallelism redistributes but does not shrink).
+fn scan_grid<T: Send>(
+    store: StoreRef<'_>,
+    projection: &[usize],
+    record_level: bool,
+    want_record_ids: bool,
+    options: &ExecOptions,
+    make: impl Fn() -> T + Sync,
+    on_batch: impl Fn(&mut T, &ColumnBatch<'_>, &mut SelectionVector, &mut ScanCost) + Sync,
+) -> Result<(ScanOutcome, Vec<T>)> {
+    // Sampled before the scan: a raw first scan installs the positional
+    // map as a side effect, so sampling afterwards would mislabel it.
+    let access = store.access_kind();
+    let n_chunks = store.batch_chunks(projection, record_level);
+    // One control block per scan, shared by every task of every wave:
+    // external cancellation fans in through it, chunk failures record
+    // into it keyed by chunk index, and tasks consult it to skip chunks
+    // above an already-failed one.
+    let ctl = ScanCtl::new(options.cancel.clone());
     let mut threads = options.effective_threads();
     let mut cost = ScanCost::default();
-    let mut all_sinks: Vec<(Vec<PartSink>, SelectionVector)> = Vec::new();
+    let mut states = Vec::new();
     let mut lo = 0usize;
     loop {
-        // Without a repricer one span covers the whole grid (zero added
-        // dispatch); with one, each wave is a full task-grid's worth of
-        // chunks so repricing happens a handful of times per scan.
         let wave = match options.reprice {
-            None => n_chunks.max(1),
-            Some(_) => (threads.max(1) * TASKS_PER_THREAD).max(1),
+            None => n_chunks,
+            Some(_) => threads * TASKS_PER_THREAD,
         };
         let hi = n_chunks.min(lo + wave);
-        let (wave_cost, sinks) = scan_store_batched_span(
-            &store,
-            &shared_table,
-            None,
-            want_record_ids,
-            threads,
-            &ctl,
-            lo,
-            hi,
-            make,
-            consume,
-        )?;
-        cost.add(&wave_cost);
-        all_sinks.extend(sinks);
+        let ranges = task_ranges(hi - lo, threads);
+        let tasks = ThreadPool::global().map_index(ranges.len(), threads, |t| {
+            let (task_lo, task_hi) = ranges[t];
+            let mut state = make();
+            let mut phases = ScanCost::default();
+            let scanned = store.scan_batches_range_ctl(
+                projection,
+                record_level,
+                want_record_ids,
+                lo + task_lo,
+                lo + task_hi,
+                Some(&ctl),
+                &mut |batch, sel| on_batch(&mut state, batch, sel, &mut phases),
+            );
+            let scanned = scanned.map(|mut c| {
+                c.add(&phases);
+                c
+            });
+            (scanned, state)
+        });
+        let mut first_task_err: Option<Error> = None;
+        for (scanned, state) in tasks {
+            match scanned {
+                Ok(c) => {
+                    cost.add(&c);
+                    states.push(state);
+                }
+                Err(err) => {
+                    first_task_err.get_or_insert(err);
+                }
+            }
+        }
+        // Deterministic error selection. Task ranges cover contiguous
+        // ascending chunk ranges and a chunk is only skipped when a
+        // failure at a *lower* index is already recorded, so the
+        // globally-first failing chunk always runs and records into the
+        // control block — its error is what the scan reports, regardless
+        // of which task finished (or was cancelled) first. Errors that
+        // bypass the control block (cancellation/timeout) are identical
+        // across tasks, so falling back to the first-in-task-order one is
+        // equally stable.
+        if let Some(err) = ctl.take_error().or(first_task_err) {
+            return Err(err);
+        }
         lo = hi;
         if lo >= n_chunks {
             break;
@@ -1017,138 +1110,6 @@ pub fn execute_shared(plans: &[QueryPlan], options: &ExecOptions) -> Result<Vec<
             threads = repricer.threads().max(1);
         }
     }
-
-    let records_scanned = store.record_count();
-    let retried = ctl.retries();
-
-    // Per-participant merge in task order — ascending chunk position
-    // across waves — mirroring the solo merge loop exactly.
-    struct Acc {
-        aggs: Option<Vec<BatchAggregator>>,
-        rows_out: usize,
-        ids: Option<Vec<u32>>,
-    }
-    let mut accs: Vec<Acc> = parts
-        .iter()
-        .map(|p| Acc {
-            aggs: None,
-            rows_out: 0,
-            ids: p.want_ids.then(Vec::new),
-        })
-        .collect();
-    for (sinks, _scratch) in all_sinks {
-        for (acc, sink) in accs.iter_mut().zip(sinks) {
-            acc.rows_out += sink.rows_out;
-            if let (Some(all), Some(part)) = (acc.ids.as_mut(), sink.ids) {
-                all.extend(part);
-            }
-            match acc.aggs.as_mut() {
-                None => acc.aggs = Some(sink.aggs),
-                Some(base) => {
-                    for (into, part) in base.iter_mut().zip(sink.aggs) {
-                        into.merge(part);
-                    }
-                }
-            }
-        }
-    }
-    let exec_ns = t_start.elapsed().as_nanos() as u64;
-
-    let mut outputs = Vec::with_capacity(parts.len());
-    for (i, (part, acc)) in parts.iter().zip(accs).enumerate() {
-        let aggs = acc.aggs.unwrap_or_else(|| {
-            part.plan
-                .aggregates
-                .iter()
-                .map(|a| BatchAggregator::new(a.func))
-                .collect()
-        });
-        let values: Vec<Value> = aggs.into_iter().map(BatchAggregator::finish).collect();
-        let scan = ScanOutcome {
-            access,
-            rows_scanned: cost.rows_visited,
-            records_scanned,
-            flattened_rows: None,
-            cache_scan: None,
-            // The pass's retries are real work that happened once;
-            // attribute them to the leader (slot 0) so registry counters
-            // aren't inflated K-fold.
-            retried_chunks: if i == 0 { retried } else { 0 },
-        };
-        let stats = ExecStats {
-            tables: vec![table_stats(
-                &part.plan.tables[0],
-                scan,
-                exec_ns,
-                acc.rows_out,
-                acc.ids,
-            )],
-            join_ns: 0,
-            agg_ns: 0,
-            total_ns: t_start.elapsed().as_nanos() as u64,
-        };
-        outputs.push(QueryOutput {
-            values,
-            rows_aggregated: acc.rows_out,
-            stats,
-        });
-    }
-    Ok(outputs)
-}
-
-/// Vectorized store scan, the one entry point for every thread count:
-/// the store's batch-chunk grid is split into contiguous task ranges
-/// ([`task_ranges`] — a single range at `threads = 1`, which the pool
-/// runs inline on the caller), each task runs predicate kernels and
-/// feeds the surviving selection to `consume` against its own sink
-/// (`make()`), and the per-task sinks are returned **in task order** —
-/// ascending row position — for the caller to merge. `want_record_ids`
-/// materializes per-row source ids (only needed when collecting
-/// satisfying ids — skipping it keeps the columnar mask walk a pure
-/// bitmask loop).
-///
-/// Attribution: kernel time is charged to compute `C`, consumer gather
-/// time to data `D`. The row path cannot split these — it evaluates the
-/// predicate inside the store's gather loop, so its `data_ns` includes
-/// predicate time; vectorized `C` is therefore a slight superset of the
-/// row path's, matching the cost model's definition of `C` as
-/// "everything that is not a plain value load". D/C phase timings
-/// accumulate per worker and are summed on merge, so the cost model
-/// sees total CPU work (`exec_ns` wall time still reflects the parallel
-/// speedup; the `D`/`C` split prices the work itself, which parallelism
-/// redistributes but does not shrink).
-#[allow(clippy::too_many_arguments)]
-fn scan_store_batched<T: Send>(
-    store: StoreRef<'_>,
-    table: &TablePlan,
-    pred: Option<&CompiledPredicate>,
-    want_record_ids: bool,
-    threads: usize,
-    cancel: Option<&Arc<CancelToken>>,
-    make: impl Fn() -> T + Sync,
-    consume: impl Fn(&mut T, &ColumnBatch<'_>, &recache_layout::SelectionVector) + Sync,
-) -> Result<(ScanOutcome, Vec<T>)> {
-    // Sampled before the scan: a raw first scan installs the positional
-    // map as a side effect, so sampling afterwards would mislabel it.
-    let access = store.access_kind();
-    let n_chunks = store.batch_chunks(&table.accessed, table.record_level);
-    // One control block per scan, shared by every task: external
-    // cancellation fans in through it, chunk failures record into it
-    // keyed by chunk index, and tasks consult it to skip chunks above
-    // an already-failed one.
-    let ctl = ScanCtl::new(cancel.cloned());
-    let (cost, sinks) = scan_store_batched_span(
-        &store,
-        table,
-        pred,
-        want_record_ids,
-        threads,
-        &ctl,
-        0,
-        n_chunks,
-        make,
-        consume,
-    )?;
     Ok((
         ScanOutcome {
             access,
@@ -1160,95 +1121,8 @@ fn scan_store_batched<T: Send>(
             cache_scan: store.is_cache_store().then_some(cost),
             retried_chunks: ctl.retries(),
         },
-        sinks,
+        states,
     ))
-}
-
-/// One parallel pass over the chunk span `[chunk_lo, chunk_hi)` of a
-/// store's batch grid — the work-distribution core of
-/// [`scan_store_batched`], split out so [`execute_shared`] can run
-/// several *waves* over one grid with a shared [`ScanCtl`] (global
-/// chunk indexes keep skip-above-failure and deterministic error
-/// selection correct across waves) and a fresh thread budget per wave.
-/// Per-task sinks return **in task order** (ascending chunk position).
-#[allow(clippy::too_many_arguments)]
-fn scan_store_batched_span<T: Send>(
-    store: &StoreRef<'_>,
-    table: &TablePlan,
-    pred: Option<&CompiledPredicate>,
-    want_record_ids: bool,
-    threads: usize,
-    ctl: &ScanCtl,
-    chunk_lo: usize,
-    chunk_hi: usize,
-    make: impl Fn() -> T + Sync,
-    consume: impl Fn(&mut T, &ColumnBatch<'_>, &recache_layout::SelectionVector) + Sync,
-) -> Result<(ScanCost, Vec<T>)> {
-    let ranges: Vec<(usize, usize)> = task_ranges(chunk_hi.saturating_sub(chunk_lo), threads)
-        .into_iter()
-        .map(|(lo, hi)| (chunk_lo + lo, chunk_lo + hi))
-        .collect();
-    let tasks = ThreadPool::global().map_index(ranges.len(), threads, |t| {
-        let (lo, hi) = ranges[t];
-        let mut sink = make();
-        let mut kernel_ns = 0u64;
-        let mut gather_ns = 0u64;
-        let scanned = store.scan_batches_range_ctl(
-            &table.accessed,
-            table.record_level,
-            want_record_ids,
-            lo,
-            hi,
-            Some(ctl),
-            &mut |batch, sel| {
-                if let Some(pred) = pred {
-                    let t0 = Instant::now();
-                    pred.filter(&batch.columns, sel);
-                    kernel_ns += t0.elapsed().as_nanos() as u64;
-                }
-                let t1 = Instant::now();
-                consume(&mut sink, batch, sel);
-                gather_ns += t1.elapsed().as_nanos() as u64;
-            },
-        );
-        let scanned = scanned.map(|mut cost| {
-            cost.compute_ns += kernel_ns;
-            cost.data_ns += gather_ns;
-            cost
-        });
-        (scanned, sink)
-    });
-    let mut cost = ScanCost::default();
-    let mut sinks = Vec::with_capacity(tasks.len());
-    let mut first_task_err: Option<Error> = None;
-    for (task_cost, sink) in tasks {
-        match task_cost {
-            Ok(c) => {
-                cost.add(&c);
-                sinks.push(sink);
-            }
-            Err(err) => {
-                if first_task_err.is_none() {
-                    first_task_err = Some(err);
-                }
-            }
-        }
-    }
-    // Deterministic error selection. Task ranges cover contiguous
-    // ascending chunk ranges and a chunk is only skipped when a failure
-    // at a *lower* index is already recorded, so the globally-first
-    // failing chunk always runs and records into the control block —
-    // its error is what the scan reports, regardless of which task
-    // finished (or was cancelled) first. Errors that bypass the control
-    // block (cancellation/timeout) are identical across tasks, so
-    // falling back to the first-in-task-order one is equally stable.
-    if let Some(err) = ctl.take_error() {
-        return Err(err);
-    }
-    if let Some(err) = first_task_err {
-        return Err(err);
-    }
-    Ok((cost, sinks))
 }
 
 /// Runs one table's scan + filter row-at-a-time, pushing the source

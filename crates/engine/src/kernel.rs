@@ -65,29 +65,23 @@ impl CompiledPredicate {
 
     /// Rebinds every clause's slot through `map`: a predicate compiled
     /// against one projection is re-addressed to a *wider* projection
-    /// where old slot `s` now lives at `map[s]`. Shared multi-predicate
-    /// scans use this to evaluate K participants' predicates against one
-    /// union-projected batch. Clause order is preserved, so selections
-    /// compact identically to the solo scan.
-    pub fn remap_slots(&self, map: &[usize]) -> CompiledPredicate {
-        CompiledPredicate {
-            clauses: self
-                .clauses
-                .iter()
-                .map(|c| Clause {
-                    slot: map[c.slot],
-                    ..c.clone()
-                })
-                .collect(),
+    /// where old slot `s` now lives at `map[s]`. A batched pass uses this
+    /// to evaluate K participants' predicates against one union-projected
+    /// batch. Clause order is preserved, so selections compact
+    /// identically to the solo scan.
+    pub fn remap_slots(mut self, map: &[usize]) -> CompiledPredicate {
+        for clause in &mut self.clauses {
+            clause.slot = map[clause.slot];
         }
+        self
     }
 
     /// Like [`filter`](Self::filter), but filters a *copy* of `base` into
-    /// `out` (cleared first) instead of consuming the selection — the
-    /// shared-scan path evaluates K predicates against one batch, each
-    /// from the same base selection. Clause order and kernels are the
-    /// ones `filter` uses, so the surviving rows are bit-identical to a
-    /// solo scan's.
+    /// `out` (cleared first) instead of consuming the selection. In a
+    /// batched pass with K participants, all but the last filter the
+    /// batch's base selection this way; the last filters it in place.
+    /// Clause order and kernels are the ones `filter` uses, so the
+    /// surviving rows are bit-identical to a solo scan's.
     pub fn filter_from(
         &self,
         columns: &[BatchColumn<'_>],

@@ -27,7 +27,8 @@
 //!   matches the timed-scan granularity the seed used, so per-batch
 //!   `ScanCost` sampling is unchanged.
 //! * **Timer cost** — the paper's §5.1 profiling overhead is amortized
-//!   by timing once per batch, not per row (`scan_store_batched_span`).
+//!   by timing once per batch, not per row (`exec::scan_grid`, the one
+//!   chunk-grid driver every batched scan runs through).
 //! * **Selection-vector short-circuiting** — [`CompiledPredicate`] turns
 //!   a conjunction of `slot <op> literal` clauses into per-column kernels
 //!   applied *in the query's clause order*; each kernel compacts the

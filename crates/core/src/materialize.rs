@@ -145,7 +145,8 @@ pub fn upgrade_to_eager(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recache_data::{csv, FileFormat};
+    use recache_data::gen::tpch;
+    use recache_data::{csv, json, FileFormat};
     use recache_types::{DataType, Field, Schema};
 
     fn csv_file(rows: usize) -> RawFile {
@@ -274,6 +275,63 @@ mod tests {
             }
             other => panic!("expected columnar, got {other:?}"),
         }
+    }
+
+    /// A mapped nested JSON file (TPC-H `orderLineitems`) and fresh
+    /// parses of its records, read with no positional map.
+    fn nested_json_file() -> (RawFile, Vec<Value>) {
+        let schema = tpch::order_lineitems_schema();
+        let bytes = json::write_json(&schema, &tpch::gen_order_lineitems(0.0005, 5));
+        let fresh: Vec<Value> = bytes
+            .split(|&b| b == b'\n')
+            .filter(|line| !line.is_empty())
+            .map(|line| json::parse_record(line, &schema, None).unwrap())
+            .collect();
+        let file = RawFile::from_bytes(bytes, FileFormat::Json, schema);
+        let accessed: Vec<bool> = (0..file.leaves().len()).map(|i| i == 1).collect();
+        file.scan_projected(&accessed, &mut |_, _| {}).unwrap();
+        (file, fresh)
+    }
+
+    /// The Dremel store built from fresh parses of `ids`.
+    fn fresh_dremel(file: &RawFile, fresh: &[Value], ids: &[u32]) -> DremelStore {
+        let records: Vec<&Value> = ids.iter().map(|&id| &fresh[id as usize]).collect();
+        DremelStore::build(file.schema(), records)
+    }
+
+    fn assert_dremel_eq(data: &CacheData, expected: &DremelStore, ids: &[u32]) {
+        let CacheData::Dremel(store) = data else {
+            panic!("expected a Dremel store, got {data:?}")
+        };
+        assert_eq!(store.to_records(), expected.to_records());
+        assert_eq!(store.source_record_ids(), Some(ids));
+    }
+
+    #[test]
+    fn eager_dremel_materialization_of_nested_json_equals_fresh_parses() {
+        let (file, fresh) = nested_json_file();
+        let ids: Vec<u32> = (0..fresh.len() as u32).filter(|i| i % 3 != 1).collect();
+        let result = materialize_with_admission(
+            &file,
+            StoreChoice::Dremel,
+            &AdmissionConfig::eager_only(),
+            ids.iter().rev().copied().collect(),
+            ids.len(),
+            0,
+            false,
+        )
+        .unwrap();
+        assert_eq!(result.decision, AdmissionDecision::Eager);
+        assert_dremel_eq(&result.data, &fresh_dremel(&file, &fresh, &ids), &ids);
+    }
+
+    #[test]
+    fn upgrading_nested_json_to_dremel_equals_fresh_parses() {
+        let (file, fresh) = nested_json_file();
+        let ids: Vec<u32> = (0..fresh.len() as u32).filter(|i| i % 5 == 2).collect();
+        let offsets = OffsetStore::build(ids.clone(), ids.len());
+        let (data, _) = upgrade_to_eager(&file, StoreChoice::Dremel, &offsets).unwrap();
+        assert_dremel_eq(&data, &fresh_dremel(&file, &fresh, &ids), &ids);
     }
 
     #[test]

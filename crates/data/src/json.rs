@@ -8,8 +8,19 @@
 //! objects alike go through the cheap structural skip instead of being
 //! materialized. Skipping is dramatically cheaper than parsing, which is
 //! exactly the asymmetry ReCache's cost model reacts to. Object keys are
-//! compared in place against the schema's field names; only a key with
-//! escapes is decoded into an owned string.
+//! compared in place against the schema's field names, the expected next
+//! field first; only an unknown key is UTF-8-validated and only a key
+//! with escapes is decoded into an owned string.
+//!
+//! The first scan ([`scan_build_map`]) also records a structure tape
+//! per record in the positional map: where each schema-typed value lies,
+//! arranged as the schema's tree. Every later read through the map —
+//! mapped scans, lazy re-reads, full-record reads for cache
+//! materialization — decodes from the tape: unwanted subtrees are one
+//! jump, no key is matched again, and each scalar is decoded by the same
+//! typed parser at its recorded offset, so the answer (value or error) is
+//! exactly [`parse_record`]'s. A record the tape walk cannot index is
+//! parsed from its bytes instead.
 
 use crate::posmap::PositionalMap;
 use recache_types::{DataType, Error, Field, Result, Schema, Value};
@@ -376,17 +387,137 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads an object key and resolves it to the first of `fields` with
+    /// that name, or `None` for an unknown key. A key without escapes is
+    /// compared byte by byte where it lies: first with field `expected`
+    /// (the next field of a record written in schema order), then with
+    /// every field. Only an unmatched key is checked for valid UTF-8; a
+    /// key with escapes is decoded by [`Self::parse_str`]. `first[i]` is
+    /// the first field named like field `i`, which keeps the `expected`
+    /// shortcut first-match under duplicate names; an empty `first`
+    /// disables the shortcut.
+    fn parse_key(
+        &mut self,
+        fields: &[Field],
+        first: &[u32],
+        expected: usize,
+    ) -> Result<Option<usize>> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let raw_len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\');
+        let Some(len) = raw_len.filter(|&len| self.bytes[start + len] == b'"') else {
+            // Escaped or unterminated: decode (or fail) like any string.
+            self.pos = start - 1;
+            let key = self.parse_str()?;
+            return Ok(fields.iter().position(|f| f.name == key));
+        };
+        let raw = &self.bytes[start..start + len];
+        self.pos = start + len + 1;
+        if let (Some(field), Some(&canon)) = (fields.get(expected), first.get(expected)) {
+            if field.name.as_bytes() == raw {
+                return Ok(Some(canon as usize));
+            }
+        }
+        if let Some(idx) = fields.iter().position(|f| f.name.as_bytes() == raw) {
+            return Ok(Some(idx));
+        }
+        std::str::from_utf8(raw).map_err(|_| Error::parse_at("invalid utf-8 in string", start))?;
+        Ok(None)
+    }
+
+    /// Skips a number literal: the characters [`parse_number_at`] takes.
+    fn skip_number(&mut self) -> Result<()> {
+        let (end, _) = number_extent(self.bytes, self.pos);
+        if end == self.pos {
+            return Err(Error::parse_at("invalid number", self.pos));
+        }
+        self.pos = end;
+        Ok(())
+    }
+
+    /// Appends the tape of the object at the cursor (see [`Tape`]):
+    /// the same walk as [`Self::parse_object`] with every field wanted,
+    /// recording where each value lies instead of decoding it.
+    fn tape_object(&mut self, shape: &StructShape, tape: &mut Vec<u32>) -> Result<()> {
+        self.expect(b'{')?;
+        let header = tape.len();
+        tape.push(0);
+        if !self.try_consume(b'}') {
+            let mut expected = 0;
+            loop {
+                let key = self.parse_key(shape.fields, &shape.first, expected)?;
+                self.expect(b':')?;
+                match key {
+                    Some(idx) => {
+                        tape.push(idx as u32);
+                        self.tape_value(&shape.kids[idx], tape)?;
+                        expected = idx + 1;
+                    }
+                    None => self.skip_value()?,
+                }
+                if !self.try_consume(b',') {
+                    break;
+                }
+            }
+            self.expect(b'}')?;
+        }
+        close_node(tape, header, TAPE_STRUCT)
+    }
+
+    /// Appends the tape node of the value at the cursor. An object of a
+    /// struct field and an array of a list field become container nodes;
+    /// anything else is a raw node, its extent found exactly as
+    /// [`Self::parse_typed`] finds it when it decodes without error.
+    fn tape_value(&mut self, shape: &Shape, tape: &mut Vec<u32>) -> Result<()> {
+        self.skip_ws();
+        let at = self.pos;
+        match (self.peek(), shape) {
+            (Some(b'{'), Shape::Struct(fields)) => self.tape_object(fields, tape),
+            (Some(b'['), Shape::List(inner)) => {
+                self.pos += 1;
+                let header = tape.len();
+                tape.push(0);
+                if !self.try_consume(b']') {
+                    loop {
+                        self.tape_value(inner, tape)?;
+                        if !self.try_consume(b',') {
+                            break;
+                        }
+                    }
+                    self.expect(b']')?;
+                }
+                close_node(tape, header, TAPE_LIST)
+            }
+            (Some(b), _) => {
+                if at > TAPE_PAYLOAD as usize {
+                    return Err(Error::parse_at("record too long for a tape", at));
+                }
+                tape.push(at as u32);
+                match b {
+                    b'{' | b'[' | b'"' => self.skip_value(),
+                    b't' => self.skip_literal(b"true"),
+                    b'f' => self.skip_literal(b"false"),
+                    b'n' => self.skip_literal(b"null"),
+                    _ => self.skip_number(),
+                }
+            }
+            (None, _) => Err(Error::parse_at("unexpected end of input", at)),
+        }
+    }
+
     /// Parses an object against known fields; unknown keys are skipped,
     /// and so are known fields whose `want` is [`Want::Skip`]. Keys are
-    /// matched borrowed; a repeated key overwrites (last wins).
+    /// matched in place; a repeated key overwrites (last wins).
     fn parse_object(&mut self, fields: &[Field], want: &Want) -> Result<Value> {
         self.expect(b'{')?;
         let mut children = vec![Value::Null; fields.len()];
         if !self.try_consume(b'}') {
             loop {
-                let key = self.parse_str()?;
+                let key = self.parse_key(fields, &[], 0)?;
                 self.expect(b':')?;
-                match fields.iter().position(|f| f.name == key) {
+                match key {
                     Some(idx) => {
                         children[idx] =
                             self.parse_typed(&fields[idx].data_type, want.field(idx))?;
@@ -490,6 +621,154 @@ impl LeafProjection {
     }
 }
 
+/// Tag of a tape word (its top two bits); the other 30 bits are its
+/// payload. A raw node's tag is zero, so its word is its offset.
+const TAPE_TAG: u32 = 3 << 30;
+const TAPE_PAYLOAD: u32 = !TAPE_TAG;
+const TAPE_STRUCT: u32 = 1 << 30;
+const TAPE_LIST: u32 = 2 << 30;
+
+/// Closes the container node whose header word sits at `tape[header]`,
+/// storing its tag and subtree length (header included).
+fn close_node(tape: &mut [u32], header: usize, tag: u32) -> Result<()> {
+    let len = tape.len() - header;
+    if len > TAPE_PAYLOAD as usize {
+        return Err(Error::parse_at("record too large for a tape", 0));
+    }
+    tape[header] = tag | len as u32;
+    Ok(())
+}
+
+/// A schema node compiled for the tape builder.
+enum Shape<'s> {
+    Scalar,
+    List(Box<Shape<'s>>),
+    Struct(StructShape<'s>),
+}
+
+/// A struct compiled for ordered key matching: `first[i]` is the index
+/// of the first field named like field `i` (see [`Cursor::parse_key`]).
+struct StructShape<'s> {
+    fields: &'s [Field],
+    first: Vec<u32>,
+    kids: Vec<Shape<'s>>,
+}
+
+impl<'s> Shape<'s> {
+    fn of(ty: &'s DataType) -> Self {
+        match ty {
+            DataType::Struct(fields) => Shape::Struct(StructShape::of(fields)),
+            DataType::List(inner) => Shape::List(Box::new(Shape::of(inner))),
+            _ => Shape::Scalar,
+        }
+    }
+}
+
+impl<'s> StructShape<'s> {
+    fn of(fields: &'s [Field]) -> Self {
+        let first = fields
+            .iter()
+            .map(|f| fields.iter().position(|g| g.name == f.name).unwrap_or(0) as u32)
+            .collect();
+        let kids = fields.iter().map(|f| Shape::of(&f.data_type)).collect();
+        StructShape {
+            fields,
+            first,
+            kids,
+        }
+    }
+}
+
+/// Appends the tape of the record `line` to `tape`, or leaves `tape` as
+/// it was and returns `false` if the walk cannot index the record
+/// (malformed, or an offset or length beyond the 30-bit payload).
+fn build_tape(line: &[u8], shape: &StructShape, tape: &mut Vec<u32>) -> bool {
+    let start = tape.len();
+    let built = Cursor::new(line).tape_object(shape, tape).is_ok();
+    if !built {
+        tape.truncate(start);
+    }
+    built
+}
+
+/// One record's structure tape: a preorder of the record's schema-typed
+/// nodes, built by the first scan so later reads decode the record
+/// without re-tokenizing it.
+///
+/// * A struct node is a header word (tag, subtree length) followed by
+///   one `(field index, child node)` pair per known key, in key order.
+/// * A list node is a header word followed by its element nodes.
+/// * Every scalar, and every value whose JSON kind does not match its
+///   schema type, is a raw node: one word, its offset in the record.
+///
+/// Decoding assigns struct children in key order, so duplicate keys
+/// stay last-wins, and jumps over unwanted subtrees by their length. A
+/// raw node is decoded by [`Cursor::parse_typed`] at its offset in the
+/// same record slice [`parse_record`] reads, so values, coercions,
+/// mismatches and error messages and positions are the parser's.
+struct Tape<'a> {
+    words: &'a [u32],
+    record: &'a [u8],
+}
+
+impl Tape<'_> {
+    /// Number of words of the node at `at`.
+    fn node_len(&self, at: usize) -> usize {
+        match self.words[at] & TAPE_TAG {
+            0 => 1,
+            _ => (self.words[at] & TAPE_PAYLOAD) as usize,
+        }
+    }
+
+    fn decode(&self, at: usize, ty: &DataType, want: &Want) -> Result<Value> {
+        if matches!(want, Want::Skip) {
+            return Ok(Value::Null);
+        }
+        let word = self.words[at];
+        match (word & TAPE_TAG, ty) {
+            (0, _) => Cursor {
+                bytes: self.record,
+                pos: word as usize,
+            }
+            .parse_typed(ty, want),
+            (TAPE_STRUCT, DataType::Struct(fields)) => self.decode_struct(at, fields, want),
+            (TAPE_LIST, DataType::List(inner)) => {
+                let end = at + self.node_len(at);
+                let want = want.element();
+                let mut items = Vec::new();
+                let mut node = at + 1;
+                while node < end {
+                    items.push(self.decode(node, inner, want)?);
+                    node += self.node_len(node);
+                }
+                Ok(Value::List(items))
+            }
+            _ => Err(tape_schema_mismatch()),
+        }
+    }
+
+    /// Decodes the struct node at `at`. Unlike [`Self::decode`], a
+    /// [`Want::Skip`] struct still yields a struct of `Null`s, as
+    /// [`Cursor::parse_object`] does for a record.
+    fn decode_struct(&self, at: usize, fields: &[Field], want: &Want) -> Result<Value> {
+        let end = at + self.node_len(at);
+        let mut children = vec![Value::Null; fields.len()];
+        let mut entry = at + 1;
+        while entry < end {
+            let idx = self.words[entry] as usize;
+            let field = fields.get(idx).ok_or_else(tape_schema_mismatch)?;
+            let node = entry + 1;
+            children[idx] = self.decode(node, &field.data_type, want.field(idx))?;
+            entry = node + self.node_len(node);
+        }
+        Ok(Value::Struct(children))
+    }
+}
+
+fn tape_schema_mismatch() -> Error {
+    Error::exec("positional map tape does not match the schema")
+}
+
 /// Parses the JSON number literal starting at `bytes[pos]`, returning
 /// the value (`Int` for integral literals, `Float` otherwise — i64
 /// overflow widens to float) and the position just past it. One routine
@@ -497,22 +776,11 @@ impl LeafProjection {
 /// (`json_batch`), so the accepted character set and the
 /// integral-vs-float split can never diverge between the two paths.
 pub(crate) fn parse_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)> {
+    if let Some(small) = parse_small_int_at(bytes, pos) {
+        return Ok(small);
+    }
     let start = pos;
-    let mut pos = pos;
-    let mut is_float = false;
-    if bytes.get(pos) == Some(&b'-') {
-        pos += 1;
-    }
-    while let Some(b) = bytes.get(pos) {
-        match b {
-            b'0'..=b'9' => pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                pos += 1;
-            }
-            _ => break,
-        }
-    }
+    let (pos, is_float) = number_extent(bytes, start);
     let text = std::str::from_utf8(&bytes[start..pos])
         .map_err(|_| Error::parse_at("invalid number", start))?;
     if text.is_empty() || text == "-" {
@@ -529,6 +797,47 @@ pub(crate) fn parse_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)
             .map_err(|_| Error::parse_at(format!("invalid int '{text}'"), start))?
     };
     Ok((value, pos))
+}
+
+/// The end of the number literal at `bytes[pos]` — an optional `-`, then
+/// digits and float characters — and whether it holds a float character.
+/// The parser and the tape builder both take this extent.
+fn number_extent(bytes: &[u8], pos: usize) -> (usize, bool) {
+    let mut end = pos + usize::from(bytes.get(pos) == Some(&b'-'));
+    let mut is_float = false;
+    while let Some(b) = bytes.get(end) {
+        match b {
+            b'0'..=b'9' => end += 1,
+            b'.' | b'e' | b'E' | b'+' | b'-' => {
+                is_float = true;
+                end += 1;
+            }
+            _ => break,
+        }
+    }
+    (end, is_float)
+}
+
+/// [`parse_number_at`]'s fast path: an integer literal of at most 18
+/// digits (which cannot overflow an `i64`) not followed by a float
+/// character, accumulated directly to the value `str::parse::<i64>`
+/// gives it. `None` sends every other literal down the general path.
+fn parse_small_int_at(bytes: &[u8], pos: usize) -> Option<(Value, usize)> {
+    let negative = bytes.get(pos) == Some(&b'-');
+    let digits = pos + usize::from(negative);
+    let mut end = digits;
+    let mut value = 0i64;
+    while let Some(&b @ b'0'..=b'9') = bytes.get(end) {
+        if end - digits == 18 {
+            return None;
+        }
+        value = value * 10 + i64::from(b - b'0');
+        end += 1;
+    }
+    if end == digits || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+        return None;
+    }
+    Some((Value::Int(if negative { -value } else { value }), end))
 }
 
 /// Decodes the JSON string whose opening quote sits at `bytes[pos]`,
@@ -563,31 +872,56 @@ pub fn parse_record(
     Cursor::new(bytes).parse_object(schema.fields(), want)
 }
 
-/// Full scan over line-delimited JSON: parses each record (restricted to
-/// `projection` if given) and builds a record-level positional map.
+/// Full scan over line-delimited JSON: builds each record's structure
+/// tape, decodes the record (restricted to `projection` if given) from
+/// it, and returns a positional map holding record offsets and tapes. A
+/// record the tape walk cannot index gets no tape and is parsed by
+/// [`parse_record`], here and on every later read.
 pub fn scan_build_map(
     bytes: &[u8],
     schema: &Schema,
     projection: Option<&LeafProjection>,
     mut on_record: impl FnMut(usize, Value) -> Result<()>,
 ) -> Result<PositionalMap> {
+    let shape = StructShape::of(schema.fields());
+    let want = projection.map_or(&Want::All, |p| &p.root);
     let mut record_offsets = Vec::with_capacity(bytes.len() / 64 + 2);
+    let mut tape_starts = Vec::with_capacity(bytes.len() / 64 + 2);
+    let mut tape = Vec::with_capacity(bytes.len() / 8);
     let mut pos = 0usize;
     let mut record_id = 0usize;
     while pos < bytes.len() {
         record_offsets.push(pos as u64);
+        tape_starts.push(tape.len() as u64);
         let end = line_end(bytes, pos);
-        let record = parse_record(&bytes[pos..end], schema, projection)?;
+        let line = &bytes[pos..end];
+        let root = tape.len();
+        let record = if build_tape(line, &shape, &mut tape) {
+            Tape {
+                words: &tape[root..],
+                record: line,
+            }
+            .decode_struct(0, schema.fields(), want)?
+        } else {
+            parse_record(line, schema, projection)?
+        };
         on_record(record_id, record)?;
         record_id += 1;
         pos = end + 1;
     }
     record_offsets.push(bytes.len() as u64);
-    Ok(PositionalMap::records_only(record_offsets))
+    tape_starts.push(tape.len() as u64);
+    tape.shrink_to_fit();
+    Ok(PositionalMap::with_json_tape(
+        record_offsets,
+        tape_starts,
+        tape,
+    ))
 }
 
 /// Positional-map-assisted scan: no line re-splitting; each record is
-/// parsed (selectively) from its known byte range.
+/// decoded (selectively) from its tape, or parsed from its known byte
+/// range when it has none.
 pub fn scan_with_map(
     bytes: &[u8],
     schema: &Schema,
@@ -604,7 +938,9 @@ pub fn scan_with_map(
     Ok(())
 }
 
-/// Parses one record by id through the map — the lazy-cache re-read path.
+/// Reads one record by id through the map — the lazy-cache re-read and
+/// materialization path. Equal to [`parse_record`] over the record's
+/// line, value or error.
 pub fn parse_record_at(
     bytes: &[u8],
     schema: &Schema,
@@ -613,8 +949,18 @@ pub fn parse_record_at(
     projection: Option<&LeafProjection>,
 ) -> Result<Value> {
     let (start, end) = map.record_span(record);
-    let end = trim_newline(bytes, start, end);
-    parse_record(&bytes[start..end], schema, projection)
+    let line = &bytes[start..trim_newline(bytes, start, end)];
+    match map.json_tape(record) {
+        Some(words) => {
+            let want = projection.map_or(&Want::All, |p| &p.root);
+            Tape {
+                words,
+                record: line,
+            }
+            .decode_struct(0, schema.fields(), want)
+        }
+        None => parse_record(line, schema, projection),
+    }
 }
 
 fn line_end(bytes: &[u8], start: usize) -> usize {
@@ -938,6 +1284,315 @@ mod tests {
             decode_string_at("\"é\\té\"".as_bytes(), 0).unwrap().0,
             "é\té"
         );
+    }
+
+    /// A schema with every container shape a tape can hold: top-level
+    /// scalars, a list of structs holding a list, and a struct holding a
+    /// list. Leaves: a, b, s, items.q, items.tag, items.sub, meta.x,
+    /// meta.y.
+    fn hostile_schema() -> Schema {
+        Schema::new(vec![
+            Field::required("a", DataType::Int),
+            Field::new("b", DataType::Float),
+            Field::new("s", DataType::Str),
+            Field::new(
+                "items",
+                DataType::List(Box::new(DataType::Struct(vec![
+                    Field::new("q", DataType::Int),
+                    Field::new("tag", DataType::Str),
+                    Field::new("sub", DataType::List(Box::new(DataType::Int))),
+                ]))),
+            ),
+            Field::new(
+                "meta",
+                DataType::Struct(vec![
+                    Field::new("x", DataType::Int),
+                    Field::new("y", DataType::List(Box::new(DataType::Float))),
+                ]),
+            ),
+        ])
+    }
+
+    /// The leaf masks a tape must agree with the parser under: no
+    /// projection, no leaf, each single leaf and all leaves.
+    fn every_mask(schema: &Schema) -> Vec<Option<LeafProjection>> {
+        let n = schema.leaves().len();
+        let mut masks = vec![None, Some(vec![false; n]), Some(vec![true; n])];
+        masks.extend((0..n).map(|leaf| Some((0..n).map(|i| i == leaf).collect())));
+        masks
+            .into_iter()
+            .map(|mask| mask.map(|m: Vec<bool>| LeafProjection::new(schema, &m)))
+            .collect()
+    }
+
+    fn outcome(result: Result<Value>) -> std::result::Result<Value, String> {
+        result.map_err(|e| e.to_string())
+    }
+
+    /// A first scan of `line` under every mask equals a fresh parse under
+    /// that mask, and when the scan builds a map, reading the record
+    /// back through it under every mask equals a fresh parse too — the
+    /// same `Value` or the same error string. Returns the last map built,
+    /// or `None` if every first scan failed.
+    fn assert_mapped_reads_match_parser(schema: &Schema, line: &[u8]) -> Option<PositionalMap> {
+        let masks = every_mask(schema);
+        let bytes = [line, b"\n"].concat();
+        let mut built = None;
+        for build in &masks {
+            let mut first = Vec::new();
+            let scanned = scan_build_map(&bytes, schema, build.as_ref(), |_, v| {
+                first.push(v);
+                Ok(())
+            });
+            let fresh = outcome(parse_record(line, schema, build.as_ref()));
+            let map = match scanned {
+                Ok(map) => map,
+                Err(err) => {
+                    assert_eq!(Err(err.to_string()), fresh, "first scan of {line:?}");
+                    continue;
+                }
+            };
+            assert_eq!(Ok(first.remove(0)), fresh, "first scan of {line:?}");
+            for read in &masks {
+                assert_eq!(
+                    outcome(parse_record_at(&bytes, schema, &map, 0, read.as_ref())),
+                    outcome(parse_record(line, schema, read.as_ref())),
+                    "mapped read of {:?} under {read:?}",
+                    String::from_utf8_lossy(line)
+                );
+            }
+            built = Some(map);
+        }
+        built
+    }
+
+    /// Hostile records of [`hostile_schema`] whose structure is sound.
+    const SOUND_LINES: &[&[u8]] = &[
+        // Keys out of schema order, at every depth.
+        br#"{"meta":{"y":[1.5,2],"x":3},"items":[{"sub":[1,2],"tag":"t","q":4}],"s":"str","b":2.5,"a":1}"#,
+        // Unknown keys holding nested objects and arrays.
+        br#"{"zz":{"a":[1,{"b":"}]"}]},"a":1,"items":[{"unk":{"q":9},"q":2}],"meta":{"w":[{}],"x":5}}"#,
+        // Escaped keys: matched, unknown, and one holding a quote.
+        br#"{"\u0061":7,"m\u0065ta":{"\u0078":1},"items":[{"t\u0061g":"v"}],"s\"":"no"}"#,
+        br#"{"\u00e9":7,"a\n":{"x":1},"a":2}"#,
+        // Duplicate keys, top level and inside list elements.
+        br#"{"a":1,"a":2,"items":[{"q":1,"q":5,"tag":"x"},{"tag":"y","tag":"z"}],"meta":{"x":1},"meta":{"y":[3]}}"#,
+        // `{}` where a list is expected, `[]` where a struct is.
+        br#"{"items":{},"meta":[],"a":1}"#,
+        br#"{"items":[{"sub":{}},[]],"meta":{"y":{}}}"#,
+        // Scalars where containers are expected, and the reverse.
+        br#"{"items":5,"meta":"m","a":1}"#,
+        br#"{"items":[1,"x",true,null],"meta":{"y":"z","x":[1]}}"#,
+        br#"{"a":{"x":1},"s":[1,2],"b":[],"meta":{"x":{"y":2}}}"#,
+        // Nulls, empty lists and extra whitespace.
+        b"  { \"a\" : null , \"items\" : [ ] , \"meta\" : { \"y\" : [ ] , \"x\" : null } , \"s\" : null }  ",
+        br#"{"items":[{"sub":[],"q":null},{}],"meta":{}}"#,
+        br#"{}"#,
+        // Invalid numbers in fields only some masks access.
+        br#"{"a":1,"b":1.2.3,"items":[{"q":--4,"tag":"ok"}]}"#,
+        br#"{"a":-,"meta":{"y":[1e,2]}}"#,
+        // Invalid UTF-8 in fields only some masks access.
+        b"{\"a\":1,\"s\":\"ab\xffcd\",\"items\":[{\"tag\":\"\xfe\",\"q\":3}]}",
+        b"{\"a\":1,\"items\":[{\"q\":3,\"sub\":[1]}],\"meta\":{\"x\":\"\xc3\"}}",
+        // A bad escape in a field only some masks access.
+        br#"{"s":"\q","a":1}"#,
+        // Coercions and mismatched scalars.
+        br#"{"a":true,"b":false,"s":true,"meta":{"x":false,"y":[true,"1.5",2]}}"#,
+        br#"{"a":"7","b":"1.5","s":42,"items":[{"q":1.9,"tag":3}]}"#,
+        // Integers at and beyond the fast path.
+        br#"{"a":-0,"b":123456789012345678,"items":[{"q":007}]}"#,
+        br#"{"a":9223372036854775807,"b":-9223372036854775808,"meta":{"x":-9223372036854775808}}"#,
+        br#"{"a":1234567890123456789012,"items":[{"q":-123456789012345678}]}"#,
+        // A duplicate whose first occurrence cannot be decoded.
+        b"{\"a\":\"\xff\",\"a\":2,\"b\":1.0}",
+        // An unknown key's unbalanced value, which skipping accepts.
+        br#"{"a":1,"zz":[1,2},"b":2.0}"#,
+        // Escaped string values and trailing bytes after the record.
+        br#"{"s":"a\"b\\c\u00e9","items":[{"tag":"\n\t"}]} trailing"#,
+    ];
+
+    /// Damage in a field only some masks access: the parser skips it
+    /// unread, so some first scans succeed.
+    const SKIPPABLE_DAMAGE_LINES: &[&[u8]] = &[
+        br#"{"a":1,"b":tru}"#,
+        br#"{"a":12ab,"b":1.0}"#,
+        br#"{"a":1,"items":[{"q":1 2}]}"#,
+        br#"{"a":1,"meta":{"x" 1}}"#,
+        br#"{"a":1,"meta":{"\q":1}}"#,
+    ];
+
+    /// Truncated records and other damage every parse reads.
+    const BROKEN_LINES: &[&[u8]] = &[
+        br#"{"a":1,"items":[{"q":1"#,
+        br#"{"a":1,"b""#,
+        br#"{"a" 1}"#,
+        br#"{"a":1,}"#,
+        br#"{"a":1,"\q":1}"#,
+        br#"[1]"#,
+        b"",
+    ];
+
+    /// Sound records on lines of their own, with surrounding whitespace.
+    const MULTI_RECORD_FILE: &[u8] = b"{\"a\":1,\"items\":[{\"q\":2}]}\n{\"a\":2,\"zz\":[1,2},\"b\":2.0}\n  {\"a\":3 }  \n{\"meta\":{\"x\":4},\"a\":4}";
+
+    #[test]
+    fn mapped_reads_of_hostile_records_match_the_parser() {
+        let schema = hostile_schema();
+        for line in SOUND_LINES.iter().chain(SKIPPABLE_DAMAGE_LINES) {
+            assert!(assert_mapped_reads_match_parser(&schema, line).is_some());
+        }
+        for line in BROKEN_LINES {
+            assert!(assert_mapped_reads_match_parser(&schema, line).is_none());
+        }
+    }
+
+    fn duplicate_names_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+            Field::new("a", DataType::Str),
+            Field::new(
+                "l",
+                DataType::List(Box::new(DataType::Struct(vec![
+                    Field::new("k", DataType::Int),
+                    Field::new("k", DataType::Int),
+                ]))),
+            ),
+        ])
+    }
+
+    const DUPLICATE_NAMES_LINE: &[u8] = br#"{"a":1,"b":2,"a":3,"l":[{"k":4,"k":5},{"k":6}]}"#;
+
+    #[test]
+    fn duplicate_schema_names_resolve_to_the_first_field() {
+        let schema = duplicate_names_schema();
+        assert_eq!(
+            parse_record(DUPLICATE_NAMES_LINE, &schema, None).unwrap(),
+            Value::Struct(vec![
+                Value::Int(3),
+                Value::Int(2),
+                Value::Null,
+                Value::List(vec![
+                    Value::Struct(vec![Value::Int(5), Value::Null]),
+                    Value::Struct(vec![Value::Int(6), Value::Null]),
+                ]),
+            ])
+        );
+        for line in [
+            DUPLICATE_NAMES_LINE,
+            br#"{"b":2,"a":"x","a":1}"#,
+            br#"{"l":[{"k":1}],"a":1,"b":2}"#,
+        ] {
+            assert!(assert_mapped_reads_match_parser(&schema, line).is_some());
+        }
+    }
+
+    #[test]
+    fn only_records_the_tape_walk_can_index_get_a_tape() {
+        let schema = hostile_schema();
+        // Skipping every leaf, every first scan of these succeeds.
+        let nothing = LeafProjection::new(&schema, &vec![false; schema.leaves().len()]);
+        let taped = |schema: &Schema, projection: Option<&LeafProjection>, line: &[u8]| {
+            let map = scan_build_map(line, schema, projection, |_, _| Ok(())).unwrap();
+            map.json_tape(0).is_some()
+        };
+        for line in SOUND_LINES {
+            assert!(taped(&schema, Some(&nothing), line), "{line:?}");
+        }
+        for line in SKIPPABLE_DAMAGE_LINES {
+            assert!(!taped(&schema, Some(&nothing), line), "{line:?}");
+        }
+        assert!(taped(&duplicate_names_schema(), None, DUPLICATE_NAMES_LINE));
+        let bytes = MULTI_RECORD_FILE;
+        let map = scan_build_map(bytes, &schema, None, |_, _| Ok(())).unwrap();
+        assert!((0..map.record_count()).all(|record| map.json_tape(record).is_some()));
+    }
+
+    #[test]
+    fn mapped_reads_of_a_multi_record_file_match_the_parser() {
+        let schema = hostile_schema();
+        let bytes = MULTI_RECORD_FILE;
+        let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        let map = scan_build_map(bytes, &schema, None, |_, _| Ok(())).unwrap();
+        assert_eq!(map.record_count(), lines.len());
+        for read in &every_mask(&schema) {
+            for (record, line) in lines.iter().enumerate() {
+                assert_eq!(
+                    outcome(parse_record_at(bytes, &schema, &map, record, read.as_ref())),
+                    outcome(parse_record(line, &schema, read.as_ref()))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn small_integers_take_the_fast_path_to_the_same_value() {
+        // The general path alone, as it was before the fast path.
+        fn general(text: &str) -> std::result::Result<(Value, usize), String> {
+            let end = text
+                .bytes()
+                .enumerate()
+                .skip(usize::from(text.starts_with('-')))
+                .find(|(_, b)| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .map_or(text.len(), |(i, _)| i);
+            let lit = &text[..end];
+            if lit.is_empty() || lit == "-" {
+                return Err("invalid number".into());
+            }
+            if lit.contains(['.', 'e', 'E', '+']) || lit[1..].contains('-') {
+                return lit
+                    .parse::<f64>()
+                    .map(|v| (Value::Float(v), end))
+                    .map_err(|e| e.to_string());
+            }
+            let value = lit
+                .parse::<i64>()
+                .map(Value::Int)
+                .or_else(|_| lit.parse::<f64>().map(Value::Float))
+                .map_err(|e| e.to_string())?;
+            Ok((value, end))
+        }
+        for text in [
+            "0",
+            "-0",
+            "007",
+            "7,",
+            "-12}",
+            "123456789012345678",
+            "-123456789012345678",
+            "999999999999999999]",
+            "1234567890123456789",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "12345678901234567890123",
+            "1.5",
+            "1e3",
+            "1E+3",
+            "12-3",
+            "-",
+            "-x",
+            "",
+            "x",
+        ] {
+            let got = parse_number_at(text.as_bytes(), 0).map_err(|_| "error".to_string());
+            let want = general(text).map_err(|_| "error".to_string());
+            assert_eq!(got, want, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn the_fast_path_takes_exactly_the_short_integer_literals() {
+        assert_eq!(
+            parse_small_int_at(b"-123456789012345678,", 0),
+            Some((Value::Int(-123456789012345678), 19))
+        );
+        assert_eq!(parse_small_int_at(b"007]", 0), Some((Value::Int(7), 3)));
+        assert_eq!(parse_small_int_at(b"1234567890123456789", 0), None);
+        assert_eq!(parse_small_int_at(b"12.5", 0), None);
+        assert_eq!(parse_small_int_at(b"1e5", 0), None);
+        assert_eq!(parse_small_int_at(b"-", 0), None);
     }
 
     #[test]

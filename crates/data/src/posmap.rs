@@ -1,8 +1,18 @@
 //! NoDB-style positional maps: the "skeleton" of a raw file.
 //!
-//! A positional map captures the byte offsets of records (and, for CSV,
-//! of every field within each record) during the first full scan of a raw
-//! file. Subsequent queries navigate the file through the map instead of
+//! A positional map captures the byte offsets of records during the
+//! first full scan of a raw file, plus one per-format index within each
+//! record:
+//!
+//! * CSV: the offset of every field;
+//! * flat JSON scanned in batches: the offset of each top-level key's
+//!   value;
+//! * JSON scanned row by row (nested or flat): a structure tape per
+//!   record (`json::Tape`), the offsets of its schema-typed values
+//!   arranged as the schema's tree, so a re-read jumps over unwanted
+//!   subtrees and matches no key.
+//!
+//! Subsequent queries navigate the file through the map instead of
 //! re-tokenizing it, which is what makes repeated in-situ access viable
 //! (Alagiannis et al., NoDB, SIGMOD 2012; Karpathiotakis et al., Proteus,
 //! PVLDB 2016).
@@ -26,22 +36,18 @@ pub struct PositionalMap {
     /// self-terminate, so a re-scan seeks to the start and parses.
     value_offsets: Vec<u32>,
     fields_per_record: usize,
+    /// Row-path JSON only: record `i`'s structure tape is
+    /// `tape[tape_starts[i]..tape_starts[i+1]]`; an empty range marks a
+    /// record the first scan could not index, which readers parse from
+    /// its bytes instead.
+    tape_starts: Vec<u64>,
+    tape: Vec<u32>,
 }
 
 /// Sentinel in the JSON value-offset table: the record has no such key.
 pub const JSON_KEY_ABSENT: u32 = u32::MAX;
 
 impl PositionalMap {
-    /// Builds a record-level map (JSON files, row-path first scans).
-    pub fn records_only(record_offsets: Vec<u64>) -> Self {
-        PositionalMap {
-            record_offsets,
-            field_offsets: Vec::new(),
-            value_offsets: Vec::new(),
-            fields_per_record: 0,
-        }
-    }
-
     /// Builds a record+field map (CSV files).
     pub fn with_fields(
         record_offsets: Vec<u64>,
@@ -56,8 +62,8 @@ impl PositionalMap {
         PositionalMap {
             record_offsets,
             field_offsets,
-            value_offsets: Vec::new(),
             fields_per_record,
+            ..PositionalMap::default()
         }
     }
 
@@ -77,9 +83,22 @@ impl PositionalMap {
         );
         PositionalMap {
             record_offsets,
-            field_offsets: Vec::new(),
             value_offsets,
             fields_per_record,
+            ..PositionalMap::default()
+        }
+    }
+
+    /// Builds a record+tape map (JSON row-path first scans):
+    /// `tape_starts` holds `record_count() + 1` word indexes into `tape`.
+    pub fn with_json_tape(record_offsets: Vec<u64>, tape_starts: Vec<u64>, tape: Vec<u32>) -> Self {
+        debug_assert_eq!(tape_starts.len(), record_offsets.len());
+        debug_assert_eq!(tape_starts.last().copied(), Some(tape.len() as u64));
+        PositionalMap {
+            record_offsets,
+            tape_starts,
+            tape,
+            ..PositionalMap::default()
         }
     }
 
@@ -127,6 +146,14 @@ impl PositionalMap {
         }
     }
 
+    /// The structure tape of `record`, or `None` when the map holds no
+    /// tape for it.
+    pub fn json_tape(&self, record: usize) -> Option<&[u32]> {
+        let start = *self.tape_starts.get(record)? as usize;
+        let end = self.tape_starts[record + 1] as usize;
+        (end > start).then(|| &self.tape[start..end])
+    }
+
     /// Byte range of one field within the file (excluding the delimiter).
     /// Only valid when [`Self::has_field_offsets`].
     pub fn field_span(&self, record: usize, field: usize) -> (usize, usize) {
@@ -141,7 +168,8 @@ impl PositionalMap {
     /// Approximate memory footprint of the map itself, counted against no
     /// cache budget in the paper but reported for completeness.
     pub fn byte_size(&self) -> usize {
-        self.record_offsets.len() * 8 + (self.field_offsets.len() + self.value_offsets.len()) * 4
+        (self.record_offsets.len() + self.tape_starts.len()) * 8
+            + (self.field_offsets.len() + self.value_offsets.len() + self.tape.len()) * 4
     }
 }
 
@@ -152,7 +180,7 @@ mod tests {
     #[test]
     fn record_spans() {
         // two records: bytes 0..6 and 6..12
-        let map = PositionalMap::records_only(vec![0, 6, 12]);
+        let map = PositionalMap::with_json_tape(vec![0, 6, 12], vec![0; 3], Vec::new());
         assert_eq!(map.record_count(), 2);
         assert_eq!(map.record_span(0), (0, 6));
         assert_eq!(map.record_span(1), (6, 12));
@@ -177,14 +205,32 @@ mod tests {
     }
 
     #[test]
-    fn byte_size_counts_both_tables() {
+    fn byte_size_counts_every_table() {
         let map = PositionalMap::with_fields(vec![0, 5], vec![0, 3, 5], 2);
         assert_eq!(map.byte_size(), 2 * 8 + 3 * 4);
+        let map = PositionalMap::with_json_values(vec![0, 10, 20], vec![5, 1, 2, 7], 2);
+        assert_eq!(map.byte_size(), 3 * 8 + 4 * 4);
+        // Record offsets and tape starts at 8 bytes, tape words at 4.
+        let map = PositionalMap::with_json_tape(vec![0, 10, 20], vec![0, 3, 7], vec![9; 7]);
+        assert_eq!(map.byte_size(), (3 + 3) * 8 + 7 * 4);
+    }
+
+    #[test]
+    fn json_tapes_slice_per_record_and_empty_means_untaped() {
+        // Record 1 has no tape.
+        let map = PositionalMap::with_json_tape(
+            vec![0, 10, 20, 30],
+            vec![0, 2, 2, 5],
+            vec![1, 2, 3, 4, 5],
+        );
+        assert_eq!(map.json_tape(0), Some(&[1, 2][..]));
+        assert_eq!(map.json_tape(1), None);
+        assert_eq!(map.json_tape(2), Some(&[3, 4, 5][..]));
     }
 
     #[test]
     fn empty_file_map() {
-        let map = PositionalMap::records_only(vec![0]);
+        let map = PositionalMap::with_json_tape(vec![0], vec![0], Vec::new());
         assert_eq!(map.record_count(), 0);
     }
 

@@ -551,8 +551,8 @@ impl RawFile {
     /// map as a side effect (CSV: field offsets; JSON: per-key value
     /// offsets); once a map exists, CSV navigates field spans directly
     /// and JSON seeks straight to each accessed key's value (falling
-    /// back to re-tokenizing known record spans for records-only maps
-    /// built by the row path). Chunks are
+    /// back to re-tokenizing known record spans for the maps built by
+    /// the row path, which hold tapes, not value offsets). Chunks are
     /// share-nothing, so disjoint ranges may run concurrently — the
     /// executor fans them out on its work pool exactly as it does
     /// cache-store chunks.
@@ -707,7 +707,7 @@ impl RawFile {
                                     &mut scratch.cols,
                                 )?;
                             } else {
-                                // Records-only map (row-path first scan):
+                                // Row-path map (record offsets and tapes):
                                 // re-tokenize from the known record spans — the
                                 // win over the row path is the typed-batch
                                 // parse, not the map.
@@ -1233,7 +1233,7 @@ mod tests {
     #[test]
     fn flat_json_row_built_map_falls_back_to_tokenizing_rescan() {
         let file = flat_json_file(3_000);
-        // A row-path first scan installs a records-only map with no
+        // A row-path first scan installs a record + tape map with no
         // value offsets...
         let mut rows = 0usize;
         file.scan_projected(&[true, true, true], &mut |_, _| rows += 1)

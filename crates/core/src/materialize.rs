@@ -1,17 +1,28 @@
 //! Cache materialization with reactive admission (§5.2).
 //!
 //! A cache miss whose scan collected satisfying record ids is materialized
-//! in a second pass over those records (through the positional map the
-//! first pass built). The pass starts eagerly: the first
-//! `sample_records` full-record parses are timed, the caching overhead is
-//! extrapolated (`tc/to`), and if it exceeds the threshold the pass
-//! aborts and only the offsets are kept (lazy). A lazy entry that gets
-//! reused is upgraded to an eager store.
+//! in a second pass over those records, through the positional map the
+//! first pass built. The pass starts eagerly: the first `sample_records`
+//! records are appended to the entry's builder and timed, the caching
+//! overhead is extrapolated (`tc/to`), and if it exceeds the threshold
+//! the pass aborts and only the offsets are kept (lazy). Otherwise the
+//! rest of the records go into the same builder. A lazy entry that gets
+//! reused is upgraded to an eager store by the same builder.
+//!
+//! The builder reads the raw records in place, with no `Value` tree in
+//! between: a Dremel entry is shredded from each nested JSON record's
+//! structure tape, and a flat columnar entry parses each CSV field from
+//! its span straight into its column (a CSV Dremel entry and a flat JSON
+//! columnar one go one parsed record at a time). Only the columnar
+//! layout of a nested source and the row layout keep every record as a
+//! `Value` and build the store from them at the end.
 
 use recache_cache::admission::{decide, estimate_overhead, AdmissionConfig, AdmissionDecision};
 use recache_data::RawFile;
-use recache_layout::{CacheData, ColumnStore, DremelStore, OffsetStore, RowStore};
-use recache_types::{Result, Value};
+use recache_layout::{
+    CacheData, ColumnStore, DremelBuilder, DremelStore, FlatColumnBuilder, OffsetStore, RowStore,
+};
+use recache_types::{Result, Schema, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,31 +44,73 @@ pub struct MaterializeResult {
     pub overhead: f64,
 }
 
-/// Builds an eager store from full records, tagging it with the records'
-/// source-file ids so later scans over the cache report *file* record ids
-/// (the lazy/offsets admission path stores exactly these).
-fn build_store(
-    schema: &recache_types::Schema,
-    records: &[Value],
-    record_ids: &[u32],
-    choice: StoreChoice,
-) -> CacheData {
-    debug_assert_eq!(records.len(), record_ids.len());
-    match choice {
-        StoreChoice::Columnar => {
-            let mut store = ColumnStore::build(schema, records.iter());
-            store.set_source_record_ids(record_ids.to_vec());
-            CacheData::Columnar(Arc::new(store))
+/// An eager cache entry under construction.
+enum EntryBuilder {
+    /// Shredded record by record (nested JSON from its structure tapes).
+    Dremel(DremelBuilder),
+    /// Filled field by field (CSV from its field spans).
+    Flat(FlatColumnBuilder),
+    /// Full records, built into the chosen layout at the end.
+    Records(Vec<Value>, StoreChoice),
+}
+
+impl EntryBuilder {
+    fn new(schema: &Schema, choice: StoreChoice) -> Self {
+        match choice {
+            StoreChoice::Dremel => EntryBuilder::Dremel(DremelBuilder::new(schema)),
+            StoreChoice::Columnar => match FlatColumnBuilder::new(schema) {
+                Some(builder) => EntryBuilder::Flat(builder),
+                None => EntryBuilder::Records(Vec::new(), choice),
+            },
+            StoreChoice::Row => EntryBuilder::Records(Vec::new(), choice),
         }
-        StoreChoice::Dremel => {
-            let mut store = DremelStore::build(schema, records.iter());
-            store.set_source_record_ids(record_ids.to_vec());
-            CacheData::Dremel(Arc::new(store))
+    }
+
+    /// Appends records by id. Each call passes the file's row-path fault
+    /// gate once.
+    fn append(&mut self, file: &RawFile, record_ids: &[u32]) -> Result<()> {
+        match self {
+            EntryBuilder::Dremel(builder) => file.shred_records(record_ids, builder),
+            EntryBuilder::Flat(builder) => file.append_flat_records(record_ids, builder),
+            EntryBuilder::Records(records, _) => {
+                records.extend(file.read_records(record_ids)?);
+                Ok(())
+            }
         }
-        StoreChoice::Row => {
-            let mut store = RowStore::build(schema, records.iter());
-            store.set_source_record_ids(record_ids.to_vec());
-            CacheData::Row(Arc::new(store))
+    }
+
+    /// Seals the store, tagging it with the records' source-file ids so
+    /// later scans over the cache report *file* record ids (the
+    /// lazy/offsets admission path stores exactly these). Full records
+    /// are dropped here, so their deallocation is billed to caching.
+    fn finish(self, schema: &Schema, record_ids: &[u32]) -> CacheData {
+        let ids = record_ids.to_vec();
+        match self {
+            EntryBuilder::Dremel(builder) => {
+                let mut store = builder.finish();
+                store.set_source_record_ids(ids);
+                CacheData::Dremel(Arc::new(store))
+            }
+            EntryBuilder::Flat(builder) => {
+                let mut store = builder.finish();
+                store.set_source_record_ids(ids);
+                CacheData::Columnar(Arc::new(store))
+            }
+            EntryBuilder::Records(records, StoreChoice::Columnar) => {
+                let mut store = ColumnStore::build(schema, &records);
+                store.set_source_record_ids(ids);
+                CacheData::Columnar(Arc::new(store))
+            }
+            EntryBuilder::Records(records, StoreChoice::Dremel) => {
+                let mut store = DremelStore::build(schema, &records);
+                store.set_source_record_ids(ids);
+                CacheData::Dremel(Arc::new(store))
+            }
+            EntryBuilder::Records(records, StoreChoice::Row) => {
+                let mut store = RowStore::build(schema, &records);
+                store.set_source_record_ids(ids);
+                CacheData::Row(Arc::new(store))
+            }
         }
     }
 }
@@ -91,11 +144,11 @@ pub fn materialize_with_admission(
         });
     }
 
-    // Eager sample: parse + collect the first K full records.
+    // Eager sample: the first K records go into the entry's builder.
     let total = record_ids.len();
     let sample_n = config.sample_records.min(total).max(1.min(total));
-    let mut records: Vec<Value> = file.read_records(&record_ids[..sample_n])?;
-    records.reserve(total - sample_n);
+    let mut builder = EntryBuilder::new(file.schema(), choice);
+    builder.append(file, &record_ids[..sample_n])?;
     let tc_sample_ns = t0.elapsed().as_nanos() as u64;
     let overhead = estimate_overhead(to1_ns, tc_sample_ns, 0, sample_n, total);
     let decision = if config.force == Some(AdmissionDecision::Eager) {
@@ -104,29 +157,24 @@ pub fn materialize_with_admission(
         decide(config, overhead, working_set)
     };
 
-    match decision {
+    let data = match decision {
         AdmissionDecision::Lazy => {
             // Abort the eager pass; keep only offsets. The sample time is
             // sunk cost, charged to this query's caching overhead.
-            let data = CacheData::Offsets(Arc::new(OffsetStore::build(record_ids, flattened_rows)));
-            Ok(MaterializeResult {
-                data,
-                caching_ns: t0.elapsed().as_nanos() as u64,
-                decision: AdmissionDecision::Lazy,
-                overhead,
-            })
+            drop(builder);
+            CacheData::Offsets(Arc::new(OffsetStore::build(record_ids, flattened_rows)))
         }
         AdmissionDecision::Eager => {
-            records.extend(file.read_records(&record_ids[sample_n..])?);
-            let data = build_store(file.schema(), &records, &record_ids, choice);
-            Ok(MaterializeResult {
-                data,
-                caching_ns: t0.elapsed().as_nanos() as u64,
-                decision: AdmissionDecision::Eager,
-                overhead,
-            })
+            builder.append(file, &record_ids[sample_n..])?;
+            builder.finish(file.schema(), &record_ids)
         }
-    }
+    };
+    Ok(MaterializeResult {
+        data,
+        caching_ns: t0.elapsed().as_nanos() as u64,
+        decision,
+        overhead,
+    })
 }
 
 /// Upgrades a lazy (offsets) entry to an eager store ("if a lazy cached
@@ -137,8 +185,9 @@ pub fn upgrade_to_eager(
     store: &OffsetStore,
 ) -> Result<(CacheData, u64)> {
     let t0 = Instant::now();
-    let records = file.read_records(store.record_ids())?;
-    let data = build_store(file.schema(), &records, store.record_ids(), choice);
+    let mut builder = EntryBuilder::new(file.schema(), choice);
+    builder.append(file, store.record_ids())?;
+    let data = builder.finish(file.schema(), store.record_ids());
     Ok((data, t0.elapsed().as_nanos() as u64))
 }
 
@@ -148,6 +197,7 @@ mod tests {
     use recache_data::gen::tpch;
     use recache_data::{csv, json, FileFormat};
     use recache_types::{DataType, Field, Schema};
+    use std::io::Write;
 
     fn csv_file(rows: usize) -> RawFile {
         let schema = Schema::new(vec![
@@ -282,29 +332,329 @@ mod tests {
     fn nested_json_file() -> (RawFile, Vec<Value>) {
         let schema = tpch::order_lineitems_schema();
         let bytes = json::write_json(&schema, &tpch::gen_order_lineitems(0.0005, 5));
+        json_file(schema, bytes, |leaf| leaf == 1)
+    }
+
+    /// A JSON file mapped by a first scan that accesses the leaves
+    /// `accessed` selects, and fresh parses of its lines.
+    fn json_file(
+        schema: Schema,
+        bytes: Vec<u8>,
+        accessed: impl Fn(usize) -> bool,
+    ) -> (RawFile, Vec<Value>) {
         let fresh: Vec<Value> = bytes
             .split(|&b| b == b'\n')
             .filter(|line| !line.is_empty())
             .map(|line| json::parse_record(line, &schema, None).unwrap())
             .collect();
         let file = RawFile::from_bytes(bytes, FileFormat::Json, schema);
-        let accessed: Vec<bool> = (0..file.leaves().len()).map(|i| i == 1).collect();
+        let accessed: Vec<bool> = (0..file.leaves().len()).map(accessed).collect();
         file.scan_projected(&accessed, &mut |_, _| {}).unwrap();
         (file, fresh)
     }
 
-    /// The Dremel store built from fresh parses of `ids`.
-    fn fresh_dremel(file: &RawFile, fresh: &[Value], ids: &[u32]) -> DremelStore {
-        let records: Vec<&Value> = ids.iter().map(|&id| &fresh[id as usize]).collect();
-        DremelStore::build(file.schema(), records)
+    /// The schema of the hostile records below: top-level scalars, a list
+    /// of structs holding a list, and a struct holding a list.
+    fn hostile_schema() -> Schema {
+        Schema::new(vec![
+            Field::required("a", DataType::Int),
+            Field::new("b", DataType::Float),
+            Field::new("s", DataType::Str),
+            Field::new(
+                "items",
+                DataType::List(Box::new(DataType::Struct(vec![
+                    Field::new("q", DataType::Int),
+                    Field::new("tag", DataType::Str),
+                    Field::new("sub", DataType::List(Box::new(DataType::Int))),
+                ]))),
+            ),
+            Field::new(
+                "meta",
+                DataType::Struct(vec![
+                    Field::required("x", DataType::Int),
+                    Field::new("y", DataType::List(Box::new(DataType::Float))),
+                ]),
+            ),
+        ])
     }
 
-    fn assert_dremel_eq(data: &CacheData, expected: &DremelStore, ids: &[u32]) {
-        let CacheData::Dremel(store) = data else {
-            panic!("expected a Dremel store, got {data:?}")
+    /// Records of [`hostile_schema`] that parse, each shaped to trip a
+    /// shredder that reads the structure differently from the parser.
+    const HOSTILE_LINES: &[&str] = &[
+        // Keys out of schema order, at every depth.
+        r#"{"meta":{"y":[1.5,2],"x":3},"items":[{"sub":[1,2],"tag":"t","q":4}],"s":"str","b":2.5,"a":1}"#,
+        // Unknown keys holding nested objects and arrays.
+        r#"{"zz":{"a":[1,{"b":"}]"}]},"a":1,"items":[{"unk":{"q":9},"q":2}],"meta":{"w":[{}],"x":5}}"#,
+        // Duplicate keys, top level and inside list elements.
+        r#"{"a":1,"a":2,"items":[{"q":1,"q":5,"tag":"x"},{"tag":"y","tag":"z"}],"meta":{"x":1},"meta":{"y":[3]}}"#,
+        r#"{"items":[{"sub":[1,2]}],"b":1.5,"items":[],"s":"x","s":null}"#,
+        // `{}` where a list is expected, `[]` where a struct is.
+        r#"{"items":{},"meta":[],"a":1}"#,
+        r#"{"items":[{"sub":{}},[]],"meta":{"y":{}}}"#,
+        // Scalars where containers are expected, and the reverse.
+        r#"{"items":5,"meta":"m","a":1}"#,
+        r#"{"items":[1,"x",true,null],"meta":{"y":"z","x":[1]}}"#,
+        r#"{"a":{"x":1},"s":[1,2],"b":[],"meta":{"x":{"y":2}}}"#,
+        // Nulls, empty lists and extra whitespace.
+        "  { \"a\" : null , \"items\" : [ ] , \"meta\" : { \"y\" : [ ] , \"x\" : null } , \"s\" : null }  ",
+        r#"{"items":[{"sub":[],"q":null},{}],"meta":{}}"#,
+        r#"{"items":null,"meta":null,"b":null}"#,
+        r#"{}"#,
+        // Coercions and mismatched scalars.
+        r#"{"a":true,"b":false,"s":true,"meta":{"x":false,"y":[true,"1.5",2]}}"#,
+        r#"{"a":"7","b":"1.5","s":42,"items":[{"q":1.9,"tag":3}]}"#,
+        // Numbers on and off the fast paths.
+        r#"{"a":-0,"b":-0.0,"items":[{"q":007,"sub":[9223372036854775807]}],"meta":{"x":1,"y":[1e3,.5,1.,0.1234567890123456789012345]}}"#,
+        r#"{"a":1234567890123456789012,"b":123456789012345.6,"meta":{"x":-9223372036854775808,"y":[1234567890123456.7]}}"#,
+        // Escaped strings and keys, and trailing bytes after the record.
+        r#"{"s":"a\"b\\c\u00e9","items":[{"tag":"\n\t","t\u0061g":"e"}]} trailing"#,
+        // An unknown key's unbalanced value, which skipping accepts.
+        r#"{"a":1,"zz":[1,2},"b":2.0}"#,
+        // Low-cardinality strings, so some cases dictionary-encode.
+        r#"{"a":5,"s":"red","items":[{"tag":"t1","sub":[1]},{"tag":"t2"}],"meta":{"x":2,"y":[0.5]}}"#,
+    ];
+
+    /// [`HOSTILE_LINES`] repeated past several 256-record chunks.
+    fn hostile_json_file() -> (RawFile, Vec<Value>) {
+        let mut bytes = Vec::new();
+        for i in 0..700 {
+            bytes.extend_from_slice(HOSTILE_LINES[i % HOSTILE_LINES.len()].as_bytes());
+            bytes.push(b'\n');
+        }
+        json_file(hostile_schema(), bytes, |leaf| leaf == 0)
+    }
+
+    /// A mapped CSV file with every scalar type, empty fields, floats off
+    /// the fast path and invalid UTF-8, plus fresh `csv::parse_field`
+    /// parses of its records.
+    fn typed_csv_file() -> (RawFile, Vec<Value>) {
+        let schema = Schema::new(vec![
+            Field::required("k", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("tag", DataType::Str),
+            Field::new("b", DataType::Bool),
+            Field::new("note", DataType::Str),
+        ]);
+        let floats = [
+            "1.5",
+            "-0.0",
+            "",
+            "1e3",
+            ".5",
+            "+2.25",
+            "12345678901234567.5",
+        ];
+        let bools = ["true", "false", "1", "0", ""];
+        let mut bytes = Vec::new();
+        for i in 0..700usize {
+            let k = if i % 11 == 0 {
+                String::new()
+            } else {
+                format!("{}", i as i64 - 300)
+            };
+            let tag = match i % 9 {
+                0 => "",
+                1 => "zz\u{FFFD}",
+                _ => ["red", "green", "blue"][i % 3],
+            };
+            write!(bytes, "{k}|{}|{tag}|{}|", floats[i % 7], bools[i % 5]).unwrap();
+            match i % 13 {
+                0 => bytes.extend_from_slice(b"bad\xffutf8"),
+                1 => {}
+                _ => write!(bytes, "note {i}").unwrap(),
+            }
+            bytes.push(b'\n');
+        }
+        let fresh: Vec<Value> = bytes
+            .split(|&b| b == b'\n')
+            .filter(|line| !line.is_empty())
+            .map(|line| {
+                let fields = line.split(|&b| b == b'|');
+                let types = schema
+                    .fields()
+                    .iter()
+                    .map(|f| f.data_type.as_scalar().unwrap());
+                Value::Struct(
+                    fields
+                        .zip(types)
+                        .map(|(field, ty)| csv::parse_field(field, ty).unwrap())
+                        .collect(),
+                )
+            })
+            .collect();
+        let file = RawFile::from_bytes(bytes, FileFormat::Csv, schema);
+        file.scan_projected(&[true, false, false, false, false], &mut |_, _| {})
+            .unwrap();
+        (file, fresh)
+    }
+
+    /// The store the layout's own builder makes from fresh parses of
+    /// `ids`, tagged with those ids.
+    fn fresh_store(
+        schema: &Schema,
+        fresh: &[Value],
+        ids: &[u32],
+        choice: StoreChoice,
+    ) -> CacheData {
+        let records: Vec<&Value> = ids.iter().map(|&id| &fresh[id as usize]).collect();
+        match choice {
+            StoreChoice::Columnar => {
+                let mut store = ColumnStore::build(schema, records);
+                store.set_source_record_ids(ids.to_vec());
+                CacheData::Columnar(Arc::new(store))
+            }
+            StoreChoice::Dremel => {
+                let mut store = DremelStore::build(schema, records);
+                store.set_source_record_ids(ids.to_vec());
+                CacheData::Dremel(Arc::new(store))
+            }
+            StoreChoice::Row => {
+                let mut store = RowStore::build(schema, records);
+                store.set_source_record_ids(ids.to_vec());
+                CacheData::Row(Arc::new(store))
+            }
+        }
+    }
+
+    /// Whole-store equality: data, validity, levels, chunk index, shapes,
+    /// dictionaries and source ids, not just the records read back.
+    fn assert_store_eq(got: &CacheData, want: &CacheData, case: &str) {
+        match (got, want) {
+            (CacheData::Columnar(a), CacheData::Columnar(b)) => assert_eq!(a, b, "{case}"),
+            (CacheData::Dremel(a), CacheData::Dremel(b)) => assert_eq!(a, b, "{case}"),
+            (CacheData::Row(a), CacheData::Row(b)) => assert_eq!(a, b, "{case}"),
+            _ => panic!(
+                "{case}: expected {:?}, got {:?}",
+                want.layout(),
+                got.layout()
+            ),
+        }
+    }
+
+    /// Every materialization path — eager, sample-then-lazy plus its
+    /// upgrade, sample-then-eager and a direct upgrade — builds the store
+    /// `fresh_store` builds, in every layout, for satisfying ids given in
+    /// reverse and spanning several 256-record chunks.
+    fn assert_every_path_equals_fresh_builds(file: &RawFile, fresh: &[Value]) {
+        let n = fresh.len() as u32;
+        assert!(n > 600, "{n} records");
+        let id_sets: [Vec<u32>; 3] = [
+            (0..n).collect(),
+            (0..n).filter(|i| i % 3 != 1).collect(),
+            (250..270).chain(510..520).collect(),
+        ];
+        let sampled = |force| AdmissionConfig {
+            sample_records: 7,
+            force,
+            ..AdmissionConfig::default()
         };
-        assert_eq!(store.to_records(), expected.to_records());
-        assert_eq!(store.source_record_ids(), Some(ids));
+        let paths = [
+            (
+                sampled(Some(AdmissionDecision::Eager)),
+                0,
+                AdmissionDecision::Eager,
+            ),
+            (sampled(None), u64::MAX / 4, AdmissionDecision::Eager),
+            (sampled(None), 1, AdmissionDecision::Lazy),
+        ];
+        for ids in &id_sets {
+            let reversed: Vec<u32> = ids.iter().rev().copied().collect();
+            for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+                let want = fresh_store(file.schema(), fresh, ids, choice);
+                let case = format!("{:?} {choice:?} over {} ids", file.format(), ids.len());
+                for (config, to1, decision) in &paths {
+                    let result = materialize_with_admission(
+                        file,
+                        choice,
+                        config,
+                        reversed.clone(),
+                        ids.len(),
+                        *to1,
+                        false,
+                    )
+                    .unwrap();
+                    assert_eq!(result.decision, *decision, "{case}");
+                    let data = match &result.data {
+                        CacheData::Offsets(offsets) => {
+                            assert_eq!(offsets.record_ids(), ids.as_slice(), "{case}");
+                            upgrade_to_eager(file, choice, offsets).unwrap().0
+                        }
+                        eager => eager.clone(),
+                    };
+                    assert_store_eq(&data, &want, &format!("{case}, {decision:?}"));
+                }
+                let offsets = OffsetStore::build(reversed.clone(), ids.len());
+                let (data, _) = upgrade_to_eager(file, choice, &offsets).unwrap();
+                assert_store_eq(&data, &want, &format!("{case}, upgrade"));
+            }
+        }
+    }
+
+    #[test]
+    fn nested_json_materializes_to_the_stores_of_fresh_parses() {
+        let (file, fresh) = nested_json_file();
+        assert_every_path_equals_fresh_builds(&file, &fresh);
+    }
+
+    #[test]
+    fn hostile_json_materializes_to_the_stores_of_fresh_parses() {
+        let (file, fresh) = hostile_json_file();
+        assert_every_path_equals_fresh_builds(&file, &fresh);
+    }
+
+    #[test]
+    fn typed_csv_materializes_to_the_stores_of_fresh_parses() {
+        let (file, fresh) = typed_csv_file();
+        assert_every_path_equals_fresh_builds(&file, &fresh);
+    }
+
+    /// Records whose damage lies in fields the first scan skipped:
+    /// materializing one fails with the parser's own error on every path
+    /// and in every layout, whether or not the record got a structure
+    /// tape. The flag says whether it does.
+    #[test]
+    fn damaged_records_fail_materialization_like_the_parser() {
+        let damaged: [(&[u8], bool); 5] = [
+            (br#"{"a":1,"b":1.2.3,"items":[{"q":2}]}"#, true),
+            (b"{\"a\":1,\"items\":[{\"tag\":\"\xfe\",\"q\":3}]}", true),
+            (b"{\"a\":\"\xff\",\"a\":2,\"b\":1.0}", true),
+            (br#"{"a":1,"s":"\q"}"#, true),
+            (br#"{"a":1,"b":tru}"#, false),
+        ];
+        for (line, taped) in damaged {
+            let mut bytes = Vec::new();
+            for _ in 0..3 {
+                bytes.extend_from_slice(br#"{"a":1,"items":[{"q":2}]}"#);
+                bytes.push(b'\n');
+            }
+            bytes.extend_from_slice(line);
+            let schema = hostile_schema();
+            let parse_error = json::parse_record(line, &schema, None)
+                .unwrap_err()
+                .to_string();
+            let file = RawFile::from_bytes(bytes, FileFormat::Json, schema);
+            let accessed: Vec<bool> = (0..file.leaves().len()).map(|leaf| leaf == 3).collect();
+            file.scan_projected(&accessed, &mut |_, _| {}).unwrap();
+            assert_eq!(file.posmap().unwrap().json_tape(3).is_some(), taped);
+            for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+                let case = format!("{choice:?} over {:?}", String::from_utf8_lossy(line));
+                let eager = materialize_with_admission(
+                    &file,
+                    choice,
+                    &AdmissionConfig::eager_only(),
+                    vec![3, 0, 2],
+                    3,
+                    0,
+                    false,
+                );
+                let error = eager.err().map(|e| e.to_string());
+                assert_eq!(error.as_ref(), Some(&parse_error), "{case}");
+                let offsets = OffsetStore::build(vec![1, 3], 2);
+                let upgraded = upgrade_to_eager(&file, choice, &offsets);
+                let error = upgraded.err().map(|e| e.to_string());
+                assert_eq!(error.as_ref(), Some(&parse_error), "{case}");
+            }
+        }
     }
 
     #[test]
@@ -322,7 +672,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.decision, AdmissionDecision::Eager);
-        assert_dremel_eq(&result.data, &fresh_dremel(&file, &fresh, &ids), &ids);
+        let want = fresh_store(file.schema(), &fresh, &ids, StoreChoice::Dremel);
+        assert_store_eq(&result.data, &want, "eager");
     }
 
     #[test]
@@ -331,7 +682,8 @@ mod tests {
         let ids: Vec<u32> = (0..fresh.len() as u32).filter(|i| i % 5 == 2).collect();
         let offsets = OffsetStore::build(ids.clone(), ids.len());
         let (data, _) = upgrade_to_eager(&file, StoreChoice::Dremel, &offsets).unwrap();
-        assert_dremel_eq(&data, &fresh_dremel(&file, &fresh, &ids), &ids);
+        let want = fresh_store(file.schema(), &fresh, &ids, StoreChoice::Dremel);
+        assert_store_eq(&data, &want, "upgrade");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::raw_batch::byte_eq_mask;
 // Re-exported from the shared raw-batch machinery (the record index is
 // format-agnostic; both the CSV and JSON batched paths partition on it).
 pub use crate::raw_batch::index_records;
-use recache_layout::ScratchColumn;
+use recache_layout::{FlatColumnBuilder, ScratchColumn};
 use recache_types::{Error, Result, ScalarType, Schema, Value};
 
 /// Field delimiter: TPC-H convention.
@@ -123,10 +123,12 @@ pub fn parse_field(bytes: &[u8], ty: ScalarType) -> Result<Value> {
 }
 
 /// Parses one CSV field straight into a typed scratch column — the
-/// batched tokenizer's hot path. No intermediate [`Value`], and string
-/// fields copy their bytes exactly once, directly into the column's
-/// arena (where [`parse_field`] allocates an owned `String` per field).
-/// Empty fields append nulls, matching [`parse_field`].
+/// batched tokenizer's and cache materialization's hot path. No
+/// intermediate [`Value`], and string fields copy their bytes exactly
+/// once, directly into the column's arena (where [`parse_field`]
+/// allocates an owned `String` per field). Empty fields append nulls and
+/// invalid UTF-8 is replaced as [`parse_field`] replaces it, so the
+/// column holds exactly the values [`parse_field`] returns.
 #[inline]
 pub fn parse_field_into(bytes: &[u8], ty: ScalarType, col: &mut ScratchColumn) -> Result<()> {
     if bytes.is_empty() {
@@ -166,7 +168,7 @@ pub fn parse_field_into(bytes: &[u8], ty: ScalarType, col: &mut ScratchColumn) -
                 )))
             }
         },
-        ScalarType::Str => col.push_str_bytes(bytes),
+        ScalarType::Str => col.push_str_bytes(String::from_utf8_lossy(bytes).as_bytes()),
     }
     Ok(())
 }
@@ -181,7 +183,7 @@ pub fn parse_field_into(bytes: &[u8], ty: ScalarType, col: &mut ScratchColumn) -
 /// exponents, >15 significant digits, inf/nan — returns `None` and falls
 /// back to the std parser.
 #[inline]
-fn parse_f64_fast(bytes: &[u8]) -> Option<f64> {
+pub(crate) fn parse_f64_fast(bytes: &[u8]) -> Option<f64> {
     const POW10: [f64; 23] = [
         1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
         1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
@@ -545,6 +547,21 @@ pub fn parse_range_with_map(
         }
     }
     Ok(())
+}
+
+/// Appends one full record by id, its fields parsed through the map's
+/// spans, as one row of `builder` — the materialization path. The row
+/// and any error are those of [`parse_record_at`] over every field.
+pub fn push_record_at(
+    bytes: &[u8],
+    map: &PositionalMap,
+    record: usize,
+    builder: &mut FlatColumnBuilder,
+) -> Result<()> {
+    builder.push_record(|field, col| {
+        let (start, end) = map.field_span(record, field);
+        parse_field_into(&bytes[start..end.min(bytes.len())], col.scalar_type(), col)
+    })
 }
 
 /// Positional-map-assisted scan: parses only the accessed fields of every

@@ -15,14 +15,16 @@
 //! The first scan ([`scan_build_map`]) also records a structure tape
 //! per record in the positional map: where each schema-typed value lies,
 //! arranged as the schema's tree. Every later read through the map —
-//! mapped scans, lazy re-reads, full-record reads for cache
-//! materialization — decodes from the tape: unwanted subtrees are one
+//! mapped scans, lazy re-reads, full-record reads — decodes from the
+//! tape, and cache materialization shreds each record from it straight
+//! into Dremel columns ([`shred_record_at`]): unwanted subtrees are one
 //! jump, no key is matched again, and each scalar is decoded by the same
 //! typed parser at its recorded offset, so the answer (value or error) is
 //! exactly [`parse_record`]'s. A record the tape walk cannot index is
 //! parsed from its bytes instead.
 
 use crate::posmap::PositionalMap;
+use recache_layout::{DremelBuilder, LeafValue, NodeRead, ShredNode};
 use recache_types::{DataType, Error, Field, Result, Schema, Value};
 use std::borrow::Cow;
 
@@ -363,15 +365,19 @@ impl<'a> Cursor<'a> {
                     Ok(Value::Null)
                 }
             },
-            Some(_) => {
-                let num = self.parse_number()?;
-                match ty {
-                    DataType::Int => Ok(Value::Int(num.as_i64().unwrap_or(0))),
-                    DataType::Float => Ok(Value::Float(num.as_f64().unwrap_or(0.0))),
-                    _ => Ok(Value::Null),
-                }
-            }
+            Some(_) => self.parse_number_as(ty),
             None => Err(Error::parse_at("unexpected end of input", self.pos)),
+        }
+    }
+
+    /// [`Self::parse_typed`] of a number literal: `Int` and `Float`
+    /// coerce it, any other type reads it as `Null`.
+    fn parse_number_as(&mut self, ty: &DataType) -> Result<Value> {
+        let num = self.parse_number()?;
+        match ty {
+            DataType::Int => Ok(Value::Int(num.as_i64().unwrap_or(0))),
+            DataType::Float => Ok(Value::Float(num.as_f64().unwrap_or(0.0))),
+            _ => Ok(Value::Null),
         }
     }
 
@@ -706,6 +712,7 @@ fn build_tape(line: &[u8], shape: &StructShape, tape: &mut Vec<u32>) -> bool {
 /// raw node is decoded by [`Cursor::parse_typed`] at its offset in the
 /// same record slice [`parse_record`] reads, so values, coercions,
 /// mismatches and error messages and positions are the parser's.
+#[derive(Debug, Clone, Copy)]
 struct Tape<'a> {
     words: &'a [u32],
     record: &'a [u8],
@@ -765,6 +772,154 @@ impl Tape<'_> {
     }
 }
 
+/// A node of a record's [`Tape`], shredded in place by
+/// [`DremelBuilder::push_node`]: the tape gives the structure, and only
+/// scalars are read from the record, each at its offset by the parser's
+/// own routines. A struct's fields are visited in key order, the last of
+/// duplicate keys shredded and the earlier ones decoded only for their
+/// errors, so the outcome is that of decoding the record into a `Value`
+/// and shredding that.
+#[derive(Debug, Clone, Copy)]
+struct TapeNode<'a> {
+    tape: Tape<'a>,
+    at: usize,
+}
+
+impl<'a> TapeNode<'a> {
+    fn at(self, at: usize) -> Self {
+        TapeNode { at, ..self }
+    }
+
+    /// A raw node read as `ty`, as [`Cursor::parse_typed`] reads it: a
+    /// string of a string leaf stays borrowed when it has no escapes, a
+    /// number of a number leaf goes straight to the parser's number arm,
+    /// and a container type reads as `Null` (or the parser's error).
+    fn read_raw(self, pos: usize, ty: &DataType) -> Result<NodeRead<'a>> {
+        let mut cursor = Cursor {
+            bytes: self.tape.record,
+            pos,
+        };
+        match (ty, self.tape.record.get(pos)) {
+            (DataType::Str, Some(b'"')) => {
+                return Ok(NodeRead::Leaf(LeafValue::Str(cursor.parse_str()?)))
+            }
+            (DataType::Int | DataType::Float, Some(b'-' | b'0'..=b'9')) => {
+                let value = cursor.parse_number_as(ty)?;
+                return Ok(NodeRead::Leaf(LeafValue::Value(Cow::Owned(value))));
+            }
+            _ => {}
+        }
+        let value = cursor.parse_typed(ty, &Want::All)?;
+        Ok(match (ty, value) {
+            (DataType::List(_) | DataType::Struct(_), _) | (_, Value::Null) => NodeRead::Null,
+            (_, value) => NodeRead::Leaf(LeafValue::Value(Cow::Owned(value))),
+        })
+    }
+}
+
+impl<'a> ShredNode<'a> for TapeNode<'a> {
+    type Error = Error;
+
+    fn read(self, ty: &DataType) -> Result<NodeRead<'a>> {
+        let word = self.tape.words[self.at];
+        match (word & TAPE_TAG, ty) {
+            (0, _) => self.read_raw(word as usize, ty),
+            (TAPE_STRUCT, DataType::Struct(_)) => Ok(NodeRead::Struct),
+            (TAPE_LIST, DataType::List(_)) if self.tape.node_len(self.at) > 1 => Ok(NodeRead::List),
+            (TAPE_LIST, DataType::List(_)) => Ok(NodeRead::Empty),
+            _ => Err(tape_schema_mismatch()),
+        }
+    }
+
+    fn elements(self, mut visit: impl FnMut(Self) -> Result<()>) -> Result<()> {
+        let end = self.at + self.tape.node_len(self.at);
+        let mut node = self.at + 1;
+        while node < end {
+            visit(self.at(node))?;
+            node += self.tape.node_len(node);
+        }
+        Ok(())
+    }
+
+    fn fields(
+        self,
+        fields: &[Field],
+        mut visit: impl FnMut(usize, Option<Self>) -> Result<()>,
+    ) -> Result<()> {
+        let tape = self.tape;
+        let end = self.at + tape.node_len(self.at);
+        let next_entry = |entry: usize| entry + 1 + tape.node_len(entry + 1);
+        let mut present = FieldSet::new(fields.len());
+        let mut repeats = false;
+        let mut entry = self.at + 1;
+        while entry < end {
+            let idx = tape.words[entry] as usize;
+            if idx >= fields.len() {
+                return Err(tape_schema_mismatch());
+            }
+            repeats |= !present.insert(idx);
+            entry = next_entry(entry);
+        }
+        let mut entry = self.at + 1;
+        while entry < end {
+            let idx = tape.words[entry] as usize;
+            let next = next_entry(entry);
+            let overwritten = repeats && {
+                let mut later = next;
+                let mut found = false;
+                while later < end && !found {
+                    found = tape.words[later] as usize == idx;
+                    later = next_entry(later);
+                }
+                found
+            };
+            if overwritten {
+                tape.decode(entry + 1, &fields[idx].data_type, &Want::All)?;
+            } else {
+                visit(idx, Some(self.at(entry + 1)))?;
+            }
+            entry = next;
+        }
+        (0..fields.len())
+            .filter(|&idx| !present.contains(idx))
+            .try_for_each(|idx| visit(idx, None))
+    }
+}
+
+/// A set of field indexes: one word for structs of up to 64 fields.
+struct FieldSet {
+    small: u64,
+    large: Vec<bool>,
+}
+
+impl FieldSet {
+    fn new(n: usize) -> Self {
+        FieldSet {
+            small: 0,
+            large: if n > 64 { vec![false; n] } else { Vec::new() },
+        }
+    }
+
+    /// Adds `idx`; false if it was already present.
+    fn insert(&mut self, idx: usize) -> bool {
+        let fresh = !self.contains(idx);
+        if self.large.is_empty() {
+            self.small |= 1 << idx;
+        } else {
+            self.large[idx] = true;
+        }
+        fresh
+    }
+
+    fn contains(&self, idx: usize) -> bool {
+        if self.large.is_empty() {
+            self.small >> idx & 1 == 1
+        } else {
+            self.large[idx]
+        }
+    }
+}
+
 fn tape_schema_mismatch() -> Error {
     Error::exec("positional map tape does not match the schema")
 }
@@ -787,7 +942,8 @@ pub(crate) fn parse_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)
         return Err(Error::parse_at("invalid number", start));
     }
     let value = if is_float {
-        text.parse::<f64>()
+        crate::csv::parse_f64_fast(text.as_bytes())
+            .map_or_else(|| text.parse::<f64>(), Ok)
             .map(Value::Float)
             .map_err(|_| Error::parse_at(format!("invalid float '{text}'"), start))?
     } else {
@@ -960,6 +1116,35 @@ pub fn parse_record_at(
             .decode_struct(0, schema.fields(), want)
         }
         None => parse_record(line, schema, projection),
+    }
+}
+
+/// Shreds one full record by id through the map into `builder` — the
+/// materialization path: from its structure tape when it has one, with
+/// no `Value` built; otherwise parsed by [`parse_record`] first. The
+/// store and any error are those of shredding [`parse_record_at`]'s
+/// record.
+pub fn shred_record_at(
+    bytes: &[u8],
+    schema: &Schema,
+    map: &PositionalMap,
+    record: usize,
+    builder: &mut DremelBuilder,
+) -> Result<()> {
+    let (start, end) = map.record_span(record);
+    let line = &bytes[start..trim_newline(bytes, start, end)];
+    match map.json_tape(record) {
+        Some(words) => builder.push_node(TapeNode {
+            tape: Tape {
+                words,
+                record: line,
+            },
+            at: 0,
+        }),
+        None => {
+            builder.push_record(&parse_record(line, schema, None)?);
+            Ok(())
+        }
     }
 }
 
@@ -1446,6 +1631,54 @@ mod tests {
         }
     }
 
+    /// Shredding one record through the map, from its tape or (with the
+    /// tape dropped from the map) after a parse, builds the store of
+    /// shredding [`parse_record`]'s value, or fails with its error.
+    fn assert_shredding_matches_parser(schema: &Schema, bytes: &[u8]) {
+        let nothing = LeafProjection::new(schema, &vec![false; schema.leaves().len()]);
+        let map = scan_build_map(bytes, schema, Some(&nothing), |_, _| Ok(())).unwrap();
+        let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        assert_eq!(map.record_count(), lines.len());
+        let untaped = PositionalMap::with_json_tape(
+            map.record_offsets().to_vec(),
+            vec![0; lines.len() + 1],
+            Vec::new(),
+        );
+        let shred = |map: &PositionalMap, record: usize| {
+            let mut builder = DremelBuilder::new(schema);
+            shred_record_at(bytes, schema, map, record, &mut builder).map(|()| builder.finish())
+        };
+        for (record, line) in lines.iter().enumerate() {
+            let want = parse_record(line, schema, None).map(|value| {
+                let mut builder = DremelBuilder::new(schema);
+                builder.push_record(&value);
+                builder.finish()
+            });
+            let want = want.map_err(|e| e.to_string());
+            let case = String::from_utf8_lossy(line);
+            assert!(map.json_tape(record).is_some(), "{case}");
+            assert_eq!(
+                shred(&map, record).map_err(|e| e.to_string()),
+                want,
+                "{case}"
+            );
+            assert!(untaped.json_tape(record).is_none());
+            assert_eq!(
+                shred(&untaped, record).map_err(|e| e.to_string()),
+                want,
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn shredding_hostile_records_through_the_map_matches_the_parser() {
+        let schema = hostile_schema();
+        assert_shredding_matches_parser(&schema, &SOUND_LINES.join(&b'\n'));
+        let schema = duplicate_names_schema();
+        assert_shredding_matches_parser(&schema, DUPLICATE_NAMES_LINE);
+    }
+
     fn duplicate_names_schema() -> Schema {
         Schema::new(vec![
             Field::new("a", DataType::Int),
@@ -1579,6 +1812,104 @@ mod tests {
             let got = parse_number_at(text.as_bytes(), 0).map_err(|_| "error".to_string());
             let want = general(text).map_err(|_| "error".to_string());
             assert_eq!(got, want, "{text:?}");
+        }
+    }
+
+    /// Float literals take the exact `mantissa / 10^frac` fast path to
+    /// the bits `str::parse` gives them, and every other literal the
+    /// `str::parse` path as before: same value bits, end and error.
+    #[test]
+    fn float_literals_parse_to_the_bits_str_parse_gives() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // `parse_number_at`'s general path with `str::parse` alone.
+        fn str_parse_path(bytes: &[u8]) -> Result<(Value, usize)> {
+            let (end, is_float) = number_extent(bytes, 0);
+            let text = std::str::from_utf8(&bytes[..end]).unwrap();
+            if text.is_empty() || text == "-" {
+                return Err(Error::parse_at("invalid number", 0));
+            }
+            let value = if is_float {
+                text.parse::<f64>()
+                    .map(Value::Float)
+                    .map_err(|_| Error::parse_at(format!("invalid float '{text}'"), 0))?
+            } else {
+                text.parse::<i64>()
+                    .map(Value::Int)
+                    .or_else(|_| text.parse::<f64>().map(Value::Float))
+                    .map_err(|_| Error::parse_at(format!("invalid int '{text}'"), 0))?
+            };
+            Ok((value, end))
+        }
+        fn bits(outcome: Result<(Value, usize)>) -> std::result::Result<(String, usize), String> {
+            outcome
+                .map(|(value, end)| match value {
+                    Value::Float(v) => (format!("float {:#x}", v.to_bits()), end),
+                    other => (format!("{other:?}"), end),
+                })
+                .map_err(|e| e.to_string())
+        }
+        let mut literals: Vec<String> = [
+            "-0.0",
+            "0.0",
+            "-0.5",
+            "1.",
+            "-1.",
+            ".5",
+            "-.5",
+            "+1.5",
+            "+.5",
+            ".",
+            "-.",
+            "+",
+            "1.5-3",
+            "1.5+3",
+            "1.2.3",
+            "--1.5",
+            "1e5",
+            "1.5e-3",
+            "-2.5E+10",
+            "1e",
+            "1e400",
+            "123456789012345.0",
+            "12345678.1234567",
+            "1234567890123456.0",
+            "1.234567890123456",
+            "0.1234567890123456789012",
+            "0.12345678901234567890123",
+            "9.99999999999999999999999999",
+            "0.000000000000001",
+            "0.0000000000000000000000001",
+            "123456789012345.6,",
+            "2.5]",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut rng = StdRng::seed_from_u64(0xF10A7);
+        for _ in 0..5000 {
+            let digits: String = (0..rng.random_range(1..=24))
+                .map(|_| char::from(b'0' + rng.random_range(0..10u8)))
+                .collect();
+            let dot = rng.random_range(0..=digits.len());
+            let sign = ["", "-", "+"][rng.random_range(0..3)];
+            let exponent = match rng.random_range(0..6) {
+                0 => format!("e{}", rng.random_range(-30..30)),
+                1 => "-3".to_string(),
+                _ => String::new(),
+            };
+            literals.push(format!(
+                "{sign}{}.{}{exponent}",
+                &digits[..dot],
+                &digits[dot..]
+            ));
+        }
+        for text in &literals {
+            let bytes = text.as_bytes();
+            assert_eq!(
+                bits(parse_number_at(bytes, 0)),
+                bits(str_parse_path(bytes)),
+                "{text:?}"
+            );
         }
     }
 

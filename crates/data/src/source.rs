@@ -5,7 +5,10 @@ use crate::fault::{FaultPlan, FaultSite, RetryPolicy};
 use crate::posmap::PositionalMap;
 use crate::raw_batch::{self, RawBatchIndex};
 use crate::{csv, json, json_batch};
-use recache_layout::{BatchScratch, ColumnBatch, ScanCost, SelectionVector, BATCH_ROWS};
+use recache_layout::{
+    BatchScratch, ColumnBatch, DremelBuilder, FlatColumnBuilder, ScanCost, SelectionVector,
+    BATCH_ROWS,
+};
 use recache_types::{
     FlatRow, FlatRows, Flattener, LeafField, Result, ScalarType, ScanCtl, Schema, Value,
 };
@@ -325,68 +328,19 @@ impl RawFile {
         Ok(metrics)
     }
 
-    /// Scans full records as nested values (used by cache materialization
-    /// when the whole tuple is cached).
-    pub fn scan_records(&self, on_record: &mut dyn FnMut(usize, Value)) -> Result<usize> {
+    /// The positional map for a read of full records by id, behind the
+    /// row-path fault gate: one gate and one map acquisition per batch
+    /// of records (per record, the lock and `Arc` bump would dominate at
+    /// materialization scale).
+    fn record_read_map(&self) -> Result<Arc<PositionalMap>> {
         self.row_scan_gate()?;
-        match self.format {
-            FileFormat::Csv => {
-                let accessed = vec![true; self.schema.len()];
-                let mut count = 0usize;
-                let emit = |id: usize, values: Vec<Value>| {
-                    count += 1;
-                    on_record(id, Value::Struct(values));
-                    Ok(())
-                };
-                match self.posmap() {
-                    Some(map) => {
-                        csv::scan_with_map(&self.bytes, &self.schema, &map, &accessed, emit)?
-                    }
-                    None => {
-                        let mut emit = emit;
-                        let map =
-                            csv::scan_build_map(&self.bytes, &self.schema, &accessed, &mut emit)?;
-                        self.install_posmap(map);
-                    }
-                }
-                Ok(count)
-            }
-            FileFormat::Json => {
-                let mut count = 0usize;
-                let emit = |id: usize, record: Value| {
-                    count += 1;
-                    on_record(id, record);
-                    Ok(())
-                };
-                match self.posmap() {
-                    Some(map) => json::scan_with_map(&self.bytes, &self.schema, &map, None, emit)?,
-                    None => {
-                        let mut emit = emit;
-                        let map = json::scan_build_map(&self.bytes, &self.schema, None, &mut emit)?;
-                        self.install_posmap(map);
-                    }
-                }
-                Ok(count)
-            }
-        }
+        self.posmap()
+            .ok_or_else(|| recache_types::Error::exec("no positional map for record read"))
     }
 
-    /// Reads one full nested record by id through the positional map (the
-    /// eager-cache materialization path).
-    pub fn read_record(&self, record_id: u32) -> Result<Value> {
-        let mut out = self.read_records(std::slice::from_ref(&record_id))?;
-        Ok(out.pop().expect("one record requested"))
-    }
-
-    /// Reads a batch of full records by id: one positional-map
-    /// acquisition for the whole batch (the per-record path pays a lock
-    /// and an `Arc` bump per call, which dominates at materialization
-    /// scale).
+    /// Reads a batch of full records by id through the positional map.
     pub fn read_records(&self, record_ids: &[u32]) -> Result<Vec<Value>> {
-        self.row_scan_gate()?;
-        let map = self
-            .posmap()
-            .ok_or_else(|| recache_types::Error::exec("no positional map for record read"))?;
+        let map = self.record_read_map()?;
         let mut out = Vec::with_capacity(record_ids.len());
         match self.format {
             FileFormat::Csv => {
@@ -415,6 +369,62 @@ impl RawFile {
             }
         }
         Ok(out)
+    }
+
+    /// Shreds full records by id into a Dremel builder through the
+    /// positional map (cache materialization): JSON records straight
+    /// from their structure tapes, CSV records one parsed record at a
+    /// time. The store and any error equal shredding
+    /// [`RawFile::read_records`]'s records.
+    pub fn shred_records(&self, record_ids: &[u32], builder: &mut DremelBuilder) -> Result<()> {
+        let map = self.record_read_map()?;
+        let (bytes, schema) = (&self.bytes, &self.schema);
+        match self.format {
+            FileFormat::Csv => {
+                let accessed = vec![true; schema.len()];
+                for &id in record_ids {
+                    let values = csv::parse_record_at(bytes, schema, &map, id as usize, &accessed)?;
+                    builder.push_record(&Value::Struct(values));
+                }
+            }
+            FileFormat::Json => {
+                for &id in record_ids {
+                    json::shred_record_at(bytes, schema, &map, id as usize, builder)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends full records by id to a flat columnar builder through the
+    /// positional map (cache materialization): CSV fields parsed from
+    /// their spans straight into the columns, flat JSON records one
+    /// parsed record at a time. The store and any error equal building
+    /// from [`RawFile::read_records`]'s records.
+    pub fn append_flat_records(
+        &self,
+        record_ids: &[u32],
+        builder: &mut FlatColumnBuilder,
+    ) -> Result<()> {
+        let map = self.record_read_map()?;
+        let (bytes, schema) = (&self.bytes, &self.schema);
+        for &id in record_ids {
+            match self.format {
+                FileFormat::Csv => csv::push_record_at(bytes, &map, id as usize, builder)?,
+                FileFormat::Json => {
+                    let record = json::parse_record_at(bytes, schema, &map, id as usize, None)?;
+                    let fields: &[Value] = match &record {
+                        Value::Struct(fields) => fields,
+                        _ => &[],
+                    };
+                    builder.push_record(|i, col| {
+                        col.push(fields.get(i).unwrap_or(&Value::Null));
+                        Ok::<(), recache_types::Error>(())
+                    })?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Whether [`RawFile::scan_batches_range`] can serve this file. The
@@ -964,17 +974,6 @@ mod tests {
         assert!(err.is_err());
     }
 
-    #[test]
-    fn scan_full_records() {
-        let file = json_file();
-        let mut records = Vec::new();
-        let n = file.scan_records(&mut |_, r| records.push(r)).unwrap();
-        assert_eq!(n, 2);
-        assert!(matches!(records[0], Value::Struct(_)));
-        // Map installed as a side effect.
-        assert_eq!(file.record_count(), Some(2));
-    }
-
     fn wide_csv_file(rows: usize) -> RawFile {
         let schema = Schema::new(vec![
             Field::required("a", DataType::Int),
@@ -1015,6 +1014,36 @@ mod tests {
             .unwrap();
         }
         out
+    }
+
+    /// Batched scans read a field with invalid UTF-8 as the row path
+    /// does, with the bad bytes replaced, on the first scan and on
+    /// mapped scans alike.
+    #[test]
+    fn batched_scans_replace_invalid_utf8_like_the_row_path() {
+        let schema = Schema::new(vec![
+            Field::required("k", DataType::Int),
+            Field::new("s", DataType::Str),
+        ]);
+        let bytes = b"1|zz\xFFb\n2|aa\n3|mm\n".to_vec();
+        let batched = RawFile::from_bytes(bytes.clone(), FileFormat::Csv, schema.clone());
+        let row = RawFile::from_bytes(bytes, FileFormat::Csv, schema);
+        let mut expected = Vec::new();
+        row.scan_projected(&[true, true], &mut |id, row| {
+            expected.push((id as u32, row))
+        })
+        .unwrap();
+        assert_eq!(expected[0].1[1], Value::from("zz\u{FFFD}b"));
+        let chunks = batched.batch_chunks();
+        assert!(batched.posmap().is_none());
+        assert_eq!(collect_batched(&batched, &[0, 1], &[(0, chunks)]), expected);
+        assert!(batched.posmap().is_some());
+        assert_eq!(collect_batched(&batched, &[1, 0], &[(0, chunks)]), {
+            let swapped = expected
+                .iter()
+                .map(|(id, row)| (*id, vec![row[1].clone(), row[0].clone()]));
+            swapped.collect::<Vec<_>>()
+        });
     }
 
     #[test]

@@ -323,6 +323,14 @@ impl ScratchColumn {
         self.any_null = false;
     }
 
+    pub fn scalar_type(&self) -> ScalarType {
+        self.col.data.scalar_type()
+    }
+
+    pub(crate) fn into_column(self) -> Column {
+        self.col
+    }
+
     /// Appends a value; `Null` (or a type mismatch) appends the zero value
     /// and clears the validity bit.
     #[inline]

@@ -4,7 +4,7 @@
 use crate::batch::{BatchColumn, BatchValues};
 use crate::bitmap::Bitmap;
 use recache_types::{ScalarType, Value};
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 /// Default dictionary-encoding threshold: a string column is encoded when
 /// `distinct / rows` is at most this ratio (the knob stores pass to
@@ -200,29 +200,37 @@ impl ColumnData {
         }
         // Scale before truncating so tiny ratios keep a non-zero budget.
         let max_distinct = ((rows as f64) * max_ratio).floor().max(1.0) as usize;
-        let mut pool: BTreeSet<&[u8]> = BTreeSet::new();
+        // One hash probe per row gives each row the code of its value in
+        // first-seen order.
+        let mut seen: HashMap<&[u8], u32> = HashMap::new();
+        let mut distinct: Vec<&[u8]> = Vec::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(rows);
         for i in 0..rows {
-            pool.insert(&bytes[offsets[i] as usize..offsets[i + 1] as usize]);
-            if pool.len() > max_distinct {
+            let value = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
+            let code = *seen.entry(value).or_insert_with(|| {
+                distinct.push(value);
+                distinct.len() as u32 - 1
+            });
+            if distinct.len() > max_distinct {
                 return false; // too many distinct values — bail early
             }
+            codes.push(code);
         }
-        // Sorted pool → arena; codes resolve by binary search (the pool
-        // is small by construction, so log2(pool) byte compares per row).
-        let sorted: Vec<&[u8]> = pool.into_iter().collect();
-        let mut pool_offsets: Vec<u32> = Vec::with_capacity(sorted.len() + 1);
+        // Sorting the distinct values once makes code order string order.
+        let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+        order.sort_unstable_by_key(|&code| distinct[code as usize]);
+        let mut rank = vec![0u32; order.len()];
+        let mut pool_offsets: Vec<u32> = Vec::with_capacity(order.len() + 1);
         pool_offsets.push(0);
         let mut pool_bytes: Vec<u8> = Vec::new();
-        for s in &sorted {
-            pool_bytes.extend_from_slice(s);
+        for (sorted, &code) in order.iter().enumerate() {
+            rank[code as usize] = sorted as u32;
+            pool_bytes.extend_from_slice(distinct[code as usize]);
             pool_offsets.push(pool_bytes.len() as u32);
         }
-        let codes: Vec<u32> = (0..rows)
-            .map(|i| {
-                let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
-                sorted.binary_search(&s).expect("value in pool") as u32
-            })
-            .collect();
+        for code in &mut codes {
+            *code = rank[*code as usize];
+        }
         *self = ColumnData::Dict {
             codes,
             pool_offsets,
@@ -528,6 +536,99 @@ mod tests {
         assert!(
             after < before,
             "dict encoding must shrink the footprint ({after} vs {before})"
+        );
+    }
+
+    /// The encoder as it was before hashing, kept as the oracle: a
+    /// per-row `BTreeSet` insert, then a binary search per row.
+    fn dict_encode_btree(col: &mut ColumnData, max_ratio: f64, min_rows: usize) -> bool {
+        use std::collections::BTreeSet;
+        let ColumnData::Str { offsets, bytes } = col else {
+            return false;
+        };
+        let rows = offsets.len() - 1;
+        if rows < min_rows {
+            return false;
+        }
+        let max_distinct = ((rows as f64) * max_ratio).floor().max(1.0) as usize;
+        let mut pool: BTreeSet<&[u8]> = BTreeSet::new();
+        for i in 0..rows {
+            pool.insert(&bytes[offsets[i] as usize..offsets[i + 1] as usize]);
+            if pool.len() > max_distinct {
+                return false;
+            }
+        }
+        let sorted: Vec<&[u8]> = pool.into_iter().collect();
+        let mut pool_offsets: Vec<u32> = vec![0];
+        let mut pool_bytes: Vec<u8> = Vec::new();
+        for s in &sorted {
+            pool_bytes.extend_from_slice(s);
+            pool_offsets.push(pool_bytes.len() as u32);
+        }
+        let codes: Vec<u32> = (0..rows)
+            .map(|i| {
+                let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
+                sorted.binary_search(&s).expect("value in pool") as u32
+            })
+            .collect();
+        *col = ColumnData::Dict {
+            codes,
+            pool_offsets,
+            pool_bytes,
+        };
+        true
+    }
+
+    /// Hashed encoding equals the `BTreeSet` oracle — outcome, pool and
+    /// codes — over random columns with duplicates, empty strings,
+    /// non-UTF-8 bytes, shared prefixes, and distinct counts at, just
+    /// under and just over the `max_distinct` bail-out.
+    #[test]
+    fn hashed_dict_encode_equals_the_btree_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD1C7);
+        let mut outcomes = [0usize; 2];
+        for case in 0..400 {
+            let rows = rng.random_range(0..400usize);
+            let ratio = [0.125, 0.25, 0.5, 0.01][case % 4];
+            let max_distinct = ((rows as f64) * ratio).floor().max(1.0) as usize;
+            // Aim the distinct count at the bail-out from both sides.
+            let distinct = (max_distinct + rng.random_range(0..3usize))
+                .saturating_sub(1)
+                .max(1);
+            let values: Vec<Vec<u8>> = (0..distinct)
+                .map(|v| match v % 5 {
+                    0 => Vec::new(),
+                    1 => vec![0xff, v as u8, 0xfe],
+                    2 => format!("shared-prefix-value-{v}").into_bytes(),
+                    _ => format!("{v}").into_bytes(),
+                })
+                .collect();
+            let mut col = ColumnData::new(ScalarType::Str);
+            for row in 0..rows {
+                // Every value appears once, then rows repeat at random.
+                let v = if row < distinct {
+                    row
+                } else {
+                    rng.random_range(0..distinct)
+                };
+                col.push_str_bytes(&values[v]);
+            }
+            let min_rows = if case % 7 == 0 { rows + 1 } else { 64 };
+            let mut oracle = col.clone();
+            let encoded = col.dict_encode(ratio, min_rows);
+            assert_eq!(
+                encoded,
+                dict_encode_btree(&mut oracle, ratio, min_rows),
+                "case {case}"
+            );
+            assert_eq!(col, oracle, "case {case}");
+            outcomes[usize::from(encoded)] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 50),
+            "both outcomes: {outcomes:?}"
         );
     }
 

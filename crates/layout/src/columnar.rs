@@ -10,12 +10,76 @@
 //! Eq. 4 relies on), data-access cost proportional to the flattened row
 //! count `R` regardless of how many rows the query semantically needs.
 
-use crate::batch::{ColumnBatch, SelectionVector, BATCH_ROWS};
+use crate::batch::{ColumnBatch, ScratchColumn, SelectionVector, BATCH_ROWS};
 use crate::column::Column;
 use crate::shape::{self, ShapeCursor};
 use crate::ScanCost;
 use recache_types::{Schema, Value};
 use std::time::Instant;
+
+/// An incremental builder of the [`ColumnStore`] of a flat schema (every
+/// field a scalar): each record is one row, appended field by field with
+/// typed pushes into one column per field — no `Value` in between. The
+/// store equals [`ColumnStore::build`] over the same records.
+#[derive(Debug)]
+pub struct FlatColumnBuilder {
+    schema: Schema,
+    columns: Vec<ScratchColumn>,
+    records: usize,
+}
+
+impl FlatColumnBuilder {
+    /// A builder for `schema`, or `None` when a field is not a scalar.
+    pub fn new(schema: &Schema) -> Option<Self> {
+        shape::is_flat(schema).then(|| FlatColumnBuilder {
+            schema: schema.clone(),
+            columns: schema
+                .leaves()
+                .iter()
+                .map(|l| ScratchColumn::new(l.scalar_type))
+                .collect(),
+            records: 0,
+        })
+    }
+
+    /// Appends one record: `field(i, column)` appends field `i` to its
+    /// column, for every field in order. On error the record is partly
+    /// written, and the builder must be dropped.
+    pub fn push_record<E>(
+        &mut self,
+        mut field: impl FnMut(usize, &mut ScratchColumn) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            field(i, col)?;
+        }
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Seals the store, dictionary-encoding as [`ColumnStore::build`]
+    /// does: one row per record, so every mask is 0 and every shape
+    /// empty.
+    pub fn finish(self) -> ColumnStore {
+        let mut columns: Vec<Column> = self
+            .columns
+            .into_iter()
+            .map(ScratchColumn::into_column)
+            .collect();
+        for col in &mut columns {
+            col.maybe_dict_encode(crate::column::DICT_MAX_RATIO, crate::column::DICT_MIN_ROWS);
+        }
+        let records = self.records;
+        ColumnStore {
+            schema: self.schema,
+            columns,
+            masks: vec![0; records],
+            record_rows: (0..=records as u32).collect(),
+            shape_lens: Vec::new(),
+            shape_offsets: vec![0; records + 1],
+            source_ids: None,
+        }
+    }
+}
 
 /// Flattened, column-oriented store of cached records.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,6 +11,13 @@
 //!   level streams — a branchy, stateful walk (the paper's FSM) whose
 //!   cost ReCache measures as the computational component `C`.
 //!
+//! Writes go through the incremental [`DremelBuilder`], which shreds one
+//! record at a time from any [`ShredNode`] input: a parsed [`Value`], or
+//! (in `recache-data`) a raw JSON record read in place through its
+//! structure tape. The level rules are written once, over that trait, so
+//! the two inputs cannot shred differently; the same walk counts the
+//! record's flattened rows.
+//!
 //! Scans are two-phase: assembly produces *placeholder* rows holding
 //! column entry indexes (compute phase), then values are gathered
 //! (data-access phase), so the two costs are measured separately as the
@@ -19,16 +26,19 @@
 use crate::batch::{BatchScratch, ColumnBatch, SelectionVector, BATCH_ROWS};
 use crate::bitmap::Bitmap;
 use crate::column::ColumnData;
-use crate::shape::{self, leaf_count, ShapeCursor};
+use crate::shape::leaf_count;
 use crate::ScanCost;
 use recache_types::{DataType, Field, FlatRows, Flattener, Schema, Value};
+use std::borrow::Cow;
+use std::convert::Infallible;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Records per assembly chunk (amortizes the phase timers).
 const CHUNK_RECORDS: usize = 256;
 
 /// One striped leaf column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DremelColumn {
     data: ColumnData,
     /// Value present (definition level reached the leaf and the value was
@@ -39,9 +49,24 @@ pub struct DremelColumn {
 }
 
 impl DremelColumn {
-    fn push(&mut self, value: &Value, def: u16, rep: u16) {
-        self.valid.push(!value.is_null());
-        self.data.push(value);
+    fn push_leaf(&mut self, value: LeafValue<'_>, def: u16, rep: u16) {
+        match value {
+            LeafValue::Str(s) => {
+                self.valid.push(true);
+                self.data.push_str_bytes(s.as_bytes());
+            }
+            LeafValue::Value(value) => {
+                self.valid.push(!value.is_null());
+                self.data.push(&value);
+            }
+        }
+        self.def.push(def);
+        self.rep.push(rep);
+    }
+
+    fn push_null(&mut self, def: u16, rep: u16) {
+        self.valid.push(false);
+        self.data.push(&Value::Null);
         self.def.push(def);
         self.rep.push(rep);
     }
@@ -71,7 +96,7 @@ impl DremelColumn {
 }
 
 /// Dremel-style nested columnar store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DremelStore {
     schema: Schema,
     columns: Vec<DremelColumn>,
@@ -104,48 +129,11 @@ impl DremelStore {
         records: impl IntoIterator<Item = &'a Value>,
         dict_max_ratio: Option<f64>,
     ) -> Self {
-        let leaves = schema.leaves();
-        let mut columns: Vec<DremelColumn> = leaves
-            .iter()
-            .map(|l| DremelColumn {
-                data: ColumnData::new(l.scalar_type),
-                valid: Bitmap::new(),
-                def: Vec::new(),
-                rep: Vec::new(),
-            })
-            .collect();
-        let max_rep: Vec<u16> = leaves.iter().map(|l| l.max_rep).collect();
-        let mut chunk_starts: Vec<Vec<u32>> = vec![Vec::new(); columns.len()];
-        let mut record_count = 0usize;
-        let mut flattened_rows = 0usize;
-        let mut shape_buf = Vec::new();
+        let mut builder = DremelBuilder::new(schema);
         for record in records {
-            if record_count.is_multiple_of(CHUNK_RECORDS) {
-                for (leaf, col) in columns.iter().enumerate() {
-                    chunk_starts[leaf].push(col.len() as u32);
-                }
-            }
-            shred_struct(schema.fields(), record, 0, 0, 0, 0, &mut columns);
-            record_count += 1;
-            shape_buf.clear();
-            shape::capture(schema.fields(), record, &mut shape_buf);
-            let mut cursor = ShapeCursor::new(&shape_buf);
-            flattened_rows += shape::row_count(schema.fields(), &mut cursor);
+            builder.push_record(record);
         }
-        if let Some(ratio) = dict_max_ratio {
-            for col in &mut columns {
-                col.data.dict_encode(ratio, crate::column::DICT_MIN_ROWS);
-            }
-        }
-        DremelStore {
-            schema: schema.clone(),
-            columns,
-            max_rep,
-            record_count,
-            flattened_rows,
-            chunk_starts,
-            source_ids: None,
-        }
+        builder.finish_with_dict(dict_max_ratio)
     }
 
     /// Records the source-file record id of each cached record.
@@ -572,84 +560,318 @@ fn projection_order(projection: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Shreds one struct level. `r` is the repetition level for the *first*
-/// entry each leaf writes in this scope; `d` the definition level reached
-/// so far; `list_depth` the number of list ancestors.
-fn shred_struct(
-    fields: &[Field],
-    value: &Value,
-    mut leaf: usize,
-    r: u16,
-    d: u16,
-    list_depth: u16,
-    columns: &mut [DremelColumn],
-) {
-    let children: &[Value] = match value {
-        Value::Struct(c) => c,
-        _ => &[],
-    };
-    for (i, field) in fields.iter().enumerate() {
-        let child = children.get(i).unwrap_or(&Value::Null);
-        shred_field(field, child, leaf, r, d, list_depth, columns);
-        leaf += leaf_count(&field.data_type);
-    }
+/// An incremental [`DremelStore`] builder: records are shredded one at a
+/// time, from any input that implements [`ShredNode`] — a parsed
+/// [`Value`] ([`DremelBuilder::push_record`]) or a raw record read in
+/// place ([`DremelBuilder::push_node`]). Both go through the one set of
+/// level rules below, so they cannot drift:
+///
+/// * a nullable field that reads as null, or that is absent from its
+///   struct, writes one null entry per leaf beneath it at the definition
+///   level reached so far;
+/// * any other field adds one definition level if nullable;
+/// * a non-empty list adds one definition level to its elements, and
+///   every element after the first starts at the list's own repetition
+///   level;
+/// * an empty list, or a value of the wrong kind for a list or struct,
+///   writes one null entry per leaf beneath it;
+/// * a scalar writes one entry, valid unless null.
+///
+/// The flattened row count comes from the same walk: a struct multiplies
+/// its fields' counts, a non-empty list sums its elements', and
+/// everything else counts one row.
+#[derive(Debug)]
+pub struct DremelBuilder {
+    schema: Schema,
+    plan: Plan,
+    columns: Vec<DremelColumn>,
+    chunk_starts: Vec<Vec<u32>>,
+    record_count: usize,
+    flattened_rows: usize,
 }
 
-fn shred_field(
-    field: &Field,
-    value: &Value,
-    leaf: usize,
-    r: u16,
-    d: u16,
-    list_depth: u16,
-    columns: &mut [DremelColumn],
-) {
-    if field.nullable && value.is_null() {
-        emit_nulls(&field.data_type, leaf, r, d, columns);
-        return;
+impl DremelBuilder {
+    pub fn new(schema: &Schema) -> Self {
+        let columns: Vec<DremelColumn> = schema
+            .leaves()
+            .iter()
+            .map(|l| DremelColumn {
+                data: ColumnData::new(l.scalar_type),
+                valid: Bitmap::new(),
+                def: Vec::new(),
+                rep: Vec::new(),
+            })
+            .collect();
+        let mut leaf = 0;
+        let plan = Plan::of_fields(schema.fields(), &mut leaf);
+        DremelBuilder {
+            schema: schema.clone(),
+            plan,
+            chunk_starts: vec![Vec::new(); columns.len()],
+            columns,
+            record_count: 0,
+            flattened_rows: 0,
+        }
     }
-    let d = d + u16::from(field.nullable);
-    shred_type(&field.data_type, value, leaf, r, d, list_depth, columns);
-}
 
-fn shred_type(
-    ty: &DataType,
-    value: &Value,
-    leaf: usize,
-    r: u16,
-    d: u16,
-    list_depth: u16,
-    columns: &mut [DremelColumn],
-) {
-    match ty {
-        DataType::List(inner) => match value {
-            Value::List(items) if !items.is_empty() => {
-                let child_depth = list_depth + 1;
-                for (i, item) in items.iter().enumerate() {
-                    let r_elem = if i == 0 { r } else { child_depth };
-                    shred_type(inner, item, leaf, r_elem, d + 1, child_depth, columns);
-                }
-            }
-            // Absent or empty list: one null entry per leaf below, at the
-            // pre-list definition level.
-            _ => emit_nulls(inner, leaf, r, d, columns),
-        },
-        DataType::Struct(fields) => shred_struct(fields, value, leaf, r, d, list_depth, columns),
-        _ => columns[leaf].push(value, d, r),
+    /// Shreds one parsed record. A value that is not a struct reads as a
+    /// struct of nulls.
+    pub fn push_record(&mut self, record: &Value) {
+        let Ok(()) = self.push_node(record);
     }
-}
 
-fn emit_nulls(ty: &DataType, leaf: usize, r: u16, d: u16, columns: &mut [DremelColumn]) {
-    match ty {
-        DataType::Struct(fields) => {
-            let mut leaf = leaf;
-            for field in fields {
-                emit_nulls(&field.data_type, leaf, r, d, columns);
-                leaf += leaf_count(&field.data_type);
+    /// Shreds one record from its root node, read as a struct of the
+    /// schema's fields. On error the record is partly written, and the
+    /// builder must be dropped.
+    pub fn push_node<'a, N: ShredNode<'a>>(&mut self, root: N) -> Result<(), N::Error> {
+        if self.record_count.is_multiple_of(CHUNK_RECORDS) {
+            for (starts, col) in self.chunk_starts.iter_mut().zip(&self.columns) {
+                starts.push(col.len() as u32);
             }
         }
-        DataType::List(inner) => emit_nulls(inner, leaf, r, d, columns),
-        _ => columns[leaf].push(&Value::Null, d, r),
+        let rows = shred_struct(
+            &mut self.columns,
+            self.schema.fields(),
+            &self.plan,
+            root,
+            0,
+            0,
+            0,
+        )?;
+        self.record_count += 1;
+        self.flattened_rows += rows;
+        Ok(())
+    }
+
+    /// Seals the store, dictionary-encoding low-cardinality string leaves
+    /// at the default threshold (as [`DremelStore::build`] does).
+    pub fn finish(self) -> DremelStore {
+        self.finish_with_dict(Some(crate::column::DICT_MAX_RATIO))
+    }
+
+    fn finish_with_dict(mut self, dict_max_ratio: Option<f64>) -> DremelStore {
+        if let Some(ratio) = dict_max_ratio {
+            for col in &mut self.columns {
+                col.data.dict_encode(ratio, crate::column::DICT_MIN_ROWS);
+            }
+        }
+        DremelStore {
+            max_rep: self.schema.leaves().iter().map(|l| l.max_rep).collect(),
+            schema: self.schema,
+            columns: self.columns,
+            record_count: self.record_count,
+            flattened_rows: self.flattened_rows,
+            chunk_starts: self.chunk_starts,
+            source_ids: None,
+        }
+    }
+}
+
+/// One node of a record being shredded, read against the schema type
+/// the level rules expect there. [`DremelBuilder`] walks a record
+/// through this trait only, so every input shreds by the same rules.
+pub trait ShredNode<'a>: Copy {
+    type Error;
+
+    /// What the node holds when read as `ty`.
+    fn read(self, ty: &DataType) -> Result<NodeRead<'a>, Self::Error>;
+
+    /// Visits the elements of a node that read as [`NodeRead::List`], in
+    /// order.
+    fn elements(
+        self,
+        visit: impl FnMut(Self) -> Result<(), Self::Error>,
+    ) -> Result<(), Self::Error>;
+
+    /// Visits each of `fields` of a node that read as
+    /// [`NodeRead::Struct`] (or of a record root) exactly once, by index
+    /// and in any order, with `None` for a field the node does not hold.
+    fn fields(
+        self,
+        fields: &[Field],
+        visit: impl FnMut(usize, Option<Self>) -> Result<(), Self::Error>,
+    ) -> Result<(), Self::Error>;
+}
+
+/// A node read against its schema type (see [`ShredNode::read`]).
+#[derive(Debug)]
+pub enum NodeRead<'a> {
+    /// A null value.
+    Null,
+    /// Not null, but nothing beneath it for this type: an empty list, or
+    /// a value of another kind where a list or struct is expected.
+    Empty,
+    /// A non-null scalar.
+    Leaf(LeafValue<'a>),
+    /// A non-empty list.
+    List,
+    /// A struct.
+    Struct,
+}
+
+/// A non-null scalar as a node hands it to its leaf column.
+#[derive(Debug)]
+pub enum LeafValue<'a> {
+    /// A string, appended straight into the column's arena.
+    Str(Cow<'a, str>),
+    /// Any other value, appended with [`ColumnData::push`]'s coercions.
+    Value(Cow<'a, Value>),
+}
+
+impl<'a> ShredNode<'a> for &'a Value {
+    type Error = Infallible;
+
+    fn read(self, ty: &DataType) -> Result<NodeRead<'a>, Infallible> {
+        Ok(match (ty, self) {
+            (_, Value::Null) => NodeRead::Null,
+            (DataType::List(_), Value::List(items)) if !items.is_empty() => NodeRead::List,
+            (DataType::Struct(_), Value::Struct(_)) => NodeRead::Struct,
+            (DataType::List(_) | DataType::Struct(_), _) => NodeRead::Empty,
+            (DataType::Str, Value::Str(s)) => NodeRead::Leaf(LeafValue::Str(Cow::Borrowed(s))),
+            (_, value) => NodeRead::Leaf(LeafValue::Value(Cow::Borrowed(value))),
+        })
+    }
+
+    fn elements(
+        self,
+        mut visit: impl FnMut(Self) -> Result<(), Infallible>,
+    ) -> Result<(), Infallible> {
+        if let Value::List(items) = self {
+            items.iter().try_for_each(&mut visit)?;
+        }
+        Ok(())
+    }
+
+    fn fields(
+        self,
+        fields: &[Field],
+        mut visit: impl FnMut(usize, Option<Self>) -> Result<(), Infallible>,
+    ) -> Result<(), Infallible> {
+        let children: &[Value] = match self {
+            Value::Struct(children) => children,
+            _ => &[],
+        };
+        (0..fields.len()).try_for_each(|i| visit(i, children.get(i)))
+    }
+}
+
+/// The leaves of one schema node and the plans of its children (a
+/// struct's fields, a list's element), laid out once per builder so a
+/// field can be shredded without counting the leaves before it.
+#[derive(Debug)]
+struct Plan {
+    leaves: Range<usize>,
+    kids: Vec<Plan>,
+}
+
+impl Plan {
+    fn of(ty: &DataType, leaf: &mut usize) -> Plan {
+        let start = *leaf;
+        let kids = match ty {
+            DataType::Struct(fields) => return Plan::of_fields(fields, leaf),
+            DataType::List(inner) => vec![Plan::of(inner, leaf)],
+            _ => {
+                *leaf += 1;
+                Vec::new()
+            }
+        };
+        Plan {
+            leaves: start..*leaf,
+            kids,
+        }
+    }
+
+    fn of_fields(fields: &[Field], leaf: &mut usize) -> Plan {
+        let start = *leaf;
+        let kids = fields
+            .iter()
+            .map(|f| Plan::of(&f.data_type, leaf))
+            .collect();
+        Plan {
+            leaves: start..*leaf,
+            kids,
+        }
+    }
+}
+
+/// Shreds the fields of a struct node; returns its flattened row count.
+/// `r` is the repetition level of the *first* entry each leaf writes in
+/// this scope, `d` the definition level reached so far and `depth` the
+/// number of list ancestors.
+fn shred_struct<'a, N: ShredNode<'a>>(
+    columns: &mut [DremelColumn],
+    fields: &[Field],
+    plan: &Plan,
+    node: N,
+    r: u16,
+    d: u16,
+    depth: u16,
+) -> Result<usize, N::Error> {
+    let mut rows = 1;
+    node.fields(fields, |i, child| {
+        let field = &fields[i];
+        let plan = &plan.kids[i];
+        let read = match child {
+            Some(child) => child.read(&field.data_type)?,
+            None => NodeRead::Null,
+        };
+        rows *= if field.nullable && matches!(read, NodeRead::Null) {
+            emit_nulls(columns, plan, r, d);
+            1
+        } else {
+            let d = d + u16::from(field.nullable);
+            shred_read(columns, &field.data_type, plan, child, read, r, d, depth)?
+        };
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// Shreds a node already read as `ty`; returns its flattened row count.
+#[allow(clippy::too_many_arguments)]
+fn shred_read<'a, N: ShredNode<'a>>(
+    columns: &mut [DremelColumn],
+    ty: &DataType,
+    plan: &Plan,
+    node: Option<N>,
+    read: NodeRead<'a>,
+    r: u16,
+    d: u16,
+    depth: u16,
+) -> Result<usize, N::Error> {
+    match (ty, read, node) {
+        (DataType::List(inner), NodeRead::List, Some(node)) => {
+            let elem = &plan.kids[0];
+            let depth = depth + 1;
+            let mut rows = 0;
+            let mut r_elem = r;
+            node.elements(|item| {
+                let read = item.read(inner)?;
+                rows += shred_read(columns, inner, elem, Some(item), read, r_elem, d + 1, depth)?;
+                r_elem = depth;
+                Ok(())
+            })?;
+            Ok(rows)
+        }
+        (DataType::Struct(fields), NodeRead::Struct, Some(node)) => {
+            shred_struct(columns, fields, plan, node, r, d, depth)
+        }
+        (_, NodeRead::Leaf(value), _) => {
+            columns[plan.leaves.start].push_leaf(value, d, r);
+            Ok(1)
+        }
+        // Null, empty, or a container the type does not hold.
+        _ => {
+            emit_nulls(columns, plan, r, d);
+            Ok(1)
+        }
+    }
+}
+
+/// One null entry for every leaf of the node.
+fn emit_nulls(columns: &mut [DremelColumn], plan: &Plan, r: u16, d: u16) {
+    for col in &mut columns[plan.leaves.clone()] {
+        col.push_null(d, r);
     }
 }
 
@@ -1185,6 +1407,205 @@ mod randomized_tests {
             let mut b = Vec::new();
             columnar.scan(&[0], true, &mut |_, row| b.push(row.to_vec()));
             assert_eq!(a, b, "case {case}: record-level scans diverged");
+        }
+    }
+}
+
+#[cfg(test)]
+mod builder_oracle_tests {
+    use super::*;
+    use crate::shape::{self, ShapeCursor};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The recursive `Value` shredder the builder replaced, with its
+    /// second shape pass for the row count, kept as the oracle.
+    fn oracle_build(schema: &Schema, records: &[Value]) -> DremelStore {
+        let leaves = schema.leaves();
+        let mut columns: Vec<DremelColumn> = leaves
+            .iter()
+            .map(|l| DremelColumn {
+                data: ColumnData::new(l.scalar_type),
+                valid: Bitmap::new(),
+                def: Vec::new(),
+                rep: Vec::new(),
+            })
+            .collect();
+        let mut chunk_starts: Vec<Vec<u32>> = vec![Vec::new(); columns.len()];
+        let mut flattened_rows = 0usize;
+        let mut shape_buf = Vec::new();
+        for (record_count, record) in records.iter().enumerate() {
+            if record_count.is_multiple_of(CHUNK_RECORDS) {
+                for (leaf, col) in columns.iter().enumerate() {
+                    chunk_starts[leaf].push(col.len() as u32);
+                }
+            }
+            shred_struct(schema.fields(), record, 0, 0, 0, 0, &mut columns);
+            shape_buf.clear();
+            shape::capture(schema.fields(), record, &mut shape_buf);
+            let mut cursor = ShapeCursor::new(&shape_buf);
+            flattened_rows += shape::row_count(schema.fields(), &mut cursor);
+        }
+        for col in &mut columns {
+            col.data
+                .dict_encode(crate::column::DICT_MAX_RATIO, crate::column::DICT_MIN_ROWS);
+        }
+        DremelStore {
+            schema: schema.clone(),
+            columns,
+            max_rep: leaves.iter().map(|l| l.max_rep).collect(),
+            record_count: records.len(),
+            flattened_rows,
+            chunk_starts,
+            source_ids: None,
+        }
+    }
+
+    fn push(col: &mut DremelColumn, value: &Value, def: u16, rep: u16) {
+        col.valid.push(!value.is_null());
+        col.data.push(value);
+        col.def.push(def);
+        col.rep.push(rep);
+    }
+
+    fn shred_struct(
+        fields: &[Field],
+        value: &Value,
+        mut leaf: usize,
+        r: u16,
+        d: u16,
+        list_depth: u16,
+        columns: &mut [DremelColumn],
+    ) {
+        let children: &[Value] = match value {
+            Value::Struct(c) => c,
+            _ => &[],
+        };
+        for (i, field) in fields.iter().enumerate() {
+            let child = children.get(i).unwrap_or(&Value::Null);
+            if field.nullable && child.is_null() {
+                emit_nulls(&field.data_type, leaf, r, d, columns);
+            } else {
+                let d = d + u16::from(field.nullable);
+                shred_type(&field.data_type, child, leaf, r, d, list_depth, columns);
+            }
+            leaf += leaf_count(&field.data_type);
+        }
+    }
+
+    fn shred_type(
+        ty: &DataType,
+        value: &Value,
+        leaf: usize,
+        r: u16,
+        d: u16,
+        list_depth: u16,
+        columns: &mut [DremelColumn],
+    ) {
+        match ty {
+            DataType::List(inner) => match value {
+                Value::List(items) if !items.is_empty() => {
+                    let child_depth = list_depth + 1;
+                    for (i, item) in items.iter().enumerate() {
+                        let r_elem = if i == 0 { r } else { child_depth };
+                        shred_type(inner, item, leaf, r_elem, d + 1, child_depth, columns);
+                    }
+                }
+                _ => emit_nulls(inner, leaf, r, d, columns),
+            },
+            DataType::Struct(fields) => {
+                shred_struct(fields, value, leaf, r, d, list_depth, columns)
+            }
+            _ => push(&mut columns[leaf], value, d, r),
+        }
+    }
+
+    fn emit_nulls(ty: &DataType, leaf: usize, r: u16, d: u16, columns: &mut [DremelColumn]) {
+        match ty {
+            DataType::Struct(fields) => {
+                let mut leaf = leaf;
+                for field in fields {
+                    emit_nulls(&field.data_type, leaf, r, d, columns);
+                    leaf += leaf_count(&field.data_type);
+                }
+            }
+            DataType::List(inner) => emit_nulls(inner, leaf, r, d, columns),
+            _ => push(&mut columns[leaf], &Value::Null, d, r),
+        }
+    }
+
+    /// Nullable and required fields, a list of structs holding a list,
+    /// a list of lists, and a struct holding a list.
+    fn schema() -> Schema {
+        Schema::new(vec![
+            Field::required("id", DataType::Int),
+            Field::new("tag", DataType::Str),
+            Field::new(
+                "items",
+                DataType::List(Box::new(DataType::Struct(vec![
+                    Field::required("q", DataType::Int),
+                    Field::new("w", DataType::Float),
+                    Field::new("sub", DataType::List(Box::new(DataType::Bool))),
+                ]))),
+            ),
+            Field::required(
+                "grid",
+                DataType::List(Box::new(DataType::List(Box::new(DataType::Str)))),
+            ),
+            Field::new(
+                "meta",
+                DataType::Struct(vec![
+                    Field::required("x", DataType::Int),
+                    Field::new("ys", DataType::List(Box::new(DataType::Float))),
+                ]),
+            ),
+        ])
+    }
+
+    /// A value of `ty`, or — one time in six — null, a value of another
+    /// kind, or an empty list.
+    fn random_value(rng: &mut StdRng, ty: &DataType, depth: usize) -> Value {
+        match rng.random_range(0..12) {
+            0 => return Value::Null,
+            1 => return Value::Int(rng.random_range(-3..3)),
+            2 if depth < 3 => return Value::List(Vec::new()),
+            3 if depth < 3 => return Value::Struct(vec![Value::Str("odd".into())]),
+            _ => {}
+        }
+        match ty {
+            DataType::Int => Value::Int(rng.random_range(-50..50)),
+            DataType::Float => Value::Float(rng.random_range(0.0..9.0)),
+            DataType::Bool => Value::Bool(rng.random::<bool>()),
+            DataType::Str => Value::Str(format!("s{}", rng.random_range(0..4))),
+            DataType::List(inner) => Value::List(
+                (0..rng.random_range(0..4))
+                    .map(|_| random_value(rng, inner, depth + 1))
+                    .collect(),
+            ),
+            DataType::Struct(fields) => Value::Struct(
+                fields
+                    .iter()
+                    .take(fields.len() - usize::from(rng.random_range(0..6) == 0))
+                    .map(|f| random_value(rng, &f.data_type, depth + 1))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn builder_equals_the_recursive_value_shredder() {
+        let schema = schema();
+        let root = DataType::Struct(schema.fields().to_vec());
+        let mut rng = StdRng::seed_from_u64(0xB11D);
+        for case in 0..40 {
+            let records: Vec<Value> = (0..rng.random_range(0..700))
+                .map(|_| random_value(&mut rng, &root, 0))
+                .collect();
+            assert_eq!(
+                DremelStore::build(&schema, &records),
+                oracle_build(&schema, &records),
+                "case {case}"
+            );
         }
     }
 }

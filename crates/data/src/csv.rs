@@ -529,18 +529,18 @@ fn tokenize_range_skip_trailing(
     Ok(())
 }
 
-/// Batched positional-map scan over records `[rec_lo, rec_hi)`: parses
-/// the accessed fields (`(field, type, slot)` triples) through the map's
-/// field spans, straight into typed scratch columns.
-pub fn parse_range_with_map(
+/// Batched positional-map scan over `records` (a window of the file or
+/// the ids of a lazy entry): parses the accessed fields (`(field, type,
+/// slot)` triples) through the map's field spans, straight into typed
+/// scratch columns.
+pub fn parse_records_with_map(
     bytes: &[u8],
     map: &PositionalMap,
-    rec_lo: usize,
-    rec_hi: usize,
+    records: impl IntoIterator<Item = usize>,
     accessed_fields: &[(usize, ScalarType, usize)],
     cols: &mut [ScratchColumn],
 ) -> Result<()> {
-    for rec in rec_lo..rec_hi {
+    for rec in records {
         for &(field, ty, slot) in accessed_fields {
             let (start, end) = map.field_span(rec, field);
             parse_field_into(&bytes[start..end.min(bytes.len())], ty, &mut cols[slot])?;
@@ -900,18 +900,17 @@ mod tests {
     }
 
     #[test]
-    fn parse_range_with_map_matches_scan_with_map() {
+    fn parse_records_with_map_matches_scan_with_map() {
         let bytes = sample();
         let map = scan_build_map(&bytes, &schema(), &[false, false, false], |_, _| Ok(())).unwrap();
         let mut cols = vec![
             ScratchColumn::new(ScalarType::Float),
             ScratchColumn::new(ScalarType::Str),
         ];
-        parse_range_with_map(
+        parse_records_with_map(
             &bytes,
             &map,
-            1,
-            3,
+            1..3,
             &[(1, ScalarType::Float, 0), (2, ScalarType::Str, 1)],
             &mut cols,
         )

@@ -31,7 +31,8 @@ pub enum FaultSite {
     /// Injected before any row is emitted, so a retry cannot duplicate
     /// output.
     RowScan,
-    /// One batched-tokenizer chunk (`scan_batches_range`). Chunk work
+    /// One batched-scan chunk (`scan_batches_range`, or
+    /// `scan_batches_by_id_ctl` over a lazy entry's ids). Chunk work
     /// is transactional — scratch columns are cleared and the capture
     /// slab is only submitted on success — so chunk retries are safe.
     Chunk,

@@ -22,10 +22,17 @@
 //! typed parser at its recorded offset, so the answer (value or error) is
 //! exactly [`parse_record`]'s. A record the tape walk cannot index is
 //! parsed from its bytes instead.
+//!
+//! Batched scans ([`TapeScan`]) build the tapes chunk by chunk on the
+//! first scan and read them from the map after it. Per record they read
+//! only the projected leaves into typed batch columns and flatten the
+//! record by walking its tape, so no `Value` is built.
 
 use crate::posmap::PositionalMap;
-use recache_layout::{DremelBuilder, LeafValue, NodeRead, ShredNode};
-use recache_types::{DataType, Error, Field, Result, Schema, Value};
+use recache_layout::{DremelBuilder, LeafValue, NodeRead, ScratchColumn, ShredNode};
+use recache_types::{
+    DataType, Error, Field, FlatInput, FlatRows, Flattener, LeafField, Result, Schema, Value,
+};
 use std::borrow::Cow;
 
 /// Serializes records (struct values matching `schema`) into
@@ -886,6 +893,304 @@ impl<'a> ShredNode<'a> for TapeNode<'a> {
     }
 }
 
+/// What a batched scan reads of one schema node: nothing, a leaf into a
+/// batch column, a struct's fields or a list's elements. The projection
+/// of [`Want`], with each accessed leaf's batch column.
+#[derive(Debug)]
+enum Pick {
+    Skip,
+    Leaf(usize),
+    Fields(Vec<Pick>),
+    Elements(Box<Pick>),
+}
+
+impl Pick {
+    /// Compiles the pick of a node of type `ty` whose first leaf is
+    /// `*leaf`, advancing `*leaf` past its leaves; `columns[leaf]` is the
+    /// batch column of an accessed leaf.
+    fn of(ty: &DataType, columns: &[Option<usize>], leaf: &mut usize) -> Pick {
+        match ty {
+            DataType::Struct(fields) => match Pick::of_fields(fields, columns, leaf) {
+                picks if picks.iter().all(|p| matches!(p, Pick::Skip)) => Pick::Skip,
+                picks => Pick::Fields(picks),
+            },
+            DataType::List(inner) => match Pick::of(inner, columns, leaf) {
+                Pick::Skip => Pick::Skip,
+                pick => Pick::Elements(Box::new(pick)),
+            },
+            _ => {
+                *leaf += 1;
+                columns[*leaf - 1].map_or(Pick::Skip, Pick::Leaf)
+            }
+        }
+    }
+
+    fn of_fields(fields: &[Field], columns: &[Option<usize>], leaf: &mut usize) -> Vec<Pick> {
+        fields
+            .iter()
+            .map(|f| Pick::of(&f.data_type, columns, leaf))
+            .collect()
+    }
+}
+
+/// What the pick of one record found, by tape word:
+///
+/// * for a leaf read at word `at`, `slots[at]` is its entry in
+///   `columns` (one column per batch column), or [`NO_NODE`] for a null;
+/// * for a struct walked at word `at`, `fields[slots[at] + i]` is the
+///   node holding its field `i` — the last of duplicate keys, as
+///   decoding assigns them — or [`NO_NODE`] when the field is absent.
+///
+/// The words of nodes the pick did not reach are stale.
+struct Picked {
+    slots: Vec<u32>,
+    fields: Vec<u32>,
+    columns: Vec<ScratchColumn>,
+}
+
+/// No tape node: an absent value in [`FlatInput`] terms, and a null leaf
+/// or an absent field in [`Picked`].
+const NO_NODE: u32 = u32::MAX;
+
+impl Tape<'_> {
+    /// Reads the leaves `pick` asks for beneath the node at `at`, walking
+    /// struct fields in key order and decoding every occurrence of a
+    /// duplicate key, as [`Tape::decode`] does under the same projection:
+    /// a subtree without a picked leaf is never read, and any other node
+    /// fails exactly where decoding it would.
+    fn pick(&self, at: usize, ty: &DataType, pick: &Pick, out: &mut Picked) -> Result<()> {
+        let node = TapeNode { tape: *self, at };
+        match (pick, ty, self.words[at] & TAPE_TAG) {
+            (Pick::Skip, _, _) => Ok(()),
+            (Pick::Leaf(column), _, _) => {
+                out.slots[at] = match node.read(ty)? {
+                    NodeRead::Leaf(value) => {
+                        let col = &mut out.columns[*column];
+                        col.push_leaf(value);
+                        col.len() as u32 - 1
+                    }
+                    _ => NO_NODE,
+                };
+                Ok(())
+            }
+            (Pick::Fields(picks), DataType::Struct(fields), TAPE_STRUCT) => {
+                self.pick_fields(at, fields, picks, out)
+            }
+            (Pick::Elements(pick), DataType::List(inner), TAPE_LIST) => {
+                let end = at + self.node_len(at);
+                let mut elem = at + 1;
+                while elem < end {
+                    self.pick(elem, inner, pick, out)?;
+                    elem += self.node_len(elem);
+                }
+                Ok(())
+            }
+            // A value of another kind where a container is expected reads
+            // as null (or the parser's error); a container node where the
+            // schema has none is a map/schema mismatch.
+            _ => node.read(ty).map(drop),
+        }
+    }
+
+    /// [`Tape::pick`] over the fields of the struct node at `at`.
+    fn pick_fields(
+        &self,
+        at: usize,
+        fields: &[Field],
+        picks: &[Pick],
+        out: &mut Picked,
+    ) -> Result<()> {
+        let end = at + self.node_len(at);
+        let base = out.fields.len();
+        out.fields.resize(base + fields.len(), NO_NODE);
+        out.slots[at] = base as u32;
+        let mut entry = at + 1;
+        while entry < end {
+            let idx = self.words[entry] as usize;
+            let field = fields.get(idx).ok_or_else(tape_schema_mismatch)?;
+            let node = entry + 1;
+            out.fields[base + idx] = node as u32;
+            if !matches!(picks[idx], Pick::Skip) {
+                self.pick(node, &field.data_type, &picks[idx], out)?;
+            }
+            entry = node + self.node_len(node);
+        }
+        Ok(())
+    }
+}
+
+/// A picked record's tape as [`Flattener`] input: a node is a word
+/// position, and a struct resolves its fields through the pick's
+/// [`Picked::fields`]. Reads nothing from the record.
+struct PickedTape<'a> {
+    tape: Tape<'a>,
+    picked: &'a Picked,
+}
+
+impl FlatInput for PickedTape<'_> {
+    type Node = u32;
+
+    fn null(&self) -> u32 {
+        NO_NODE
+    }
+
+    fn field(&self, node: u32, idx: usize) -> u32 {
+        let at = node as usize;
+        if node == NO_NODE || self.tape.words[at] & TAPE_TAG != TAPE_STRUCT {
+            return NO_NODE;
+        }
+        self.picked.fields[self.picked.slots[at] as usize + idx]
+    }
+
+    fn elements(&self, node: u32, mut visit: impl FnMut(u32)) -> bool {
+        let (tape, at) = (self.tape, node as usize);
+        if node == NO_NODE || tape.words[at] & TAPE_TAG != TAPE_LIST || tape.node_len(at) == 1 {
+            return false;
+        }
+        let end = at + tape.node_len(at);
+        let mut elem = at + 1;
+        while elem < end {
+            visit(elem as u32);
+            elem += tape.node_len(elem);
+        }
+        true
+    }
+}
+
+/// A projection compiled for batched scans of JSON records: each
+/// record's flattened rows go straight into typed batch columns, one
+/// per projected leaf in projection order. A record with a structure
+/// tape is read from it — its picked leaves by the map-read routines,
+/// then its rows by [`Flattener::flatten_from`] over the tape — so no
+/// `Value` is built; a record without one is parsed by [`parse_record`]
+/// and flattened from that. Either way the rows, values and error are
+/// those of flattening [`parse_record_at`]'s record.
+pub struct TapeScan<'s> {
+    schema: &'s Schema,
+    /// Compiled by the first record a first scan tapes.
+    shape: Option<StructShape<'s>>,
+    projection: LeafProjection,
+    flattener: Flattener,
+    /// The pick of each top-level field.
+    picks: Vec<Pick>,
+    /// The batch column of each flattened row position.
+    columns: Vec<usize>,
+    picked: Picked,
+    rows: FlatRows<u32>,
+}
+
+impl<'s> TapeScan<'s> {
+    /// Compiles the scan of `projection` (leaf ids, one batch column
+    /// each, in order) over records of `schema`, whose leaves are
+    /// `leaves`.
+    pub fn new(schema: &'s Schema, leaves: &[LeafField], projection: &[usize]) -> Self {
+        let mut column_of = vec![None; leaves.len()];
+        for (column, &leaf) in projection.iter().enumerate() {
+            column_of[leaf] = Some(column);
+        }
+        let accessed: Vec<bool> = column_of.iter().map(Option::is_some).collect();
+        let mut leaf = 0;
+        let picks = Pick::of_fields(schema.fields(), &column_of, &mut leaf);
+        TapeScan {
+            schema,
+            shape: None,
+            projection: LeafProjection::new(schema, &accessed),
+            flattener: Flattener::projected(schema, &accessed),
+            picks,
+            columns: column_of.into_iter().flatten().collect(),
+            picked: Picked {
+                slots: Vec::new(),
+                columns: projection
+                    .iter()
+                    .map(|&leaf| ScratchColumn::new(leaves[leaf].scalar_type))
+                    .collect(),
+                fields: Vec::new(),
+            },
+            rows: FlatRows::new(),
+        }
+    }
+
+    /// Appends the rows of record `record` of a JSON map, read from its
+    /// tape when the map holds one; returns how many there were.
+    pub fn push_mapped(
+        &mut self,
+        bytes: &[u8],
+        map: &PositionalMap,
+        record: usize,
+        cols: &mut [ScratchColumn],
+    ) -> Result<usize> {
+        let (start, end) = map.record_span(record);
+        let line = &bytes[start..trim_newline(bytes, start, end)];
+        self.push_record(line, map.json_tape(record), cols)
+    }
+
+    /// First scans: builds the tape of the record `line` onto `tape` (as
+    /// [`scan_build_map`] does, leaving `tape` as it was when the walk
+    /// cannot index the record), then appends the record's rows; returns
+    /// how many there were.
+    pub fn push_taping(
+        &mut self,
+        line: &[u8],
+        tape: &mut Vec<u32>,
+        cols: &mut [ScratchColumn],
+    ) -> Result<usize> {
+        let root = tape.len();
+        let schema = self.schema;
+        let shape = self
+            .shape
+            .get_or_insert_with(|| StructShape::of(schema.fields()));
+        if build_tape(line, shape, tape) {
+            self.push_record(line, Some(&tape[root..]), cols)
+        } else {
+            self.push_record(line, None, cols)
+        }
+    }
+
+    fn push_record(
+        &mut self,
+        line: &[u8],
+        words: Option<&[u32]>,
+        cols: &mut [ScratchColumn],
+    ) -> Result<usize> {
+        let Some(words) = words else {
+            let record = parse_record(line, self.schema, Some(&self.projection))?;
+            let mut rows = FlatRows::new();
+            self.flattener.flatten_into(&record, &mut rows);
+            for (row, _) in rows.iter() {
+                for (&column, &value) in self.columns.iter().zip(row) {
+                    cols[column].push(value);
+                }
+            }
+            return Ok(rows.len());
+        };
+        let tape = Tape {
+            words,
+            record: line,
+        };
+        let picked = &mut self.picked;
+        if picked.slots.len() < words.len() {
+            picked.slots.resize(words.len(), NO_NODE);
+        }
+        picked.columns.iter_mut().for_each(ScratchColumn::clear);
+        picked.fields.clear();
+        tape.pick_fields(0, self.schema.fields(), &self.picks, picked)?;
+        self.rows.clear();
+        let input = PickedTape { tape, picked };
+        self.flattener.flatten_from(&input, 0, &mut self.rows);
+        for (row, _) in self.rows.iter() {
+            for (&column, &node) in self.columns.iter().zip(row) {
+                match picked.slots.get(node as usize) {
+                    Some(&entry) if entry != NO_NODE => {
+                        cols[column].push_entry(&picked.columns[column], entry as usize)
+                    }
+                    _ => cols[column].push_null(),
+                }
+            }
+        }
+        Ok(self.rows.len())
+    }
+}
+
 /// A set of field indexes: one word for structs of up to 64 fields.
 struct FieldSet {
     small: u64,
@@ -931,8 +1236,8 @@ fn tape_schema_mismatch() -> Error {
 /// (`json_batch`), so the accepted character set and the
 /// integral-vs-float split can never diverge between the two paths.
 pub(crate) fn parse_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)> {
-    if let Some(small) = parse_small_int_at(bytes, pos) {
-        return Ok(small);
+    if let Some(short) = parse_short_number_at(bytes, pos) {
+        return Ok(short);
     }
     let start = pos;
     let (pos, is_float) = number_extent(bytes, start);
@@ -974,26 +1279,45 @@ fn number_extent(bytes: &[u8], pos: usize) -> (usize, bool) {
     (end, is_float)
 }
 
-/// [`parse_number_at`]'s fast path: an integer literal of at most 18
-/// digits (which cannot overflow an `i64`) not followed by a float
-/// character, accumulated directly to the value `str::parse::<i64>`
-/// gives it. `None` sends every other literal down the general path.
-fn parse_small_int_at(bytes: &[u8], pos: usize) -> Option<(Value, usize)> {
+/// [`parse_number_at`]'s fast path, one pass over the literal: an
+/// integer of at most 18 digits (which cannot overflow an `i64`), or a
+/// decimal `-?d*.d*` of 1 to 15 digits, not followed by another number
+/// character. An integer is accumulated directly to the value
+/// `str::parse::<i64>` gives it, a decimal to the single rounding
+/// `csv::parse_f64_fast` does. `None` sends every other literal down the
+/// general path.
+fn parse_short_number_at(bytes: &[u8], pos: usize) -> Option<(Value, usize)> {
+    const POW10: [f64; 16] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    ];
     let negative = bytes.get(pos) == Some(&b'-');
-    let digits = pos + usize::from(negative);
-    let mut end = digits;
-    let mut value = 0i64;
-    while let Some(&b @ b'0'..=b'9') = bytes.get(end) {
-        if end - digits == 18 {
-            return None;
+    let mut end = pos + usize::from(negative);
+    let (mut mantissa, mut digits, mut dot) = (0i64, 0usize, None);
+    loop {
+        match bytes.get(end) {
+            Some(&b @ b'0'..=b'9') => {
+                if digits == 18 {
+                    return None;
+                }
+                mantissa = mantissa * 10 + i64::from(b - b'0');
+                digits += 1;
+            }
+            Some(b'.') if dot.is_none() => dot = Some(end),
+            Some(b'.' | b'e' | b'E' | b'+' | b'-') => return None,
+            _ => break,
         }
-        value = value * 10 + i64::from(b - b'0');
         end += 1;
     }
-    if end == digits || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
-        return None;
-    }
-    Some((Value::Int(if negative { -value } else { value }), end))
+    let value = match dot {
+        _ if digits == 0 => return None,
+        None => Value::Int(if negative { -mantissa } else { mantissa }),
+        Some(_) if digits > 15 => return None,
+        Some(dot) => {
+            let v = mantissa as f64 / POW10[end - dot - 1];
+            Value::Float(if negative { -v } else { v })
+        }
+    };
+    Some((value, end))
 }
 
 /// Decodes the JSON string whose opening quote sits at `bytes[pos]`,
@@ -1914,16 +2238,26 @@ mod tests {
     }
 
     #[test]
-    fn the_fast_path_takes_exactly_the_short_integer_literals() {
+    fn the_fast_path_takes_exactly_the_short_literals() {
         assert_eq!(
-            parse_small_int_at(b"-123456789012345678,", 0),
+            parse_short_number_at(b"-123456789012345678,", 0),
             Some((Value::Int(-123456789012345678), 19))
         );
-        assert_eq!(parse_small_int_at(b"007]", 0), Some((Value::Int(7), 3)));
-        assert_eq!(parse_small_int_at(b"1234567890123456789", 0), None);
-        assert_eq!(parse_small_int_at(b"12.5", 0), None);
-        assert_eq!(parse_small_int_at(b"1e5", 0), None);
-        assert_eq!(parse_small_int_at(b"-", 0), None);
+        assert_eq!(parse_short_number_at(b"007]", 0), Some((Value::Int(7), 3)));
+        assert_eq!(parse_short_number_at(b"1234567890123456789", 0), None);
+        assert_eq!(
+            parse_short_number_at(b"-12.5}", 0),
+            Some((Value::Float(-12.5), 5))
+        );
+        assert_eq!(
+            parse_short_number_at(b".5", 0),
+            Some((Value::Float(0.5), 2))
+        );
+        assert_eq!(parse_short_number_at(b"1234567890.123456", 0), None);
+        assert_eq!(parse_short_number_at(b"1.2.3", 0), None);
+        assert_eq!(parse_short_number_at(b"1e5", 0), None);
+        assert_eq!(parse_short_number_at(b"-", 0), None);
+        assert_eq!(parse_short_number_at(b".", 0), None);
     }
 
     #[test]

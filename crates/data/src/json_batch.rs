@@ -24,8 +24,9 @@
 //! strings decode through the *same* `decode_string_at` routine, type
 //! mismatches degrade to `Null`, duplicate keys keep the last value, and
 //! absent keys are `Null`. Nested shapes never reach this module —
-//! `RawFile::supports_batch_scan` routes them to the row-at-a-time
-//! flattening fallback.
+//! `RawFile` scans them batched through their structure tapes
+//! (`json::TapeScan`), as it does flat files first mapped by the row
+//! path.
 
 use crate::json;
 use crate::posmap::{PositionalMap, JSON_KEY_ABSENT};
@@ -73,7 +74,7 @@ struct CaptureRow<'t, 'r> {
 /// `cols` (one scratch column per projection slot). `accessed_fields`
 /// holds `(top-level field index, scalar type, slot)` triples; `fields`
 /// is the flat schema the field indices refer to. All fields must be
-/// scalar (the caller guarantees flatness via `supports_batch_scan`).
+/// scalar (`RawFile` sends nested schemas to `json::TapeScan`).
 ///
 /// With `capture`, the walk additionally appends one stride of per-key
 /// value offsets per record to the slab (see `CaptureRow`); the caller
@@ -180,23 +181,22 @@ fn push_staged(col: &mut ScratchColumn, staged: Staged<'_>) {
     }
 }
 
-/// Mapped re-scan: parses records `[rec_lo, rec_hi)` through a
-/// positional map carrying per-key value offsets
+/// Mapped re-scan: parses `records` (a window of the file or the ids of
+/// a lazy entry) through a positional map carrying per-key value offsets
 /// ([`PositionalMap::has_json_value_offsets`]). Each accessed field
 /// seeks straight to its captured value start and parses just that value
 /// — no record walk, no key matching, no quote skeleton, and every
 /// unaccessed key's bytes are never touched. Value semantics (schema
 /// coercions, escape decoding, nulls for absent keys) are identical to
 /// the tokenizing path: the shared number/string routines do the work.
-pub fn parse_range_with_map(
+pub fn parse_records_with_map(
     bytes: &[u8],
     map: &PositionalMap,
-    rec_lo: usize,
-    rec_hi: usize,
+    records: impl IntoIterator<Item = usize>,
     accessed_fields: &[(usize, ScalarType, usize)],
     cols: &mut [ScratchColumn],
 ) -> Result<()> {
-    for rec in rec_lo..rec_hi {
+    for rec in records {
         let (start, span_end) = map.record_span(rec);
         let end = if span_end > start && bytes[span_end - 1] == b'\n' {
             span_end - 1

@@ -7,7 +7,7 @@
 //! * CSV: the offset of every field;
 //! * flat JSON scanned in batches: the offset of each top-level key's
 //!   value;
-//! * JSON scanned row by row (nested or flat): a structure tape per
+//! * nested JSON, and flat JSON scanned row by row: a structure tape per
 //!   record (`json::Tape`), the offsets of its schema-typed values
 //!   arranged as the schema's tree, so a re-read jumps over unwanted
 //!   subtrees and matches no key.
@@ -18,7 +18,7 @@
 //! PVLDB 2016).
 
 /// Byte-offset index over a raw file.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PositionalMap {
     /// Start offset of each record; a final entry holds the file length,
     /// so record `i` spans `record_offsets[i]..record_offsets[i+1]`
@@ -36,7 +36,7 @@ pub struct PositionalMap {
     /// self-terminate, so a re-scan seeks to the start and parses.
     value_offsets: Vec<u32>,
     fields_per_record: usize,
-    /// Row-path JSON only: record `i`'s structure tape is
+    /// Tape-mapped JSON only: record `i`'s structure tape is
     /// `tape[tape_starts[i]..tape_starts[i+1]]`; an empty range marks a
     /// record the first scan could not index, which readers parse from
     /// its bytes instead.
@@ -89,7 +89,8 @@ impl PositionalMap {
         }
     }
 
-    /// Builds a record+tape map (JSON row-path first scans):
+    /// Builds a record+tape map (JSON row-path and nested batched first
+    /// scans):
     /// `tape_starts` holds `record_count() + 1` word indexes into `tape`.
     pub fn with_json_tape(record_offsets: Vec<u64>, tape_starts: Vec<u64>, tape: Vec<u32>) -> Self {
         debug_assert_eq!(tape_starts.len(), record_offsets.len());

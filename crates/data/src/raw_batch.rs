@@ -1,8 +1,8 @@
 //! Shared machinery of the *batched* raw-scan path, format-agnostic: the
 //! SWAR record indexer that partitions a newline-delimited file into
-//! [`BATCH_ROWS`]-record chunks before anything has been tokenized, and
-//! the per-chunk capture-slab tracker that assembles a positional map
-//! once every chunk has been scanned — in any order, from any thread.
+//! fixed-size record chunks before anything has been tokenized, and the
+//! per-chunk capture-slab tracker that assembles a positional map once
+//! every chunk has been scanned — in any order, from any thread.
 //!
 //! Both raw formats implement the same protocol on top of this module:
 //!
@@ -15,12 +15,14 @@
 //!   offsets (stride = schema field count, `JSON_KEY_ABSENT` where a key
 //!   is missing); full coverage concatenates the slabs into a
 //!   record+value-offset map that later scans seek through.
+//! * **Nested JSON** chunks build each record's structure tape
+//!   (`json::TapeScan`) and submit the chunk's tapes; full coverage
+//!   joins them into the record+tape map `json::scan_build_map` builds.
 //!
 //! Keeping the chunk grid, coverage accounting and slab assembly here
 //! means `RawFile` dispatches purely on format for the tokenize call and
 //! the final map construction; the executor never sees a format at all.
 
-use recache_layout::BATCH_ROWS;
 use std::sync::Mutex;
 
 /// SWAR byte-broadcast constants for the word-at-a-time byte scans.
@@ -77,15 +79,16 @@ pub fn index_records(bytes: &[u8]) -> Vec<u64> {
 }
 
 /// First-scan state of a batched raw file: the record index partitioning
-/// the file into [`BATCH_ROWS`]-record chunks, plus per-chunk capture
+/// the file into `chunk_records`-record chunks, plus per-chunk capture
 /// slabs. Each chunk's scan captures whatever its format needs for the
-/// positional map (CSV: field offsets; JSON: per-key value offsets) and
-/// submits it;
-/// the submission that completes coverage gets the concatenated slabs
-/// back and builds the map. Redundant re-scans of an already-filled
+/// positional map (CSV: field offsets; flat JSON: per-key value offsets;
+/// nested JSON: structure tapes) and submits it; the submission that
+/// completes coverage gets the slabs back, in chunk order, and builds
+/// the map. Redundant re-scans of an already-filled
 /// chunk are ignored, so racing scans of the same chunk stay idempotent.
 pub struct RawBatchIndex {
     record_offsets: Vec<u64>,
+    chunk_records: usize,
     capture: Mutex<CaptureSlabs>,
 }
 
@@ -95,11 +98,12 @@ struct CaptureSlabs {
 }
 
 impl RawBatchIndex {
-    pub fn new(record_offsets: Vec<u64>) -> Self {
+    pub fn new(record_offsets: Vec<u64>, chunk_records: usize) -> Self {
         let n_records = record_offsets.len().saturating_sub(1);
-        let n_chunks = n_records.div_ceil(BATCH_ROWS);
+        let n_chunks = n_records.div_ceil(chunk_records);
         RawBatchIndex {
             record_offsets,
+            chunk_records,
             capture: Mutex::new(CaptureSlabs {
                 slabs: vec![None; n_chunks],
                 filled: 0,
@@ -117,7 +121,7 @@ impl RawBatchIndex {
     }
 
     pub fn n_chunks(&self) -> usize {
-        self.n_records().div_ceil(BATCH_ROWS)
+        self.n_records().div_ceil(self.chunk_records)
     }
 
     /// Whether this chunk's capture has already been submitted — a
@@ -134,9 +138,9 @@ impl RawBatchIndex {
     }
 
     /// Submits one chunk's capture slab. When this submission completes
-    /// coverage, `on_complete` runs with the concatenated slabs (in
-    /// chunk order) — exactly once per index, no matter how chunks were
-    /// ordered across threads.
+    /// coverage, `on_complete` runs with the slabs in chunk order —
+    /// exactly once per index, no matter how chunks were ordered across
+    /// threads.
     ///
     /// `on_complete` executes **inside the capture critical section**,
     /// and that is load-bearing: every concurrent scanner of this file
@@ -150,7 +154,12 @@ impl RawBatchIndex {
     /// racing session finishes its whole scan and proceeds to
     /// map-dependent work (cache materialization) before the map
     /// exists.
-    pub fn submit_with(&self, chunk: usize, slab: Vec<u32>, on_complete: impl FnOnce(Vec<u32>)) {
+    pub fn submit_with(
+        &self,
+        chunk: usize,
+        slab: Vec<u32>,
+        on_complete: impl FnOnce(Vec<Vec<u32>>),
+    ) {
         // See `chunk_filled` for why poison recovery is sound here.
         let mut capture = self.capture.lock().unwrap_or_else(|e| e.into_inner());
         if capture.slabs[chunk].is_some() {
@@ -161,12 +170,10 @@ impl RawBatchIndex {
         if capture.filled < capture.slabs.len() {
             return;
         }
-        let total: usize = capture.slabs.iter().flatten().map(Vec::len).sum();
-        let mut assembled = Vec::with_capacity(total);
-        for slab in capture.slabs.iter_mut() {
-            assembled.extend_from_slice(slab.as_deref().unwrap_or(&[]));
-        }
-        on_complete(assembled);
+        // Moved out, not taken: every chunk stays filled, so later
+        // submissions are still ignored.
+        let slabs = capture.slabs.iter_mut().flatten().map(std::mem::take);
+        on_complete(slabs.collect());
     }
 }
 
@@ -183,12 +190,15 @@ impl std::fmt::Debug for RawBatchIndex {
 mod tests {
     use super::*;
 
+    /// Records per chunk of the test grids.
+    const CHUNK: usize = 100;
+
     /// Observing `submit_with`'s completion after the lock is released —
     /// fine for a single-threaded test, exactly the race production
     /// callers must avoid (which is why this is not a method).
     fn submit(index: &RawBatchIndex, chunk: usize, slab: Vec<u32>) -> Option<Vec<u32>> {
         let mut out = None;
-        index.submit_with(chunk, slab, |assembled| out = Some(assembled));
+        index.submit_with(chunk, slab, |slabs| out = Some(slabs.concat()));
         out
     }
 
@@ -205,11 +215,9 @@ mod tests {
 
     #[test]
     fn submit_returns_assembled_slabs_on_full_coverage_only() {
-        // Three records in one chunk is too small to see multi-chunk
-        // behavior; fake a larger grid via BATCH_ROWS boundaries.
-        let n = BATCH_ROWS * 2 + 5;
+        let n = CHUNK * 2 + 5;
         let offsets: Vec<u64> = (0..=n as u64).collect();
-        let index = RawBatchIndex::new(offsets);
+        let index = RawBatchIndex::new(offsets, CHUNK);
         assert_eq!(index.n_chunks(), 3);
         assert!(!index.chunk_filled(1));
         assert!(submit(&index, 1, vec![10, 11]).is_none());
@@ -224,7 +232,7 @@ mod tests {
 
     #[test]
     fn empty_file_has_no_chunks() {
-        let index = RawBatchIndex::new(vec![0]);
+        let index = RawBatchIndex::new(vec![0], CHUNK);
         assert_eq!(index.n_records(), 0);
         assert_eq!(index.n_chunks(), 0);
     }
@@ -239,7 +247,7 @@ mod tests {
     fn panicking_scanner_leaves_index_recoverable() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicBool, Ordering};
-        let index = RawBatchIndex::new((0..=(BATCH_ROWS * 3) as u64).collect());
+        let index = RawBatchIndex::new((0..=(CHUNK * 3) as u64).collect(), CHUNK);
         let done = AtomicBool::new(false);
         // First scanner fills chunk 0, then dies inside the capture
         // critical section while probing chunk 1 (poisons the lock).
@@ -259,8 +267,8 @@ mod tests {
         // 1 filled, submits the rest, and the completion still fires
         // with slabs assembled in chunk order.
         assert!(index.chunk_filled(0) && index.chunk_filled(1));
-        index.submit_with(2, vec![9], |assembled| {
-            assert_eq!(assembled, vec![7, 8, 9]);
+        index.submit_with(2, vec![9], |slabs| {
+            assert_eq!(slabs, vec![vec![7], vec![8], vec![9]]);
             done.store(true, Ordering::SeqCst);
         });
         assert!(done.load(Ordering::SeqCst), "completion must still run");
@@ -275,7 +283,7 @@ mod tests {
     fn completion_is_visible_to_every_finished_scanner() {
         use std::sync::atomic::{AtomicBool, Ordering};
         for _ in 0..50 {
-            let index = RawBatchIndex::new((0..=(BATCH_ROWS * 3) as u64).collect());
+            let index = RawBatchIndex::new((0..=(CHUNK * 3) as u64).collect(), CHUNK);
             let done = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 for _ in 0..4 {

@@ -7,7 +7,7 @@ use crate::raw_batch::{self, RawBatchIndex};
 use crate::{csv, json, json_batch};
 use recache_layout::{
     BatchScratch, ColumnBatch, DremelBuilder, FlatColumnBuilder, ScanCost, SelectionVector,
-    BATCH_ROWS,
+    BATCH_ROWS, CHUNK_RECORDS,
 };
 use recache_types::{
     FlatRow, FlatRows, Flattener, LeafField, Result, ScalarType, ScanCtl, Schema, Value,
@@ -51,11 +51,14 @@ pub struct RawFile {
     schema: Schema,
     bytes: Vec<u8>,
     leaves: Vec<LeafField>,
+    /// JSON with a list or struct field: batched scans read it through
+    /// structure tapes, [`CHUNK_RECORDS`] records per chunk.
+    nested: bool,
     posmap: Mutex<Option<Arc<PositionalMap>>>,
-    /// Batched-scan state for flat files (CSV and flat JSON): the SWAR
-    /// newline record index plus, until the positional map is assembled,
-    /// per-chunk capture slabs — shared chunk-grid machinery in
-    /// [`raw_batch`], format-specific tokenize + map assembly here.
+    /// Batched-scan state: the SWAR newline record index plus, until the
+    /// positional map is assembled, per-chunk capture slabs — shared
+    /// chunk-grid machinery in [`raw_batch`], format-specific tokenize +
+    /// map assembly here.
     batch: Mutex<Option<Arc<RawBatchIndex>>>,
     /// Fault injection + retry configuration. Sampled once per scan
     /// call (not per chunk); a `None` plan is production mode and costs
@@ -88,6 +91,11 @@ impl RawFile {
         let leaves = schema.leaves();
         RawFile {
             format,
+            nested: format == FileFormat::Json
+                && schema
+                    .fields()
+                    .iter()
+                    .any(|f| f.data_type.as_scalar().is_none()),
             schema,
             bytes,
             leaves,
@@ -247,8 +255,10 @@ impl RawFile {
         Ok(metrics)
     }
 
-    /// Re-reads specific records by id (lazy-cache path). Requires a
-    /// positional map, which the first scan always installs.
+    /// Re-reads specific records by id, row by row (the lazy-cache
+    /// path's row fallback; batched re-reads go through
+    /// [`RawFile::scan_batches_by_id_ctl`]). Requires a positional map,
+    /// which the first scan always installs.
     pub fn scan_records_projected(
         &self,
         record_ids: &[u32],
@@ -294,36 +304,6 @@ impl RawFile {
                     metrics.rows += emit_flattened(&flattener, id as usize, &record, on_row);
                 }
             }
-        }
-        Ok(metrics)
-    }
-
-    /// Chunked variant of [`RawFile::scan_records_projected`] for the
-    /// lazy-cache reuse path: flattened rows are buffered into batches of
-    /// up to `batch_rows` and emitted as parallel id/row slices, so tight
-    /// consumers (the engine's offsets scan) pay one virtual call per
-    /// batch instead of per row.
-    pub fn scan_records_projected_batched(
-        &self,
-        record_ids: &[u32],
-        accessed: &[bool],
-        batch_rows: usize,
-        on_batch: &mut dyn FnMut(&[u32], &[FlatRow]),
-    ) -> Result<ScanMetrics> {
-        let batch_rows = batch_rows.max(1);
-        let mut ids: Vec<u32> = Vec::with_capacity(batch_rows);
-        let mut rows: Vec<FlatRow> = Vec::with_capacity(batch_rows);
-        let metrics = self.scan_records_projected(record_ids, accessed, &mut |id, row| {
-            ids.push(id as u32);
-            rows.push(row);
-            if rows.len() == batch_rows {
-                on_batch(&ids, &rows);
-                ids.clear();
-                rows.clear();
-            }
-        })?;
-        if !rows.is_empty() {
-            on_batch(&ids, &rows);
         }
         Ok(metrics)
     }
@@ -427,23 +407,26 @@ impl RawFile {
         Ok(())
     }
 
-    /// Whether [`RawFile::scan_batches_range`] can serve this file. The
-    /// shape test: every leaf must be a top-level scalar, so each record
-    /// is exactly one flattened row — true for all CSV by construction,
-    /// and for JSON whose schema is flat (nested or ragged shapes keep
-    /// the row-at-a-time flattening fallback). The file must also be
-    /// small enough for the tokenizers' `u32` position indexing (4 GiB+
-    /// files fall back to the `usize`-indexed row tokenizers).
+    /// Whether [`RawFile::scan_batches_range`] can serve this file: any
+    /// CSV or JSON file small enough for the tokenizers' `u32` position
+    /// indexing (4 GiB+ files fall back to the `usize`-indexed row
+    /// tokenizers). Flat files batch one row per record; nested JSON
+    /// flattens each record from its structure tape into several.
     pub fn supports_batch_scan(&self) -> bool {
-        let flat = match self.format {
-            FileFormat::Csv => true,
-            FileFormat::Json => self
-                .schema
-                .fields()
-                .iter()
-                .all(|f| f.data_type.as_scalar().is_some()),
-        };
-        flat && self.bytes.len() <= u32::MAX as usize
+        self.bytes.len() <= u32::MAX as usize
+    }
+
+    /// Records per batch chunk: [`BATCH_ROWS`] for flat files (one row
+    /// per record), [`CHUNK_RECORDS`] for nested JSON, whose records
+    /// flatten to several rows each and whose files hold few enough
+    /// records that [`BATCH_ROWS`]-record chunks would leave every
+    /// thread but one idle.
+    fn chunk_records(&self) -> usize {
+        if self.nested {
+            CHUNK_RECORDS
+        } else {
+            BATCH_ROWS
+        }
     }
 
     /// Number of records, from the positional map or the batched-scan
@@ -467,18 +450,19 @@ impl RawFile {
         *self.batch.lock().expect("batch lock") = None;
     }
 
-    /// Size of the batched-scan chunk grid: [`BATCH_ROWS`]-record
-    /// windows. Builds the newline record index on first use (one cheap
-    /// byte pass — the expensive tokenize/parse work stays inside the
-    /// chunk scans, which is what makes the grid parallelizable).
+    /// Size of the batched-scan chunk grid: windows of [`BATCH_ROWS`]
+    /// records for flat files and [`CHUNK_RECORDS`] for nested JSON.
+    /// Builds the newline record index on first use (one cheap byte
+    /// pass — the expensive tokenize/parse work stays inside the chunk
+    /// scans, which is what makes the grid parallelizable).
     pub fn batch_chunks(&self) -> usize {
         assert!(
             self.supports_batch_scan(),
-            "batched scans require a flat source"
+            "batched scans require a file under 4 GiB"
         );
         loop {
             if let Some(map) = self.posmap() {
-                return map.record_count().div_ceil(BATCH_ROWS);
+                return map.record_count().div_ceil(self.chunk_records());
             }
             if let Some(index) = self.batch_index() {
                 return index.n_chunks();
@@ -487,6 +471,13 @@ impl RawFile {
             // coverage) that a concurrent reset_scan_state() has since
             // cleared: start over from the cold state.
         }
+    }
+
+    /// Size of the batched grid over a lazy entry's `record_ids`
+    /// ([`RawFile::scan_batches_by_id_ctl`]): the file's chunk size, in
+    /// ids.
+    pub fn batch_chunks_by_id(&self, record_ids: &[u32]) -> usize {
+        record_ids.len().div_ceil(self.chunk_records())
     }
 
     /// The first-scan chunk index, built on demand. Returns `None` when
@@ -503,7 +494,10 @@ impl RawFile {
         if self.posmap.lock().expect("posmap lock").is_some() {
             return None;
         }
-        let index = Arc::new(RawBatchIndex::new(raw_batch::index_records(&self.bytes)));
+        let index = Arc::new(RawBatchIndex::new(
+            raw_batch::index_records(&self.bytes),
+            self.chunk_records(),
+        ));
         if index.n_chunks() == 0 {
             // Empty file: nothing will ever scan a chunk, so install the
             // (empty) positional map right away — the row path does the
@@ -514,17 +508,35 @@ impl RawFile {
         Some(index)
     }
 
-    /// The positional map a completed batched first scan installs: CSV
-    /// gets record + field offsets, JSON record + per-key value offsets
-    /// — either way `capture` is the concatenation of the per-chunk
-    /// capture slabs in chunk order.
-    fn assemble_posmap(&self, record_offsets: Vec<u64>, capture: Vec<u32>) -> PositionalMap {
+    /// The positional map a completed batched first scan installs from
+    /// the per-chunk capture slabs, in chunk order: CSV gets record +
+    /// field offsets, flat JSON record + per-key value offsets, and
+    /// nested JSON record offsets + structure tapes — each chunk's slab
+    /// being its records' tape lengths, then their tapes — which is the
+    /// map [`json::scan_build_map`] builds.
+    fn assemble_posmap(&self, record_offsets: Vec<u64>, slabs: Vec<Vec<u32>>) -> PositionalMap {
         match self.format {
             FileFormat::Csv => {
-                PositionalMap::with_fields(record_offsets, capture, self.schema.len())
+                PositionalMap::with_fields(record_offsets, slabs.concat(), self.schema.len())
+            }
+            FileFormat::Json if !self.nested => {
+                PositionalMap::with_json_values(record_offsets, slabs.concat(), self.schema.len())
             }
             FileFormat::Json => {
-                PositionalMap::with_json_values(record_offsets, capture, self.schema.len())
+                let mut records = record_offsets.len() - 1;
+                let mut tape_starts = Vec::with_capacity(records + 1);
+                tape_starts.push(0u64);
+                let words = slabs.iter().map(Vec::len).sum::<usize>() - records;
+                let mut tape = Vec::with_capacity(words);
+                for slab in &slabs {
+                    let (lens, words) = slab.split_at(records.min(self.chunk_records()));
+                    records -= lens.len();
+                    for &len in lens {
+                        tape_starts.push(tape_starts[tape_starts.len() - 1] + u64::from(len));
+                    }
+                    tape.extend_from_slice(words);
+                }
+                PositionalMap::with_json_tape(record_offsets, tape_starts, tape)
             }
         }
     }
@@ -543,29 +555,32 @@ impl RawFile {
     /// Lock order: capture → posmap / batch (nothing acquires capture
     /// while holding either of those).
     fn submit_capture(&self, index: &RawBatchIndex, chunk: usize, slab: Vec<u32>) {
-        index.submit_with(chunk, slab, |field_offsets| {
-            self.install_posmap(
-                self.assemble_posmap(index.record_offsets().to_vec(), field_offsets),
-            );
+        index.submit_with(chunk, slab, |slabs| {
+            self.install_posmap(self.assemble_posmap(index.record_offsets().to_vec(), slabs));
             // The index has served its purpose; mapped scans take over.
             *self.batch.lock().expect("batch lock") = None;
         });
     }
 
     /// Vectorized scan over chunks `[chunk_lo, chunk_hi)` of the
-    /// [`RawFile::batch_chunks`] grid: parses the projected fields of
-    /// each [`BATCH_ROWS`]-record window straight into typed scratch
-    /// columns and yields them as a [`ColumnBatch`] with an identity
-    /// selection (flat sources: one row per record; `record_ids` are
-    /// file record ids). First scans tokenize and capture the positional
-    /// map as a side effect (CSV: field offsets; JSON: per-key value
-    /// offsets); once a map exists, CSV navigates field spans directly
-    /// and JSON seeks straight to each accessed key's value (falling
-    /// back to re-tokenizing known record spans for the maps built by
-    /// the row path, which hold tapes, not value offsets). Chunks are
-    /// share-nothing, so disjoint ranges may run concurrently — the
-    /// executor fans them out on its work pool exactly as it does
-    /// cache-store chunks.
+    /// [`RawFile::batch_chunks`] grid: parses the projected leaves of
+    /// each chunk's records straight into typed scratch columns and
+    /// yields them as a [`ColumnBatch`] with an identity selection.
+    /// Flat files give one row per record; nested JSON gives each
+    /// record's flattened rows (lists with a projected leaf exploded, as
+    /// the row path's `Flattener` does), and `record_ids` are file
+    /// record ids either way.
+    ///
+    /// First scans tokenize and capture the positional map as a side
+    /// effect (CSV: field offsets; flat JSON: per-key value offsets;
+    /// nested JSON: structure tapes). Once a map exists, CSV navigates
+    /// field spans, flat JSON seeks straight to each accessed key's
+    /// value, and JSON with tapes (nested, or flat files first mapped by
+    /// the row path) reads each record from its tape, jumping over
+    /// unprojected subtrees. No `Value` is built for a record that has a
+    /// tape. Chunks are share-nothing, so disjoint ranges may run
+    /// concurrently — the executor fans them out on its work pool
+    /// exactly as it does cache-store chunks.
     ///
     /// Cost attribution: tokenize/parse time is data access `D` (raw
     /// scans are one fused navigate+load pass); batch assembly rides the
@@ -614,26 +629,72 @@ impl RawFile {
         ctl: Option<&ScanCtl>,
         on_batch: &mut dyn FnMut(&ColumnBatch<'_>, &mut SelectionVector),
     ) -> Result<ScanCost> {
+        self.scan_chunks(
+            None,
+            projection,
+            want_record_ids,
+            chunk_lo,
+            chunk_hi,
+            ctl,
+            on_batch,
+        )
+    }
+
+    /// The lazy-entry twin of [`RawFile::scan_batches_range_ctl`]: scans
+    /// chunks `[chunk_lo, chunk_hi)` of the [`RawFile::batch_chunks_by_id`]
+    /// grid over `record_ids` through the positional map, as a mapped
+    /// scan of those records would, with the same fault, retry and
+    /// cancellation handling. Requires the map, which the first scan
+    /// always installs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn scan_batches_by_id_ctl(
+        &self,
+        record_ids: &[u32],
+        projection: &[usize],
+        want_record_ids: bool,
+        chunk_lo: usize,
+        chunk_hi: usize,
+        ctl: Option<&ScanCtl>,
+        on_batch: &mut dyn FnMut(&ColumnBatch<'_>, &mut SelectionVector),
+    ) -> Result<ScanCost> {
+        self.scan_chunks(
+            Some(record_ids),
+            projection,
+            want_record_ids,
+            chunk_lo,
+            chunk_hi,
+            ctl,
+            on_batch,
+        )
+    }
+
+    /// The one batched chunk loop: over the file's records, or over
+    /// `record_ids` when given.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_chunks(
+        &self,
+        record_ids: Option<&[u32]>,
+        projection: &[usize],
+        want_record_ids: bool,
+        chunk_lo: usize,
+        chunk_hi: usize,
+        ctl: Option<&ScanCtl>,
+        on_batch: &mut dyn FnMut(&ColumnBatch<'_>, &mut SelectionVector),
+    ) -> Result<ScanCost> {
         assert!(
             self.supports_batch_scan(),
-            "batched scans require a flat source"
+            "batched scans require a file under 4 GiB"
         );
-        let types: Vec<ScalarType> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| {
-                f.data_type
-                    .as_scalar()
-                    .expect("flat sources have scalar fields")
-            })
-            .collect();
+        // A flat file's leaf id is its field index.
+        let leaves = &self.leaves;
         let accessed_fields: Vec<(usize, ScalarType, usize)> = projection
             .iter()
             .enumerate()
-            .map(|(slot, &leaf)| (leaf, types[leaf], slot))
+            .map(|(slot, &leaf)| (leaf, leaves[leaf].scalar_type, slot))
             .collect();
-        let mut scratch = BatchScratch::for_projection(projection.iter().map(|&leaf| types[leaf]));
+        let mut scratch =
+            BatchScratch::for_projection(projection.iter().map(|&leaf| leaves[leaf].scalar_type));
+        let mut tapes: Option<json::TapeScan<'_>> = None;
         let mut selection = SelectionVector::new();
         let mut cost = ScanCost::default();
         let FaultState {
@@ -645,31 +706,41 @@ impl RawFile {
         // installed mid-scan (by this range's own capture or a racing
         // scan) only benefits the *next* scan, keeping per-chunk work
         // uniform within one fan-out.
-        let (existing, index) = loop {
-            let existing = self.posmap();
-            if existing.is_some() {
-                break (existing, None);
+        let (existing, index) = match record_ids {
+            Some(_) => {
+                let map = self.posmap().ok_or_else(|| {
+                    recache_types::Error::exec("no positional map for offset re-read")
+                })?;
+                (Some(map), None)
             }
-            if let Some(index) = self.batch_index() {
-                break (None, Some(index));
-            }
-            // batch_index() declined because a racing scan installed the
-            // map; this range runs mapped — unless a concurrent
-            // reset_scan_state() cleared it again, in which case retry
-            // from the cold state.
-            let resampled = self.posmap();
-            if resampled.is_some() {
-                break (resampled, None);
-            }
+            None => loop {
+                let existing = self.posmap();
+                if existing.is_some() {
+                    break (existing, None);
+                }
+                if let Some(index) = self.batch_index() {
+                    break (None, Some(index));
+                }
+                // batch_index() declined because a racing scan installed
+                // the map; this range runs mapped — unless a concurrent
+                // reset_scan_state() cleared it again, in which case
+                // retry from the cold state.
+                let resampled = self.posmap();
+                if resampled.is_some() {
+                    break (resampled, None);
+                }
+            },
         };
-        let n_records = match (&existing, &index) {
-            (Some(map), _) => map.record_count(),
-            (None, Some(ix)) => ix.n_records(),
-            (None, None) => unreachable!("the mode loop breaks with a map or an index"),
+        let n_records = match (record_ids, &existing, &index) {
+            (Some(ids), _, _) => ids.len(),
+            (None, Some(map), _) => map.record_count(),
+            (None, None, Some(ix)) => ix.n_records(),
+            (None, None, None) => unreachable!("the mode loop breaks with a map or an index"),
         };
+        let per_chunk = self.chunk_records();
         for chunk in chunk_lo..chunk_hi {
-            let rec_lo = chunk * BATCH_ROWS;
-            if rec_lo >= n_records {
+            let lo = chunk * per_chunk;
+            if lo >= n_records {
                 break;
             }
             if let Some(ctl) = ctl {
@@ -680,130 +751,155 @@ impl RawFile {
                     continue;
                 }
             }
-            let rec_hi = (rec_lo + BATCH_ROWS).min(n_records);
+            let hi = (lo + per_chunk).min(n_records);
+            let records = match record_ids {
+                Some(ids) => Records::Ids(&ids[lo..hi]),
+                None => Records::Range(lo, hi),
+            };
             // Chunk work is transactional: every attempt starts from
             // cleared scratch and a fresh capture slab (submitted only
             // on success), so a transient fault retries cleanly.
             let mut attempt = 0u32;
-            let data_ns = loop {
+            let (rows, data_ns) = loop {
                 let t0 = Instant::now();
                 scratch.clear();
-                let outcome: Result<()> = (|| {
+                let outcome = (|| {
                     if let Some(plan) = &fault_plan {
                         plan.inject(FaultSite::Chunk, chunk as u64, attempt)?;
                     }
-                    match (&existing, &index, self.format) {
+                    let cols = &mut scratch.cols;
+                    let ids = &mut scratch.record_ids;
+                    // Appends one record's row ids after a tape scan.
+                    let mut note_rows = |record: usize, rows: usize| {
+                        if want_record_ids {
+                            ids.extend(std::iter::repeat_n(record as u32, rows));
+                        }
+                        rows
+                    };
+                    let tape_rows = match (&existing, &index, self.format) {
                         (Some(map), _, FileFormat::Csv) => {
-                            csv::parse_range_with_map(
+                            let it = records.iter();
+                            csv::parse_records_with_map(
                                 &self.bytes,
                                 map,
-                                rec_lo,
-                                rec_hi,
+                                it,
                                 &accessed_fields,
-                                &mut scratch.cols,
+                                cols,
                             )?;
+                            None
+                        }
+                        (Some(map), _, FileFormat::Json) if map.has_json_value_offsets() => {
+                            // A batched flat first scan captured per-key
+                            // value offsets: seek straight to each accessed
+                            // value, never touching the other keys' bytes.
+                            let it = records.iter();
+                            json_batch::parse_records_with_map(
+                                &self.bytes,
+                                map,
+                                it,
+                                &accessed_fields,
+                                cols,
+                            )?;
+                            None
                         }
                         (Some(map), _, FileFormat::Json) => {
-                            if map.has_json_value_offsets() {
-                                // A batched first scan captured per-key value
-                                // offsets: seek straight to each accessed value,
-                                // never touching the other keys' bytes.
-                                json_batch::parse_range_with_map(
-                                    &self.bytes,
-                                    map,
-                                    rec_lo,
-                                    rec_hi,
-                                    &accessed_fields,
-                                    &mut scratch.cols,
-                                )?;
-                            } else {
-                                // Row-path map (record offsets and tapes):
-                                // re-tokenize from the known record spans — the
-                                // win over the row path is the typed-batch
-                                // parse, not the map.
-                                json_batch::tokenize_range_into(
-                                    &self.bytes,
-                                    map.record_offsets(),
-                                    rec_lo,
-                                    rec_hi,
-                                    self.schema.fields(),
-                                    &accessed_fields,
-                                    &mut scratch.cols,
-                                    None,
-                                )?;
+                            // A tape map (nested JSON, or flat JSON first
+                            // mapped by the row path): read each record from
+                            // its tape.
+                            let tapes = tapes.get_or_insert_with(|| {
+                                json::TapeScan::new(&self.schema, leaves, projection)
+                            });
+                            let mut rows = 0;
+                            for record in records.iter() {
+                                let n = tapes.push_mapped(&self.bytes, map, record, cols)?;
+                                rows += note_rows(record, n);
                             }
+                            Some(rows)
                         }
                         (None, Some(ix), FileFormat::Csv) => {
-                            if ix.chunk_filled(chunk) {
-                                // This chunk's capture is already in: re-scan in
-                                // capture-free mode, which skips tokenizing the
-                                // trailing unaccessed fields entirely.
-                                csv::tokenize_range_into(
-                                    &self.bytes,
-                                    ix.record_offsets(),
-                                    rec_lo,
-                                    rec_hi,
-                                    self.schema.len(),
-                                    &accessed_fields,
-                                    &mut scratch.cols,
-                                    None,
-                                )?;
-                            } else {
-                                let mut slab =
-                                    Vec::with_capacity((rec_hi - rec_lo) * (self.schema.len() + 1));
-                                csv::tokenize_range_into(
-                                    &self.bytes,
-                                    ix.record_offsets(),
-                                    rec_lo,
-                                    rec_hi,
-                                    self.schema.len(),
-                                    &accessed_fields,
-                                    &mut scratch.cols,
-                                    Some(&mut slab),
-                                )?;
+                            // A chunk whose capture is already in re-scans
+                            // capture-free, which skips tokenizing the
+                            // trailing unaccessed fields entirely.
+                            let mut slab = (!ix.chunk_filled(chunk))
+                                .then(|| Vec::with_capacity((hi - lo) * (self.schema.len() + 1)));
+                            csv::tokenize_range_into(
+                                &self.bytes,
+                                ix.record_offsets(),
+                                lo,
+                                hi,
+                                self.schema.len(),
+                                &accessed_fields,
+                                cols,
+                                slab.as_mut(),
+                            )?;
+                            if let Some(slab) = slab {
                                 self.submit_capture(ix, chunk, slab);
                             }
+                            None
+                        }
+                        (None, Some(ix), FileFormat::Json) if !self.nested => {
+                            // First pass over this chunk: capture every
+                            // schema key's value offset so re-scans seek
+                            // straight to accessed values. A chunk whose
+                            // capture is already in re-scans capture-free
+                            // (accessed-keys-only matching, no slab writes).
+                            let mut slab = (!ix.chunk_filled(chunk))
+                                .then(|| Vec::with_capacity((hi - lo) * self.schema.len()));
+                            json_batch::tokenize_range_into(
+                                &self.bytes,
+                                ix.record_offsets(),
+                                lo,
+                                hi,
+                                self.schema.fields(),
+                                &accessed_fields,
+                                cols,
+                                slab.as_mut(),
+                            )?;
+                            if let Some(slab) = slab {
+                                self.submit_capture(ix, chunk, slab);
+                            }
+                            None
                         }
                         (None, Some(ix), FileFormat::Json) => {
-                            if ix.chunk_filled(chunk) {
-                                // This chunk's capture is already in: re-scan in
-                                // capture-free mode (accessed-keys-only
-                                // matching, no slab writes).
-                                json_batch::tokenize_range_into(
-                                    &self.bytes,
-                                    ix.record_offsets(),
-                                    rec_lo,
-                                    rec_hi,
-                                    self.schema.fields(),
-                                    &accessed_fields,
-                                    &mut scratch.cols,
-                                    None,
-                                )?;
-                            } else {
-                                // First pass over this chunk: capture every
-                                // schema key's value offset so re-scans seek
-                                // straight to accessed values.
-                                let mut slab =
-                                    Vec::with_capacity((rec_hi - rec_lo) * self.schema.len());
-                                json_batch::tokenize_range_into(
-                                    &self.bytes,
-                                    ix.record_offsets(),
-                                    rec_lo,
-                                    rec_hi,
-                                    self.schema.fields(),
-                                    &accessed_fields,
-                                    &mut scratch.cols,
-                                    Some(&mut slab),
-                                )?;
+                            // Nested first pass: build each record's tape,
+                            // scan the record from it, and submit the
+                            // chunk's tapes (their lengths, then the words).
+                            let tapes = tapes.get_or_insert_with(|| {
+                                json::TapeScan::new(&self.schema, leaves, projection)
+                            });
+                            let offsets = ix.record_offsets();
+                            let mut slab = vec![0; hi - lo];
+                            slab.reserve((offsets[hi] - offsets[lo]) as usize / 8);
+                            let mut rows = 0;
+                            for record in lo..hi {
+                                let (start, end) =
+                                    (offsets[record] as usize, offsets[record + 1] as usize);
+                                let line =
+                                    &self.bytes[start..trim_newline(&self.bytes, start, end)];
+                                let before = slab.len();
+                                let n = tapes.push_taping(line, &mut slab, cols)?;
+                                slab[record - lo] = (slab.len() - before) as u32;
+                                rows += note_rows(record, n);
+                            }
+                            if !ix.chunk_filled(chunk) {
                                 self.submit_capture(ix, chunk, slab);
                             }
+                            Some(rows)
                         }
-                        (None, None, _) => unreachable!(),
-                    }
-                    Ok(())
+                        (None, _, _) => unreachable!("the mode loop breaks with a map or an index"),
+                    };
+                    Ok::<_, recache_types::Error>(tape_rows)
                 })();
                 match outcome {
-                    Ok(()) => break t0.elapsed().as_nanos() as u64,
+                    Ok(tape_rows) => {
+                        let rows = tape_rows.unwrap_or_else(|| {
+                            if want_record_ids {
+                                scratch.record_ids.extend(records.iter().map(|r| r as u32));
+                            }
+                            records.len()
+                        });
+                        break (rows, t0.elapsed().as_nanos() as u64);
+                    }
                     Err(err) if err.is_transient() && attempt + 1 < retry.max_attempts.max(1) => {
                         attempt += 1;
                         if let Some(ctl) = ctl {
@@ -819,12 +915,9 @@ impl RawFile {
                     }
                 }
             };
-            if want_record_ids {
-                scratch.record_ids.extend(rec_lo as u32..rec_hi as u32);
-            }
-            selection.fill_identity(rec_hi - rec_lo);
+            selection.fill_identity(rows);
             let batch = ColumnBatch {
-                len: rec_hi - rec_lo,
+                len: rows,
                 columns: scratch.columns(),
                 record_ids: &scratch.record_ids,
             };
@@ -832,8 +925,8 @@ impl RawFile {
             cost.add(&ScanCost {
                 data_ns,
                 compute_ns: 0,
-                rows: rec_hi - rec_lo,
-                rows_visited: rec_hi - rec_lo,
+                rows,
+                rows_visited: rows,
             });
         }
         Ok(cost)
@@ -841,6 +934,41 @@ impl RawFile {
 
     fn install_posmap(&self, map: PositionalMap) {
         *self.posmap.lock().expect("posmap lock") = Some(Arc::new(map));
+    }
+}
+
+/// The records of one batch chunk: a window of the file, or a slice of a
+/// lazy entry's record ids.
+#[derive(Clone, Copy)]
+enum Records<'a> {
+    Range(usize, usize),
+    Ids(&'a [u32]),
+}
+
+impl<'a> Records<'a> {
+    fn len(self) -> usize {
+        match self {
+            Records::Range(lo, hi) => hi - lo,
+            Records::Ids(ids) => ids.len(),
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = usize> + 'a {
+        let (range, ids) = match self {
+            Records::Range(lo, hi) => (lo..hi, &[][..]),
+            Records::Ids(ids) => (0..0, ids),
+        };
+        range.chain(ids.iter().map(|&id| id as usize))
+    }
+}
+
+/// The end of a record's content: its span's end, less a trailing
+/// newline.
+fn trim_newline(bytes: &[u8], start: usize, end: usize) -> usize {
+    if end > start && bytes[end - 1] == b'\n' {
+        end - 1
+    } else {
+        end
     }
 }
 
@@ -1144,9 +1272,77 @@ mod tests {
         assert!(got.is_empty());
     }
 
+    /// `(record id, row)` pairs of a row-path scan, reordered from leaf
+    /// order into `projection` order.
+    fn row_scan(file: &RawFile, projection: &[usize]) -> Vec<(u32, Vec<Value>)> {
+        let mut accessed = vec![false; file.leaves().len()];
+        projection.iter().for_each(|&leaf| accessed[leaf] = true);
+        let mut sorted = projection.to_vec();
+        sorted.sort_unstable();
+        let mut out = Vec::new();
+        file.scan_projected(&accessed, &mut |id, row| {
+            let row = projection
+                .iter()
+                .map(|leaf| row[sorted.binary_search(leaf).unwrap()].clone())
+                .collect();
+            out.push((id as u32, row));
+        })
+        .unwrap();
+        out
+    }
+
+    fn collect_by_id(file: &RawFile, ids: &[u32], projection: &[usize]) -> Vec<(u32, Vec<Value>)> {
+        let mut out = Vec::new();
+        let chunks = file.batch_chunks_by_id(ids);
+        file.scan_batches_by_id_ctl(ids, projection, true, 0, chunks, None, &mut |batch, sel| {
+            for &i in sel.as_slice() {
+                let i = i as usize;
+                let row = batch.columns.iter().map(|c| c.value(i)).collect();
+                out.push((batch.record_ids[i], row));
+            }
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
-    fn nested_json_files_do_not_support_batched_scans() {
-        assert!(!json_file().supports_batch_scan());
+    fn nested_json_batched_scans_flatten_like_the_row_path() {
+        let file = json_file();
+        assert!(file.supports_batch_scan());
+        let chunks = file.batch_chunks();
+        for projection in [vec![0, 1], vec![1, 0], vec![1], vec![0], vec![]] {
+            let row = row_scan(&json_file(), &projection);
+            file.reset_scan_state();
+            let first = collect_batched(&file, &projection, &[(0, chunks)]);
+            assert!(file.posmap().is_some(), "full coverage installs the map");
+            let mapped = collect_batched(&file, &projection, &[(0, chunks)]);
+            let by_id = collect_by_id(&file, &[0, 1], &projection);
+            assert_eq!(first, row, "projection {projection:?}");
+            assert_eq!(mapped, first);
+            assert_eq!(by_id, first);
+        }
+        let rows = collect_batched(&file, &[1, 0], &[(0, chunks)]);
+        assert_eq!(rows[1], (0, vec![Value::Int(11), Value::Int(1)]));
+        assert_eq!(
+            collect_by_id(&file, &[1], &[0, 1]),
+            vec![(1, vec![Value::Int(2), Value::Int(20)])]
+        );
+    }
+
+    #[test]
+    fn nested_json_batched_first_scan_installs_the_row_path_map() {
+        let schema = crate::gen::tpch::order_lineitems_schema();
+        let records = crate::gen::tpch::gen_order_lineitems(0.001, 3);
+        let bytes = json::write_json(&schema, &records);
+        let expected = json::scan_build_map(&bytes, &schema, None, |_, _| Ok(())).unwrap();
+        let file = RawFile::from_bytes(bytes, FileFormat::Json, schema);
+        let chunks = file.batch_chunks();
+        assert!(chunks >= 2, "{chunks} chunks");
+        // Out of order, as parallel tasks scan.
+        collect_batched(&file, &[2], &[(chunks - 1, chunks)]);
+        assert!(file.posmap().is_none(), "partial coverage: no map yet");
+        collect_batched(&file, &[0, 5], &[(0, chunks - 1)]);
+        assert_eq!(*file.posmap().expect("coverage installs the map"), expected);
     }
 
     fn flat_json_file(rows: usize) -> RawFile {
@@ -1260,7 +1456,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_json_row_built_map_falls_back_to_tokenizing_rescan() {
+    fn flat_json_row_built_map_rescans_from_its_tapes() {
         let file = flat_json_file(3_000);
         // A row-path first scan installs a record + tape map with no
         // value offsets...
@@ -1270,8 +1466,8 @@ mod tests {
         assert_eq!(rows, 3_000);
         let map = file.posmap().expect("row scan installs the map");
         assert!(!map.has_json_value_offsets());
-        // ...so mapped batched scans re-tokenize record spans and still
-        // match a capture-built batched scan of the same data.
+        // ...so mapped batched scans read each record from its tape and
+        // still match a capture-built batched scan of the same data.
         let fresh = flat_json_file(3_000);
         let got = collect_batched(&file, &[2, 0], &[(0, file.batch_chunks())]);
         let expected = collect_batched(&fresh, &[2, 0], &[(0, fresh.batch_chunks())]);

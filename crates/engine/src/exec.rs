@@ -3,17 +3,19 @@
 //!
 //! # Vectorized vs row-at-a-time execution
 //!
-//! Cache-store scans (columnar / Dremel / row layouts) and *flat* raw
-//! files (CSV and flat JSON, via `RawFile::supports_batch_scan`) run
-//! *vectorized* by default: the source yields typed [`ColumnBatch`]es
-//! (see `recache_layout::batch`), compiled predicate kernels compact
-//! each batch's `SelectionVector` clause by clause, and batch
-//! aggregate kernels fold the survivors — no per-row `Value`
-//! materialization on the hot path. Nested/ragged JSON shapes, offsets
-//! re-reads, and non-compilable predicates (`OR`, `NOT`, slot-vs-slot)
-//! fall back to the row-at-a-time path, which
-//! [`ExecOptions::vectorized`]` = false` keeps exercisable (the
-//! equivalence suites compare the two).
+//! Every access path runs *vectorized* by default: cache-store scans
+//! (columnar / Dremel / row layouts), raw files of any shape (CSV, flat
+//! JSON, and nested JSON flattened from its structure tapes, via
+//! `RawFile::supports_batch_scan`) and lazy offsets re-reads (the same
+//! raw chunk feeder, over the entry's record ids). The source yields
+//! typed [`ColumnBatch`]es (see `recache_layout::batch`), compiled
+//! predicate kernels compact each batch's `SelectionVector` clause by
+//! clause, and batch aggregate kernels fold the survivors — no per-row
+//! `Value` materialization on the hot path. A table runs row-at-a-time
+//! only when its predicate does not compile (`OR`, `NOT`, slot-vs-slot),
+//! when [`ExecOptions::vectorized`]` = false` (kept so the equivalence
+//! suites can compare the two), or when a raw I/O error survives the
+//! batched scan's retries and the degraded fallback re-reads the file.
 //!
 //! D/C attribution: predicate-kernel time joins the store's
 //! mask-navigation/assembly time in `compute_ns`; aggregate and
@@ -300,8 +302,8 @@ fn execute_single(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput
         }
     }
 
-    // Row-at-a-time path: raw files, offsets re-reads, non-compilable
-    // predicates, vectorization disabled, or degraded fallback. The
+    // Row-at-a-time path: non-compilable predicates, vectorization
+    // disabled, files over 4 GiB, or the degraded fallback. The
     // cancel token is polled at scan start only — row scans are the
     // fallback path, not the latency-sensitive one.
     options.check_cancel()?;
@@ -593,16 +595,19 @@ struct ScanOutcome {
 }
 
 /// A scan source that supports batched scans: the three cache stores,
-/// plus flat raw files — CSV and flat JSON — whose chunk grids
-/// tokenize/parse records straight into typed scratch columns (no
-/// per-record `Value` tree, no flattening pass). The executor never
-/// branches on the raw format; `RawFile` dispatches internally.
+/// raw files, whose chunk grids tokenize/parse records straight into
+/// typed scratch columns (no per-record `Value` tree; nested JSON is
+/// flattened from its structure tapes in the same pass), and lazy
+/// offsets entries, which re-read their record ids through the same
+/// raw chunk feeder. The executor never branches on the raw format;
+/// `RawFile` dispatches internally.
 #[derive(Clone, Copy)]
 enum StoreRef<'a> {
     Columnar(&'a ColumnStore),
     Dremel(&'a DremelStore),
     Row(&'a RowStore),
     Raw(&'a RawFile),
+    Offsets(&'a RawFile, &'a [u32]),
 }
 
 impl StoreRef<'_> {
@@ -624,6 +629,7 @@ impl StoreRef<'_> {
                     AccessKind::RawFirstScan
                 }
             }
+            StoreRef::Offsets(..) => AccessKind::CacheOffsets,
         }
     }
 
@@ -633,22 +639,27 @@ impl StoreRef<'_> {
             StoreRef::Dremel(s) => s.record_count(),
             StoreRef::Row(s) => s.record_count(),
             StoreRef::Raw(file) => file.known_record_count().unwrap_or(0),
+            StoreRef::Offsets(_, ids) => ids.len(),
         }
     }
 
-    /// Flattened row count `R` — cache stores only (raw scans report no
-    /// store statistics, matching the row-at-a-time raw path).
+    /// Flattened row count `R` — cache stores only (raw and offsets
+    /// scans report no store statistics, matching the row-at-a-time
+    /// path).
     fn flattened_rows(&self) -> Option<usize> {
         match self {
             StoreRef::Columnar(s) => Some(s.row_count()),
             StoreRef::Dremel(s) => Some(s.flattened_rows()),
             StoreRef::Row(s) => Some(s.row_count()),
-            StoreRef::Raw(_) => None,
+            StoreRef::Raw(_) | StoreRef::Offsets(..) => None,
         }
     }
 
+    /// Whether the source is an in-memory store; raw and offsets scans
+    /// read the file, so they can fail on I/O and degrade to the row
+    /// path.
     fn is_cache_store(&self) -> bool {
-        !matches!(self, StoreRef::Raw(_))
+        !matches!(self, StoreRef::Raw(_) | StoreRef::Offsets(..))
     }
 
     /// Size of the source's batch-chunk grid for this scan shape (the
@@ -659,6 +670,7 @@ impl StoreRef<'_> {
             StoreRef::Dremel(s) => s.batch_chunks(projection, record_level),
             StoreRef::Row(s) => s.batch_chunks(projection, record_level),
             StoreRef::Raw(file) => file.batch_chunks(),
+            StoreRef::Offsets(file, ids) => file.batch_chunks_by_id(ids),
         }
     }
 
@@ -684,15 +696,29 @@ impl StoreRef<'_> {
         ctl: Option<&ScanCtl>,
         on_batch: &mut dyn FnMut(&ColumnBatch<'_>, &mut recache_layout::SelectionVector),
     ) -> Result<ScanCost> {
-        if let StoreRef::Raw(file) = self {
-            return file.scan_batches_range_ctl(
-                projection,
-                want_record_ids,
-                chunk_lo,
-                chunk_hi,
-                ctl,
-                on_batch,
-            );
+        match self {
+            StoreRef::Raw(file) => {
+                return file.scan_batches_range_ctl(
+                    projection,
+                    want_record_ids,
+                    chunk_lo,
+                    chunk_hi,
+                    ctl,
+                    on_batch,
+                )
+            }
+            StoreRef::Offsets(file, ids) => {
+                return file.scan_batches_by_id_ctl(
+                    ids,
+                    projection,
+                    want_record_ids,
+                    chunk_lo,
+                    chunk_hi,
+                    ctl,
+                    on_batch,
+                )
+            }
+            _ => {}
         }
         let run = |lo: usize,
                    hi: usize,
@@ -709,7 +735,7 @@ impl StoreRef<'_> {
             StoreRef::Row(s) => {
                 s.scan_batches_range(projection, record_level, want_record_ids, lo, hi, on_batch)
             }
-            StoreRef::Raw(_) => unreachable!("raw handled above"),
+            StoreRef::Raw(_) | StoreRef::Offsets(..) => unreachable!("raw handled above"),
         };
         match ctl.and_then(ScanCtl::cancel_token) {
             None => Ok(run(chunk_lo, chunk_hi, on_batch)),
@@ -725,8 +751,10 @@ impl StoreRef<'_> {
     }
 }
 
-/// Whether this table can run vectorized: a cache store or flat raw
-/// file (CSV / flat JSON) whose predicate (if any) compiles to kernels.
+/// Whether this table can run vectorized: any access path under 4 GiB
+/// of raw bytes, unless vectorization is off or the predicate does not
+/// compile to kernels. The degraded fallback after a raw I/O error is
+/// the caller's.
 fn batchable<'a>(
     table: &'a TablePlan,
     options: &ExecOptions,
@@ -738,9 +766,12 @@ fn batchable<'a>(
         AccessPath::Columnar(s) => StoreRef::Columnar(s),
         AccessPath::Dremel(s) => StoreRef::Dremel(s),
         AccessPath::Row(s) => StoreRef::Row(s),
-        // Flat raw scans (any format) batch like stores; nested/ragged
-        // JSON shapes keep the row-at-a-time flattening fallback.
+        // Raw scans of any format and shape batch like stores, and so do
+        // lazy entries' re-reads of their record ids.
         AccessPath::Raw(file) if file.supports_batch_scan() => StoreRef::Raw(file),
+        AccessPath::Offsets { file, store } if file.supports_batch_scan() => {
+            StoreRef::Offsets(file, store.record_ids())
+        }
         AccessPath::Raw(_) | AccessPath::Offsets { .. } => return None,
     };
     let pred = match table.predicate.as_ref() {
@@ -753,7 +784,13 @@ fn batchable<'a>(
 }
 
 /// The source and compiled predicate of a plan that can join a shared
-/// multi-predicate pass (see [`shareable`]).
+/// multi-predicate pass (see [`shareable`]): a single batchable raw
+/// table whose schema has no list. A pass flattens the union of its
+/// participants' leaves, which gives each participant its own rows only
+/// when none of them explodes a list. Nested sources stay out even for
+/// record-level plans: no ledger workload forms a group over them, and
+/// the gather wait each shareable query pays while another query is
+/// live costs `churn_tight` throughput.
 fn share_of<'a>(
     plan: &'a QueryPlan,
     options: &ExecOptions,
@@ -764,7 +801,7 @@ fn share_of<'a>(
     let AccessPath::Raw(file) = &table.access else {
         return None;
     };
-    if !plan.joins.is_empty() {
+    if !plan.joins.is_empty() || file.schema().has_nested() {
         return None;
     }
     let (_, pred) = batchable(table, options)?;
@@ -772,10 +809,11 @@ fn share_of<'a>(
 }
 
 /// Whether `plan` can participate in a shared multi-predicate scan: a
-/// single-table, join-free query over a *batchable raw* source (flat
-/// CSV / flat JSON) whose predicate compiles to kernels. Cache-store
-/// scans are excluded — they are already cheap, and sharing them would
-/// only serialize independent reads.
+/// single-table, join-free query over a *batchable raw* source without
+/// lists (CSV, flat JSON) whose predicate compiles to kernels.
+/// Cache-store and offsets scans are excluded — they are already cheap
+/// or already selective, and sharing them would only serialize
+/// independent reads.
 pub fn shareable(plan: &QueryPlan, options: &ExecOptions) -> bool {
     share_of(plan, options).is_some()
 }
@@ -1153,20 +1191,12 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
         }
         AccessPath::Offsets { file, store } => {
             let accessed = leaf_bitmap(file.leaves().len(), &table.accessed);
-            // Posmap-mapped re-read, emitted in batches: one virtual call
-            // per chunk instead of per row.
-            let metrics = file.scan_records_projected_batched(
-                store.record_ids(),
-                &accessed,
-                BATCH_ROWS,
-                &mut |ids, rows| {
-                    for (&id, row) in ids.iter().zip(rows) {
-                        if predicate.is_none_or(|p| p.eval_bool(row)) {
-                            sink(id as usize, row);
-                        }
+            let metrics =
+                file.scan_records_projected(store.record_ids(), &accessed, &mut |id, row| {
+                    if predicate.is_none_or(|p| p.eval_bool(&row)) {
+                        sink(id, &row);
                     }
-                },
-            )?;
+                })?;
             Ok(ScanOutcome {
                 access: AccessKind::CacheOffsets,
                 cache_scan: None,
@@ -1634,6 +1664,70 @@ mod tests {
         };
         let out = execute(&plan).unwrap();
         assert_eq!(out.values[0], Value::Int(30)); // 10 records x 3 items
+    }
+
+    /// The nested chunk grid gives a second thread work: a sf 0.001
+    /// `orderLineitems` file spans several chunks, and a 2-thread scan
+    /// (first and mapped) equals the 1-thread scan bit for bit.
+    #[test]
+    fn nested_json_scans_fan_out_bit_identically() {
+        let schema = recache_data::gen::tpch::order_lineitems_schema();
+        let records = recache_data::gen::tpch::gen_order_lineitems(0.001, 42);
+        let bytes = json::write_json(&schema, &records);
+        let leaf = |path: &str| {
+            schema
+                .leaf_index(&recache_types::FieldPath::parse(path))
+                .expect("TPC-H leaf")
+        };
+        let (price, quantity) = (leaf("o_totalprice"), leaf("lineitems.l_quantity"));
+        let run = |threads: usize| {
+            let file = Arc::new(RawFile::from_bytes(
+                bytes.clone(),
+                FileFormat::Json,
+                schema.clone(),
+            ));
+            assert!(file.supports_batch_scan());
+            assert!(file.batch_chunks() >= 2, "{} chunks", file.batch_chunks());
+            let plan = QueryPlan {
+                tables: vec![TablePlan {
+                    collect_satisfying: true,
+                    record_level: false,
+                    ..raw_plan(
+                        Arc::clone(&file),
+                        Some(Expr::between(1, 5.0, 30.0)),
+                        vec![price, quantity],
+                    )
+                }],
+                joins: vec![],
+                aggregates: [(None, AggFunc::Count), (Some(0), AggFunc::Sum)]
+                    .into_iter()
+                    .chain([(Some(1), AggFunc::Avg), (Some(0), AggFunc::Max)])
+                    .map(|(slot, func)| AggSpec {
+                        table: 0,
+                        slot,
+                        func,
+                    })
+                    .collect(),
+            };
+            let options = ExecOptions::with_threads(threads);
+            [execute_with(&plan, &options), execute_with(&plan, &options)].map(|out| {
+                let mut out = out.unwrap();
+                let bits: Vec<Option<u64>> = out
+                    .values
+                    .iter()
+                    .map(|v| v.as_f64().map(f64::to_bits))
+                    .collect();
+                (
+                    bits,
+                    out.rows_aggregated,
+                    out.stats.tables[0].satisfying.take(),
+                )
+            })
+        };
+        let serial = run(1);
+        assert!(serial[0].1 > records.len(), "element-level rows");
+        assert_eq!(serial[0], serial[1], "first and mapped scans agree");
+        assert_eq!(run(2), serial);
     }
 
     #[test]

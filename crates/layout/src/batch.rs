@@ -19,6 +19,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
+use crate::dremel::LeafValue;
 use recache_types::{list_dim_ranges, ScalarType, Schema, Value};
 
 /// Rows per batch. A multiple of 64 so batch-aligned validity views start
@@ -393,6 +394,32 @@ impl ScratchColumn {
     pub fn push_str_bytes(&mut self, s: &[u8]) {
         self.col.valid.push(true);
         self.col.data.push_str_bytes(s);
+    }
+
+    /// Appends a non-null leaf read from a raw record: a string straight
+    /// into the arena, any other value with [`ScratchColumn::push`]'s
+    /// coercions.
+    #[inline]
+    pub fn push_leaf(&mut self, value: LeafValue<'_>) {
+        match value {
+            LeafValue::Str(s) => self.push_str_bytes(s.as_bytes()),
+            LeafValue::Value(value) => self.push(&value),
+        }
+    }
+
+    /// Copies entry `index` of another scratch column of the same type.
+    #[inline]
+    pub fn push_entry(&mut self, src: &ScratchColumn, index: usize) {
+        self.push_from(&src.col.data, &src.col.valid, index);
+    }
+
+    /// Number of entries held.
+    pub fn len(&self) -> usize {
+        self.col.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.col.len() == 0
     }
 
     pub fn as_batch_column(&self) -> BatchColumn<'_> {

@@ -34,8 +34,9 @@ use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Records per assembly chunk (amortizes the phase timers).
-const CHUNK_RECORDS: usize = 256;
+/// Records per assembly chunk (amortizes the phase timers). Batched
+/// scans of nested raw JSON chunk their records at the same granularity.
+pub const CHUNK_RECORDS: usize = 256;
 
 /// One striped leaf column.
 #[derive(Debug, Clone, PartialEq)]

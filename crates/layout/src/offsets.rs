@@ -4,7 +4,7 @@
 //! offsets of satisfying tuples, has a lower overhead but also a lower
 //! benefit if the cache is reused". This store keeps the *record ids* of
 //! satisfying tuples; reuse goes back to the raw file through its
-//! positional map (`RawFile::scan_records_projected`), paying parse cost
+//! positional map (`RawFile::scan_batches_by_id_ctl`), paying parse cost
 //! again but only for the selected records.
 
 /// Record ids of satisfying tuples (sorted, deduplicated).

@@ -16,13 +16,18 @@
 //!
 //! There is one implementation: a [`Flattener`] compiles a schema (and
 //! optionally a leaf projection) once, then walks each record in a single
-//! pass, appending every flattened row exactly once — as borrowed `&Value`
-//! leaves plus its list-dimension mask — to a caller-owned [`FlatRows`]
-//! buffer. Nothing is cloned or allocated per value; [`flatten_record`]
-//! and [`flatten_record_projected`] are owned-row conveniences over it.
+//! pass, appending every flattened row exactly once — as leaf nodes plus
+//! its list-dimension mask — to a caller-owned [`FlatRows`] buffer. The
+//! walk reads a record only through the [`FlatInput`] trait, so a parsed
+//! `&Value` tree ([`ValueTree`]) and a raw JSON record read in place
+//! through its structure tape (in `recache-data`) are two inputs to the
+//! one set of rules. Nothing is cloned or allocated per value;
+//! [`flatten_record`] and [`flatten_record_projected`] are owned-row
+//! conveniences over it.
 
 use crate::datatype::{DataType, Field, Schema};
 use crate::value::Value;
+use std::marker::PhantomData;
 
 /// A flattened row: one scalar per accessed leaf, in schema-leaf order.
 pub type FlatRow = Vec<Value>;
@@ -191,13 +196,25 @@ impl Flattener {
     /// Appends the flattened rows of `record` to `out`, each once, in
     /// canonical order (leftmost field varies slowest, list elements in
     /// order). A non-struct record flattens like a struct of nulls.
-    pub fn flatten_into<'v>(&self, record: &'v Value, out: &mut FlatRows<'v>) {
+    pub fn flatten_into<'v>(&self, record: &'v Value, out: &mut FlatRows<&'v Value>) {
+        self.flatten_from(&ValueTree::default(), record, out);
+    }
+
+    /// [`Flattener::flatten_into`] over any [`FlatInput`]: appends the
+    /// flattened rows of the record rooted at `root`, each row holding
+    /// the input's leaf nodes (its null node where a leaf is absent).
+    pub fn flatten_from<I: FlatInput>(
+        &self,
+        input: &I,
+        root: I::Node,
+        out: &mut FlatRows<I::Node>,
+    ) {
         out.width = self.width;
         match self.root {
-            Some(root) => {
+            Some(id) => {
                 debug_assert!(out.todo.is_empty() && out.row.is_empty());
-                out.todo.push((root, record));
-                self.walk(out, 0);
+                out.todo.push((id, root));
+                self.walk(input, out, 0);
                 out.todo.clear();
             }
             None => out.masks.push(0),
@@ -207,66 +224,123 @@ impl Flattener {
     /// Pops the next pending `(node, value)`, expands it, and recurses
     /// over the rest; with nothing pending, `out.row` is one finished
     /// row. Every call leaves `out.todo` and `out.row` as it found them.
-    fn walk<'v>(&self, out: &mut FlatRows<'v>, mask: u64) {
-        let Some((id, value)) = out.todo.pop() else {
+    fn walk<I: FlatInput>(&self, input: &I, out: &mut FlatRows<I::Node>, mask: u64) {
+        let Some((id, node)) = out.todo.pop() else {
             out.values.extend_from_slice(&out.row);
             out.masks.push(mask);
             return;
         };
         match &self.nodes[id as usize] {
             Node::Leaf => {
-                out.row.push(value);
-                self.walk(out, mask);
+                out.row.push(node);
+                self.walk(input, out, mask);
                 out.row.pop();
             }
             Node::Struct(kids) => {
-                let children: &'v [Value] = match value {
-                    Value::Struct(children) => children,
-                    _ => &[],
-                };
                 let base = out.todo.len();
                 for &(field, kid) in kids.iter().rev() {
-                    let child = children.get(field as usize).unwrap_or(&NULL);
-                    out.todo.push((kid, child));
+                    out.todo.push((kid, input.field(node, field as usize)));
                 }
-                self.walk(out, mask);
+                self.walk(input, out, mask);
                 out.todo.truncate(base);
             }
-            &Node::List { inner, bit } => match value {
-                Value::List(items) if !items.is_empty() => {
-                    for (i, item) in items.iter().enumerate() {
-                        out.todo.push((inner, item));
-                        self.walk(out, if i == 0 { mask } else { mask | bit });
-                        out.todo.pop();
-                    }
-                }
+            &Node::List { inner, bit } => {
+                let mut first = true;
+                let listed = input.elements(node, |item| {
+                    out.todo.push((inner, item));
+                    self.walk(input, out, if first { mask } else { mask | bit });
+                    out.todo.pop();
+                    first = false;
+                });
                 // Empty/absent list: one all-null row at element index 0.
-                _ => {
-                    out.todo.push((inner, &NULL));
-                    self.walk(out, mask);
+                if !listed {
+                    out.todo.push((inner, input.null()));
+                    self.walk(input, out, mask);
                     out.todo.pop();
                 }
-            },
+            }
         }
-        out.todo.push((id, value));
+        out.todo.push((id, node));
     }
 }
 
-/// Caller-owned output of [`Flattener::flatten_into`]: rows of borrowed
-/// leaf values, row-major, with one mask per row. Reuse one across
-/// records (call [`FlatRows::clear`] in between) to flatten without
-/// allocating.
-#[derive(Debug, Default)]
-pub struct FlatRows<'v> {
-    width: usize,
-    values: Vec<&'v Value>,
-    masks: Vec<u64>,
-    /// Walk scratch: the row under construction and the pending nodes.
-    row: Vec<&'v Value>,
-    todo: Vec<(u32, &'v Value)>,
+/// A record as [`Flattener`] reads it: nodes are handles into the
+/// record, read against the schema type the walk expects where they sit.
+/// A leaf's node is what its row holds, so the input decides what a row
+/// carries (a `&Value`, a tape position).
+pub trait FlatInput {
+    type Node: Copy;
+
+    /// The node standing for an absent value: an absent or null struct
+    /// field, the struct fields of a non-struct, the elements of an empty
+    /// list. Its fields are null and it holds no elements.
+    fn null(&self) -> Self::Node;
+
+    /// The node holding field `idx` of a struct node, or [`Self::null`]
+    /// when the node holds no such field (or no struct).
+    fn field(&self, node: Self::Node, idx: usize) -> Self::Node;
+
+    /// Visits the elements of a non-empty list node in order and returns
+    /// true; returns false, visiting nothing, for an empty list or a node
+    /// that holds no list.
+    fn elements(&self, node: Self::Node, visit: impl FnMut(Self::Node)) -> bool;
 }
 
-impl<'v> FlatRows<'v> {
+/// Parsed records as a [`FlatInput`]: rows hold borrowed `&Value` leaves.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ValueTree<'v>(PhantomData<&'v Value>);
+
+impl<'v> FlatInput for ValueTree<'v> {
+    type Node = &'v Value;
+
+    fn null(&self) -> &'v Value {
+        &NULL
+    }
+
+    fn field(&self, node: &'v Value, idx: usize) -> &'v Value {
+        match node {
+            Value::Struct(children) => children.get(idx).unwrap_or(&NULL),
+            _ => &NULL,
+        }
+    }
+
+    fn elements(&self, node: &'v Value, visit: impl FnMut(&'v Value)) -> bool {
+        match node {
+            Value::List(items) if !items.is_empty() => {
+                items.iter().for_each(visit);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Caller-owned output of [`Flattener::flatten_from`]: rows of leaf
+/// nodes, row-major, with one mask per row. Reuse one across records
+/// (call [`FlatRows::clear`] in between) to flatten without allocating.
+#[derive(Debug)]
+pub struct FlatRows<N> {
+    width: usize,
+    values: Vec<N>,
+    masks: Vec<u64>,
+    /// Walk scratch: the row under construction and the pending nodes.
+    row: Vec<N>,
+    todo: Vec<(u32, N)>,
+}
+
+impl<N> Default for FlatRows<N> {
+    fn default() -> Self {
+        FlatRows {
+            width: 0,
+            values: Vec::new(),
+            masks: Vec::new(),
+            row: Vec::new(),
+            todo: Vec::new(),
+        }
+    }
+}
+
+impl<N: Copy> FlatRows<N> {
     pub fn new() -> Self {
         Self::default()
     }
@@ -287,14 +361,16 @@ impl<'v> FlatRows<'v> {
     }
 
     /// The rows with their masks, in emission order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[&'v Value], u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (&[N], u64)> + '_ {
         let width = self.width;
         self.masks
             .iter()
             .enumerate()
             .map(move |(i, &mask)| (&self.values[i * width..(i + 1) * width], mask))
     }
+}
 
+impl FlatRows<&Value> {
     /// Owned copies of the rows.
     pub fn to_rows(&self) -> Vec<FlatRow> {
         self.iter()

@@ -27,7 +27,8 @@ pub use ctl::{CancelToken, ScanCtl};
 pub use datatype::{DataType, Field, LeafField, ScalarType, Schema};
 pub use error::{Error, Result};
 pub use flatten::{
-    flatten_record, flatten_record_projected, list_dim_ranges, FlatRow, FlatRows, Flattener,
+    flatten_record, flatten_record_projected, list_dim_ranges, FlatInput, FlatRow, FlatRows,
+    Flattener, ValueTree,
 };
 pub use path::FieldPath;
 pub use value::{Row, Value};

@@ -194,12 +194,14 @@ fn a_faulted_build_admits_nothing_and_the_retry_admits_the_fault_free_entry() {
         let entries = clean.cache().snapshot();
         assert_eq!(entries.len(), 1, "{name}");
 
-        // The batched CSV first scan passes chunk gates and leaves the
-        // row-scan gates to materialization; the nested JSON first scan
-        // is a row scan and takes gate 0 itself.
-        let (clean_gates, chunks) = match format {
-            FileFormat::Csv => (1, clean.source(name).unwrap().batch_chunks() as u64),
-            FileFormat::Json => (2, 0),
+        // A batched first scan passes chunk gates and leaves the
+        // row-scan gates to materialization; a row-path first scan takes
+        // gate 0 itself.
+        let source = clean.source(name).unwrap();
+        let (clean_gates, chunks) = if source.supports_batch_scan() {
+            (1, source.batch_chunks() as u64)
+        } else {
+            (2, 0)
         };
         let faulted = session(Some(plan_failing_row_scan(clean_gates, chunks)));
         let response = faulted.execute(&QueryRequest::sql(query)).unwrap();

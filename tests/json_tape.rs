@@ -1,7 +1,8 @@
 //! Reading nested JSON through the positional map is invisible in the
 //! answers: after a first scan of the TPC-H `orderLineitems` JSON, every
-//! record read back through the map (`read_records`, the materialization
-//! and lazy-upgrade path) equals a fresh parse of its line — and a first
+//! record read back through the map (`read_records`, the full-record
+//! read beside the tape shredding that materialization and lazy
+//! upgrades use) equals a fresh parse of its line — and a first
 //! scan that fails on an injected fault installs no map at all, so the
 //! retry's map reads the same records.
 //!

@@ -11,12 +11,10 @@
 //! float aggregates independent of the parallel task decomposition.
 //!
 //! Two axes added with the batched raw-scan / dictionary work:
-//! * **raw batched vs row** — every *flat* dataset (CSV, and flat JSON
-//!   since the batched JSON tokenizer landed) runs the raw access path
-//!   in both modes (vectorized raw scans tokenize into typed batches;
-//!   the row mode is the per-record tokenizer), first-scan and
-//!   posmap-mapped; nested JSON datasets assert the row fallback
-//!   engages instead;
+//! * **raw batched vs row** — every dataset (CSV, flat JSON, and nested
+//!   JSON read through its structure tapes) runs the raw access path in
+//!   both modes (vectorized raw scans parse into typed batches; the row
+//!   mode is the per-record tokenizer), first-scan and posmap-mapped;
 //! * **dict vs plain** — stores built with dictionary encoding enabled
 //!   (the default) and disabled must agree with each other and with the
 //!   row path; the high-cardinality dataset must *not* dictionary-encode.
@@ -408,7 +406,7 @@ fn equivalence_suite(threads: usize) {
             FileFormat::Csv => csv::write_csv(&ds.schema, &flat_rows(&ds.records)),
             FileFormat::Json => json::write_json(&ds.schema, &ds.records),
         };
-        // Two raw files per CSV dataset: a cold one whose batched-vs-row
+        // Two raw files per dataset: a cold one whose batched-vs-row
         // axis covers the *first-scan* tokenizers, and a warm one (posmap
         // built) covering the mapped scans and the offsets path.
         let cold_file = Arc::new(RawFile::from_bytes(
@@ -465,11 +463,10 @@ fn equivalence_suite(threads: usize) {
                 ),
             ];
             if cold_file.supports_batch_scan() {
-                // Cold flat raw file (CSV or flat JSON): the vectorized
+                // Cold raw file (CSV, flat or nested JSON): the vectorized
                 // run is the batched first scan. Reset per query so every
                 // predicate shape hits the tokenizer, not the map its
-                // predecessor built. Nested JSON files never enter this
-                // axis — they take the row fallback, asserted separately.
+                // predecessor built.
                 cold_file.reset_scan_state();
                 accesses.insert(
                     0,
@@ -723,15 +720,14 @@ fn dict_code_range_compares_agree_with_cmp_sql_property() {
     }
 }
 
-/// Shape detection drives the raw dispatch: flat JSON must take the
-/// batched path, nested/ragged JSON must take the row-at-a-time
-/// flattening fallback (`supports_batch_scan` is exactly the predicate
-/// the executor's `batchable` uses, so asserting it here asserts which
-/// path a vectorized plan runs). The nested files still execute
-/// correctly under vectorized options — via the fallback — and install
-/// the same records-only posmap the row scan builds.
+/// Every JSON file batches: flat JSON through the batched tokenizer,
+/// nested JSON through its structure tapes (`supports_batch_scan` is
+/// exactly the predicate the executor's `batchable` uses, so asserting
+/// it here asserts which path a vectorized plan runs). A vectorized
+/// first scan of a nested file answers as the row mode does and
+/// installs the records + tapes posmap the row scan builds.
 #[test]
-fn nested_json_engages_the_row_fallback_and_flat_json_batches() {
+fn nested_and_flat_json_both_batch() {
     let mut saw_flat = false;
     let mut saw_nested = false;
     for ds in datasets() {
@@ -740,18 +736,13 @@ fn nested_json_engages_the_row_fallback_and_flat_json_batches() {
         }
         let bytes = json::write_json(&ds.schema, &ds.records);
         let file = Arc::new(RawFile::from_bytes(bytes, ds.format, ds.schema.clone()));
-        assert_eq!(
-            file.supports_batch_scan(),
-            !ds.schema.has_nested(),
-            "{}: flat JSON batches, nested JSON falls back",
-            ds.name
-        );
+        assert!(file.supports_batch_scan(), "{}: JSON batches", ds.name);
         if ds.schema.has_nested() {
             saw_nested = true;
-            // A vectorized execution on the nested file runs the row
-            // fallback: results match the row mode exactly, a first scan
-            // is reported, and the posmap the scan installs is the row
-            // tokenizer's records-only map.
+            // A vectorized execution on the nested file is the batched
+            // tape scan: results match the row mode exactly, a first
+            // scan is reported, and the posmap the scan installs is the
+            // row tokenizer's records + tapes map.
             let leaves = ds.schema.leaves();
             let accessed: Vec<usize> = (0..leaves.len()).collect();
             let plan = plan_for(AccessPath::Raw(Arc::clone(&file)), &(accessed, None, false));
@@ -760,11 +751,15 @@ fn nested_json_engages_the_row_fallback_and_flat_json_batches() {
                 vec_out.stats.tables[0].access,
                 recache::engine::exec::AccessKind::RawFirstScan
             );
+            assert!(!vec_out.stats.tables[0].degraded_fallback);
             let row_out = execute_with(&plan, &ROW).unwrap();
             assert_eq!(vec_out.values, row_out.values, "{}", ds.name);
             assert_eq!(vec_out.rows_aggregated, row_out.rows_aggregated);
-            let map = file.posmap().expect("fallback scan installs the map");
+            let map = file
+                .posmap()
+                .expect("the batched first scan installs the map");
             assert!(!map.has_field_offsets());
+            assert!(!map.has_json_value_offsets());
             assert_eq!(map.record_count(), ds.records.len());
         } else {
             saw_flat = true;

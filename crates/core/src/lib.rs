@@ -8,7 +8,8 @@
 //!                                   │   wait, then reuse (single-flight)
 //!                                   ▼
 //!                          engine::execute (raw scan | cache scan)
-//!                                   │
+//!                                   │ entries decided eager before the scan
+//!                                   │ are built inside it, per scan task
 //!            ┌── miss: materialize (reactive eager/lazy admission) ──► admit
 //!            ├── hit: update n/s/l stats, observe D/C/ri/ci, maybe switch layout
 //!            └── lazy hit: upgrade to eager
@@ -27,13 +28,13 @@ pub mod result;
 pub mod result_cache;
 pub mod session;
 
-use materialize::{materialize_with_admission, upgrade_to_eager, StoreChoice};
+use materialize::{materialize_with_admission, upgrade_to_eager, MaterializeResult, StoreChoice};
 use recache_cache::admission::{AdmissionConfig, AdmissionDecision};
 use recache_cache::eviction::EvictionKind;
 use recache_cache::layout_model::{LayoutDecision, QueryObservation};
 use recache_cache::registry::{CacheRegistry, EntryId, FutureOracle, MatchResult};
 use recache_data::{FaultPlan, FileFormat, RawFile, RetryPolicy};
-use recache_engine::exec::{self, ExecOptions};
+use recache_engine::exec::{self, BuildRequest, ExecOptions};
 use recache_engine::plan::{AccessPath, QueryPlan, TablePlan};
 use recache_engine::sql::{parse_query, QuerySpec};
 use recache_layout::{
@@ -695,7 +696,26 @@ impl ReCache {
             joins: resolved.joins.clone(),
             aggregates: resolved.aggregates.clone(),
         };
-        let output = match self.shared_execute(&plan, options) {
+        // A single-table query over a mapped file builds its eager entry
+        // inside the scan when eager is decided before the scan: a miss
+        // admitted eagerly whatever its sample would say, or a reused
+        // lazy entry, which the reuse upgrades. Sampled admissions, first
+        // scans and joins build after the scan, below.
+        let build = match (resolved.tables.as_slice(), routes.as_slice()) {
+            ([table], [route]) if self.caching => {
+                let eager = match route.hit {
+                    None => self.eager_before_scan(&table.name),
+                    Some(_) => route.was_offsets,
+                };
+                let map = eager.then(|| table.file.posmap()).flatten();
+                map.map(|map| BuildRequest {
+                    choice: self.store_choice(&table.file),
+                    map,
+                })
+            }
+            _ => None,
+        };
+        let output = match self.shared_execute(&plan, options, build.as_ref()) {
             Ok(output) => output,
             Err(err) => {
                 // Classify the failure before it propagates. Any flight
@@ -709,15 +729,17 @@ impl ReCache {
             }
         };
 
-        // Post-execution cache maintenance.
+        // Post-execution cache maintenance. Entries built in the pass
+        // charge their build to caching, not to execution.
         let mut output = output;
-        let exec_ns = output.stats.total_ns;
-        let mut caching_ns = 0u64;
+        let mut caching_ns: u64 = output.stats.tables.iter().map(|t| t.build_ns).sum();
+        let exec_ns = output.stats.total_ns.saturating_sub(caching_ns);
         let mut lookup_ns_total = 0u64;
         let mut summaries = Vec::with_capacity(resolved.tables.len());
         for (i, table) in resolved.tables.iter().enumerate() {
             // Move the satisfying ids out (they can be large; no clone).
             let satisfying_ids = output.stats.tables[i].satisfying.take();
+            let built = output.stats.tables[i].built.take();
             let stats = &output.stats.tables[i];
             let route = &routes[i];
             lookup_ns_total += route.lookup_ns;
@@ -774,16 +796,25 @@ impl ReCache {
                         }
                     }
                     if route.was_offsets {
-                        // Lazy entry reused: upgrade to eager. The
-                        // upgrade re-reads raw data and may fail (e.g.
-                        // injected faults); the query's answer is already
-                        // computed, so a failed upgrade is counted and
-                        // skipped — the entry simply stays lazy.
-                        match self.upgrade_entry(table, id) {
-                            Ok(ns) => {
-                                caching_ns += ns;
-                                summary.admission = Some(AdmissionDecision::Eager);
-                            }
+                        // Lazy entry reused: upgrade to eager, with the
+                        // store its by-id scan built, or else by re-reading
+                        // its records now. Either may fail (e.g. injected
+                        // faults, a damaged record); the query's answer is
+                        // already computed, so a failed upgrade is counted
+                        // and skipped — the entry simply stays lazy.
+                        let upgraded = match built {
+                            Some(built) => built.map(|data| {
+                                self.registry.replace_data_if(
+                                    id,
+                                    Some(LayoutKind::Offsets),
+                                    data,
+                                    stats.build_ns,
+                                );
+                            }),
+                            None => self.upgrade_entry(table, id).map(|ns| caching_ns += ns),
+                        };
+                        match upgraded {
+                            Ok(()) => summary.admission = Some(AdmissionDecision::Eager),
                             Err(_) => self.registry.note_failed_scan(),
                         }
                     }
@@ -792,31 +823,38 @@ impl ReCache {
                     let mut admitted = false;
                     if let Some(satisfying) = satisfying_ids {
                         if !satisfying.is_empty() {
-                            let rows_out = stats.rows_out;
-                            let exec_ns_table = stats.exec_ns;
-                            let to1 = exec_ns + caching_ns;
-                            let choice = self.store_choice(&table.file);
-                            let working_set = self.registry.source_in_working_set(&table.name);
-                            // Materialization re-reads raw data and may
-                            // fail under injected faults. The query's
-                            // answer is already computed: a failed build
-                            // loses only the cache entry, so count it,
-                            // skip the admission, and let the flight
+                            // The entry was built in the pass (eager was
+                            // decided before the scan), or is built now by
+                            // re-reading the satisfying records. Either
+                            // may fail: on injected faults, or on a record
+                            // damaged in a field the query skipped. The
+                            // query's answer is already computed: a failed
+                            // build loses only the cache entry, so count
+                            // it, skip the admission, and let the flight
                             // complete as not-admitted below (waiters run
                             // their own scans; nothing half-admitted is
                             // left behind — `admit` was never called, so
                             // no byte accounting needs rolling back).
-                            match materialize_with_admission(
-                                &table.file,
-                                choice,
-                                &self.admission,
-                                satisfying,
-                                rows_out,
-                                to1,
-                                working_set,
-                            ) {
+                            let result = match built {
+                                Some(built) => built.map(|data| MaterializeResult {
+                                    data,
+                                    caching_ns: stats.build_ns,
+                                    decision: AdmissionDecision::Eager,
+                                    overhead: 0.0,
+                                }),
+                                None => materialize_with_admission(
+                                    &table.file,
+                                    self.store_choice(&table.file),
+                                    &self.admission,
+                                    satisfying,
+                                    stats.rows_out,
+                                    exec_ns + caching_ns,
+                                    self.registry.source_in_working_set(&table.name),
+                                )
+                                .inspect(|result| caching_ns += result.caching_ns),
+                            };
+                            match result {
                                 Ok(result) => {
-                                    caching_ns += result.caching_ns;
                                     summary.admission = Some(result.decision);
                                     self.registry.admit(
                                         &table.name,
@@ -825,7 +863,7 @@ impl ReCache {
                                         table.ranges.clone(),
                                         table.subsumable,
                                         result.data,
-                                        exec_ns_table,
+                                        stats.exec_ns,
                                         result.caching_ns,
                                         route.lookup_ns,
                                     );
@@ -885,25 +923,32 @@ impl ReCache {
     /// no added latency — and the leader stops gathering early once
     /// every live query has joined the group (or finished), so the full
     /// window is an upper bound, not a fixed cost.
-    fn shared_execute(&self, plan: &QueryPlan, options: &ExecOptions) -> Result<exec::QueryOutput> {
+    fn shared_execute(
+        &self,
+        plan: &QueryPlan,
+        options: &ExecOptions,
+        build: Option<&BuildRequest>,
+    ) -> Result<exec::QueryOutput> {
         let config = self.shared.config();
         if !config.enabled
             || self.live.load(Ordering::Relaxed) < 2
             || !exec::shareable(plan, options)
         {
-            return exec::execute_with(plan, options);
+            return exec::execute_building(plan, options, build);
         }
-        match self.shared.rendezvous(&plan.tables[0].name, plan) {
+        match self.shared.rendezvous(&plan.tables[0].name, plan, build) {
             SharedRole::Lead(lead) => {
-                let plans = lead.gather(&self.live);
-                if plans.len() < 2 {
+                let members = lead.gather(&self.live);
+                if members.len() < 2 {
                     // Nobody joined inside the window: plain solo run.
                     // (Dropping the lead publishes fallback to the empty
                     // member set — a no-op.)
                     drop(lead);
-                    return exec::execute_with(plan, options);
+                    return exec::execute_building(plan, options, build);
                 }
-                match exec::execute_shared(&plans, options) {
+                let (plans, builds): (Vec<QueryPlan>, Vec<Option<BuildRequest>>) =
+                    members.into_iter().unzip();
+                match exec::execute_shared_building(&plans, &builds, options) {
                     Ok(mut outputs) => {
                         self.registry.note_shared_scan();
                         self.registry
@@ -918,16 +963,26 @@ impl ReCache {
                         // handling (bounded retry, degraded fallback,
                         // typed errors) applies unchanged.
                         drop(lead);
-                        exec::execute_with(plan, options)
+                        exec::execute_building(plan, options, build)
                     }
                 }
             }
             SharedRole::Member(gather, ticket) => {
                 match gather.await_serve(ticket, options.cancel.as_deref())? {
                     SharedServe::Output(output) => Ok(output),
-                    SharedServe::Fallback => exec::execute_with(plan, options),
+                    SharedServe::Fallback => exec::execute_building(plan, options, build),
                 }
             }
+        }
+    }
+
+    /// Whether a miss on `source` is admitted eagerly whatever its sample
+    /// would say: eager is forced, or the source is in the working set
+    /// (§5.2).
+    fn eager_before_scan(&self, source: &str) -> bool {
+        match self.admission.force {
+            Some(decision) => decision == AdmissionDecision::Eager,
+            None => self.registry.source_in_working_set(source),
         }
     }
 

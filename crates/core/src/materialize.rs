@@ -1,13 +1,22 @@
-//! Cache materialization with reactive admission (§5.2).
+//! Cache materialization with reactive admission (§5.2), after the scan.
 //!
-//! A cache miss whose scan collected satisfying record ids is materialized
-//! in a second pass over those records, through the positional map the
-//! first pass built. The pass starts eagerly: the first `sample_records`
-//! records are appended to the entry's builder and timed, the caching
-//! overhead is extrapolated (`tc/to`), and if it exceeds the threshold
-//! the pass aborts and only the offsets are kept (lazy). Otherwise the
-//! rest of the records go into the same builder. A lazy entry that gets
-//! reused is upgraded to an eager store by the same builder.
+//! Most eager entries are built inside the scan itself: when eager is
+//! decided before a single-table scan over a mapped file — admission is
+//! forced eager, or the source is in the working set — or when a lazy
+//! entry is reused, each scan task appends its chunks' records to its
+//! own [`EntryBuilder`] and the parts merge once (see
+//! `recache_engine::exec::BuildRequest`). This module builds the rest
+//! after the scan, from the satisfying record ids, through the positional
+//! map: sampled admissions, first scans (no map yet), joins and the row
+//! path.
+//!
+//! Sampled admission starts eagerly: the first `sample_records` records
+//! are appended to the entry's builder and timed, the caching overhead is
+//! extrapolated (`tc/to`), and if it exceeds the threshold the build
+//! aborts and only the offsets are kept (lazy). Otherwise the rest of the
+//! records go into the same builder. A lazy entry that gets reused is
+//! upgraded to an eager store by the same builder when its by-id scan did
+//! not build one.
 //!
 //! The builder reads the raw records in place, with no `Value` tree in
 //! between: a Dremel entry is shredded from each nested JSON record's
@@ -18,21 +27,13 @@
 //! `Value` and build the store from them at the end.
 
 use recache_cache::admission::{decide, estimate_overhead, AdmissionConfig, AdmissionDecision};
-use recache_data::RawFile;
-use recache_layout::{
-    CacheData, ColumnStore, DremelBuilder, DremelStore, FlatColumnBuilder, OffsetStore, RowStore,
-};
-use recache_types::{Result, Schema, Value};
+use recache_data::{EntryBuilder, RawFile};
+use recache_layout::{CacheData, OffsetStore};
+use recache_types::Result;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Physical layout for eager materialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreChoice {
-    Columnar,
-    Dremel,
-    Row,
-}
+pub use recache_data::StoreChoice;
 
 /// Outcome of a materialization attempt.
 pub struct MaterializeResult {
@@ -44,83 +45,15 @@ pub struct MaterializeResult {
     pub overhead: f64,
 }
 
-/// An eager cache entry under construction.
-enum EntryBuilder {
-    /// Shredded record by record (nested JSON from its structure tapes).
-    Dremel(DremelBuilder),
-    /// Filled field by field (CSV from its field spans).
-    Flat(FlatColumnBuilder),
-    /// Full records, built into the chosen layout at the end.
-    Records(Vec<Value>, StoreChoice),
-}
-
-impl EntryBuilder {
-    fn new(schema: &Schema, choice: StoreChoice) -> Self {
-        match choice {
-            StoreChoice::Dremel => EntryBuilder::Dremel(DremelBuilder::new(schema)),
-            StoreChoice::Columnar => match FlatColumnBuilder::new(schema) {
-                Some(builder) => EntryBuilder::Flat(builder),
-                None => EntryBuilder::Records(Vec::new(), choice),
-            },
-            StoreChoice::Row => EntryBuilder::Records(Vec::new(), choice),
-        }
-    }
-
-    /// Appends records by id. Each call passes the file's row-path fault
-    /// gate once.
-    fn append(&mut self, file: &RawFile, record_ids: &[u32]) -> Result<()> {
-        match self {
-            EntryBuilder::Dremel(builder) => file.shred_records(record_ids, builder),
-            EntryBuilder::Flat(builder) => file.append_flat_records(record_ids, builder),
-            EntryBuilder::Records(records, _) => {
-                records.extend(file.read_records(record_ids)?);
-                Ok(())
-            }
-        }
-    }
-
-    /// Seals the store, tagging it with the records' source-file ids so
-    /// later scans over the cache report *file* record ids (the
-    /// lazy/offsets admission path stores exactly these). Full records
-    /// are dropped here, so their deallocation is billed to caching.
-    fn finish(self, schema: &Schema, record_ids: &[u32]) -> CacheData {
-        let ids = record_ids.to_vec();
-        match self {
-            EntryBuilder::Dremel(builder) => {
-                let mut store = builder.finish();
-                store.set_source_record_ids(ids);
-                CacheData::Dremel(Arc::new(store))
-            }
-            EntryBuilder::Flat(builder) => {
-                let mut store = builder.finish();
-                store.set_source_record_ids(ids);
-                CacheData::Columnar(Arc::new(store))
-            }
-            EntryBuilder::Records(records, StoreChoice::Columnar) => {
-                let mut store = ColumnStore::build(schema, &records);
-                store.set_source_record_ids(ids);
-                CacheData::Columnar(Arc::new(store))
-            }
-            EntryBuilder::Records(records, StoreChoice::Dremel) => {
-                let mut store = DremelStore::build(schema, &records);
-                store.set_source_record_ids(ids);
-                CacheData::Dremel(Arc::new(store))
-            }
-            EntryBuilder::Records(records, StoreChoice::Row) => {
-                let mut store = RowStore::build(schema, &records);
-                store.set_source_record_ids(ids);
-                CacheData::Row(Arc::new(store))
-            }
-        }
-    }
-}
-
 /// Materializes a new cache entry for `file` from the satisfying record
 /// ids, applying the reactive admission policy.
 ///
 /// * `to1_ns` — query time already spent before caching began,
 /// * `flattened_rows` — satisfying flattened rows (stat for lazy stores),
-/// * `working_set` — other entries from this source are still cached.
+/// * `working_set` — the source is in the working set: an entry from it
+///   is cached and has been reused
+///   (`CacheRegistry::source_in_working_set`), so admission goes eager
+///   without heeding the sample.
 pub fn materialize_with_admission(
     file: &RawFile,
     choice: StoreChoice,
@@ -148,7 +81,7 @@ pub fn materialize_with_admission(
     let total = record_ids.len();
     let sample_n = config.sample_records.min(total).max(1.min(total));
     let mut builder = EntryBuilder::new(file.schema(), choice);
-    builder.append(file, &record_ids[..sample_n])?;
+    file.append_records(&record_ids[..sample_n], &mut builder)?;
     let tc_sample_ns = t0.elapsed().as_nanos() as u64;
     let overhead = estimate_overhead(to1_ns, tc_sample_ns, 0, sample_n, total);
     let decision = if config.force == Some(AdmissionDecision::Eager) {
@@ -165,8 +98,8 @@ pub fn materialize_with_admission(
             CacheData::Offsets(Arc::new(OffsetStore::build(record_ids, flattened_rows)))
         }
         AdmissionDecision::Eager => {
-            builder.append(file, &record_ids[sample_n..])?;
-            builder.finish(file.schema(), &record_ids)
+            file.append_records(&record_ids[sample_n..], &mut builder)?;
+            builder.finish(file.schema(), record_ids)
         }
     };
     Ok(MaterializeResult {
@@ -186,8 +119,8 @@ pub fn upgrade_to_eager(
 ) -> Result<(CacheData, u64)> {
     let t0 = Instant::now();
     let mut builder = EntryBuilder::new(file.schema(), choice);
-    builder.append(file, store.record_ids())?;
-    let data = builder.finish(file.schema(), store.record_ids());
+    file.append_records(store.record_ids(), &mut builder)?;
+    let data = builder.finish(file.schema(), store.record_ids().to_vec());
     Ok((data, t0.elapsed().as_nanos() as u64))
 }
 
@@ -196,7 +129,8 @@ mod tests {
     use super::*;
     use recache_data::gen::tpch;
     use recache_data::{csv, json, FileFormat};
-    use recache_types::{DataType, Field, Schema};
+    use recache_layout::{ColumnStore, DremelStore, RowStore};
+    use recache_types::{DataType, Field, Schema, Value};
     use std::io::Write;
 
     fn csv_file(rows: usize) -> RawFile {
@@ -684,6 +618,70 @@ mod tests {
         let (data, _) = upgrade_to_eager(&file, StoreChoice::Dremel, &offsets).unwrap();
         let want = fresh_store(file.schema(), &fresh, &ids, StoreChoice::Dremel);
         assert_store_eq(&data, &want, "upgrade");
+    }
+
+    /// Builders over consecutive runs of records, appended in order onto
+    /// the first, finish to the store one builder over every record
+    /// does, in every layout: 2, 3 and 7 parts of uneven sizes (some
+    /// empty), cut just before, at and after 256-record boundaries, so
+    /// the Dremel chunk index is rebuilt at the merged store's own
+    /// boundaries.
+    fn assert_appended_parts_equal_a_serial_build(file: &RawFile, n_records: usize) {
+        let map = file.posmap().expect("mapped");
+        let cut_sets: [&[usize]; 7] = [
+            &[255],
+            &[256],
+            &[257],
+            &[255, 512],
+            &[256, 257],
+            &[1, 255, 256, 257, 513, 600],
+            &[0, 255, 255, 511, 512, 650],
+        ];
+        let all: Vec<u32> = (0..n_records as u32).collect();
+        let some: Vec<u32> = all.iter().copied().filter(|i| i % 3 != 1).collect();
+        for ids in [&all, &some] {
+            for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+                let build = |ids: &[u32]| {
+                    let mut builder = EntryBuilder::new(file.schema(), choice);
+                    file.append_records_with(&map, ids, &mut builder).unwrap();
+                    builder
+                };
+                let serial = build(ids).finish(file.schema(), ids.to_vec());
+                for cuts in cut_sets {
+                    let mut bounds = vec![0];
+                    bounds.extend(cuts.iter().map(|&cut| cut.min(ids.len())));
+                    bounds.push(ids.len());
+                    let mut parts = bounds.windows(2).map(|w| build(&ids[w[0]..w[1]]));
+                    let mut merged = parts.next().expect("a first part");
+                    parts.for_each(|part| merged.append(part));
+                    let case = format!(
+                        "{:?} {choice:?}, {} of {n_records} ids cut at {cuts:?}",
+                        file.format(),
+                        ids.len()
+                    );
+                    let data = merged.finish(file.schema(), ids.to_vec());
+                    assert_store_eq(&data, &serial, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appended_nested_json_parts_equal_a_serial_build() {
+        let (file, fresh) = nested_json_file();
+        assert_appended_parts_equal_a_serial_build(&file, fresh.len());
+    }
+
+    #[test]
+    fn appended_hostile_json_parts_equal_a_serial_build() {
+        let (file, fresh) = hostile_json_file();
+        assert_appended_parts_equal_a_serial_build(&file, fresh.len());
+    }
+
+    #[test]
+    fn appended_typed_csv_parts_equal_a_serial_build() {
+        let (file, fresh) = typed_csv_file();
+        assert_appended_parts_equal_a_serial_build(&file, fresh.len());
     }
 
     #[test]

@@ -29,10 +29,12 @@ pub struct TableSummary {
 pub struct QueryStats {
     /// End-to-end wall time (execution + cache maintenance).
     pub total_ns: u64,
-    /// Engine execution time only.
+    /// Engine execution time only, less the time charged to entries the
+    /// scan built in its pass.
     pub exec_ns: u64,
-    /// Cache-maintenance time: materialization, upgrades, layout
-    /// switches (the paper's per-query caching overhead).
+    /// Cache-maintenance time: materialization and upgrades, whether
+    /// built inside the scan's pass or after it, and layout switches (the
+    /// paper's per-query caching overhead).
     pub caching_ns: u64,
     /// Cache lookup time (`l`).
     pub lookup_ns: u64,

@@ -45,7 +45,7 @@
 
 use crate::{QueryRequest, QueryResponse, QueryResult, ReCache};
 use recache_cache::registry::LeafRange;
-use recache_engine::exec::{ExecOptions, QueryOutput, Repricer};
+use recache_engine::exec::{BuildRequest, ExecOptions, QueryOutput, Repricer};
 use recache_engine::plan::QueryPlan;
 use recache_engine::sql::QuerySpec;
 use recache_types::{CancelToken, Error, Result};
@@ -425,8 +425,9 @@ pub(crate) enum SharedServe {
 struct GatherState {
     /// A sealed group accepts no more members (its leader is running).
     sealed: bool,
-    /// Participant plans in ticket order; slot 0 is the leader's.
-    plans: Vec<QueryPlan>,
+    /// Participant plans, each with the cache entry it asks the pass to
+    /// build, in ticket order; slot 0 is the leader's.
+    plans: Vec<(QueryPlan, Option<BuildRequest>)>,
     /// Per-ticket serves, filled at publish; `None` reads as fallback.
     results: Vec<Option<SharedServe>>,
     done: bool,
@@ -489,17 +490,17 @@ pub(crate) struct GatherLead<'a> {
 
 impl GatherLead<'_> {
     /// Waits out the gather window, un-maps and seals the group, and
-    /// returns every participant's plan in ticket order (the leader's at
-    /// slot 0). The wait is cut short the moment no more members can
-    /// usefully arrive: when the group fills to `max_participants`, or
-    /// when every query counted by the session's live gauge is already
-    /// in the group (a future joiner increments the gauge *before*
-    /// rendezvousing, so a pending joiner is always counted). Joining
-    /// members and departing live queries both notify the group's
-    /// condvar, so the wait needs no polling. After this
+    /// returns every participant's plan and build request in ticket
+    /// order (the leader's at slot 0). The wait is cut short the moment
+    /// no more members can usefully arrive: when the group fills to
+    /// `max_participants`, or when every query counted by the session's
+    /// live gauge is already in the group (a future joiner increments the
+    /// gauge *before* rendezvousing, so a pending joiner is always
+    /// counted). Joining members and departing live queries both notify
+    /// the group's condvar, so the wait needs no polling. After this
     /// returns no further member can join, so `publish` may size its
     /// serves off the returned plans.
-    pub(crate) fn gather(&self, live: &AtomicUsize) -> Vec<QueryPlan> {
+    pub(crate) fn gather(&self, live: &AtomicUsize) -> Vec<(QueryPlan, Option<BuildRequest>)> {
         let config = &self.board.config;
         let deadline = Instant::now() + config.gather_window;
         {
@@ -587,12 +588,17 @@ impl SharedScans {
     /// Joining happens while holding the map lock — a mapped group is by
     /// invariant unsealed (leaders un-map before sealing) — so a member's
     /// ticket is always eventually served (or explicitly fallback'd).
-    pub(crate) fn rendezvous(&self, source: &str, plan: &QueryPlan) -> SharedRole<'_> {
+    pub(crate) fn rendezvous(
+        &self,
+        source: &str,
+        plan: &QueryPlan,
+        build: Option<&BuildRequest>,
+    ) -> SharedRole<'_> {
         let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(group) = groups.get(source) {
             let mut state = group.state.lock().unwrap_or_else(|e| e.into_inner());
             if !state.sealed && state.plans.len() < self.config.max_participants {
-                state.plans.push(plan.clone());
+                state.plans.push((plan.clone(), build.cloned()));
                 let ticket = state.plans.len() - 1;
                 group.cv.notify_all();
                 let group = Arc::clone(group);
@@ -606,7 +612,7 @@ impl SharedScans {
         let group = Arc::new(Gather {
             state: Mutex::new(GatherState {
                 sealed: false,
-                plans: vec![plan.clone()],
+                plans: vec![(plan.clone(), build.cloned())],
                 results: Vec::new(),
                 done: false,
             }),
@@ -1360,13 +1366,13 @@ mod tests {
             max_participants: 3,
             gather_window: Duration::from_millis(200),
         });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("first arrival must lead");
         };
-        let SharedRole::Member(m1, t1) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Member(m1, t1) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("second arrival must join");
         };
-        let SharedRole::Member(m2, t2) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Member(m2, t2) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("third arrival must join");
         };
         assert_eq!((t1, t2), (1, 2));
@@ -1375,7 +1381,7 @@ mod tests {
         assert_eq!(plans.len(), 3);
         // Full and sealed: the next arrival opens a fresh group.
         assert!(matches!(
-            shared.rendezvous("t", &tiny_plan()),
+            shared.rendezvous("t", &tiny_plan(), None),
             SharedRole::Lead(_)
         ));
         lead.publish(vec![
@@ -1401,10 +1407,10 @@ mod tests {
             // come from the live-gauge check, not window expiry.
             gather_window: Duration::from_secs(10),
         });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must lead");
         };
-        let SharedRole::Member(_m, t) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Member(_m, t) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must join");
         };
         assert_eq!(t, 1);
@@ -1432,10 +1438,10 @@ mod tests {
         let _leader = crate::LiveGuard::enter(&live, &shared);
         let _member = crate::LiveGuard::enter(&live, &shared);
         let outsider = crate::LiveGuard::enter(&live, &shared);
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must lead");
         };
-        let SharedRole::Member(_m, _) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Member(_m, _) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must join");
         };
         let start = Instant::now();
@@ -1467,10 +1473,10 @@ mod tests {
             max_participants: 4,
             gather_window: Duration::from_millis(200),
         });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must lead");
         };
-        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must join");
         };
         // The leader unwinds without publishing (query error / panic):
@@ -1482,7 +1488,7 @@ mod tests {
         ));
         // The dead group is unmapped: the source is claimable again.
         assert!(matches!(
-            shared.rendezvous("t", &tiny_plan()),
+            shared.rendezvous("t", &tiny_plan(), None),
             SharedRole::Lead(_)
         ));
     }
@@ -1490,10 +1496,10 @@ mod tests {
     #[test]
     fn cancelled_shared_scan_member_stops_waiting() {
         let shared = SharedScans::new(SharedScanConfig::default());
-        let SharedRole::Lead(_lead) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Lead(_lead) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must lead");
         };
-        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan()) else {
+        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan(), None) else {
             panic!("must join");
         };
         let token = CancelToken::new();

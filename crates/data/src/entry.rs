@@ -1,0 +1,95 @@
+//! Eager cache entries under construction.
+//!
+//! An [`EntryBuilder`] takes the records of a raw file by id, read in
+//! place through the file's positional map (see
+//! [`RawFile::append_records`](crate::RawFile::append_records)), and
+//! seals them into a cache store. Builders over disjoint runs of records
+//! concatenate in record order ([`EntryBuilder::append`]), so a parallel
+//! scan can build its parts on its own threads and seal the merged store
+//! once; dictionary encoding waits for [`EntryBuilder::finish`], so the
+//! merged store equals a serial build bit for bit.
+
+use recache_layout::{
+    CacheData, ColumnStore, DremelBuilder, DremelStore, FlatColumnBuilder, RowStore,
+};
+use recache_types::{Schema, Value};
+use std::sync::Arc;
+
+/// Physical layout for eager materialization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreChoice {
+    Columnar,
+    Dremel,
+    Row,
+}
+
+/// An eager cache entry under construction.
+#[derive(Debug)]
+pub enum EntryBuilder {
+    /// Shredded record by record (nested JSON from its structure tapes).
+    Dremel(DremelBuilder),
+    /// Filled field by field (CSV from its field spans).
+    Flat(FlatColumnBuilder),
+    /// Full records, built into the chosen layout at the end.
+    Records(Vec<Value>, StoreChoice),
+}
+
+impl EntryBuilder {
+    pub fn new(schema: &Schema, choice: StoreChoice) -> Self {
+        match choice {
+            StoreChoice::Dremel => EntryBuilder::Dremel(DremelBuilder::new(schema)),
+            StoreChoice::Columnar => match FlatColumnBuilder::new(schema) {
+                Some(builder) => EntryBuilder::Flat(builder),
+                None => EntryBuilder::Records(Vec::new(), choice),
+            },
+            StoreChoice::Row => EntryBuilder::Records(Vec::new(), choice),
+        }
+    }
+
+    /// Appends the records of another builder, made by
+    /// [`EntryBuilder::new`] for the same schema and layout, after this
+    /// builder's records.
+    pub fn append(&mut self, other: EntryBuilder) {
+        match (self, other) {
+            (EntryBuilder::Dremel(into), EntryBuilder::Dremel(more)) => into.append(more),
+            (EntryBuilder::Flat(into), EntryBuilder::Flat(more)) => into.append(more),
+            (EntryBuilder::Records(into, _), EntryBuilder::Records(more, _)) => into.extend(more),
+            _ => unreachable!("appending builders of different layouts"),
+        }
+    }
+
+    /// Seals the store, tagging it with the records' source-file ids
+    /// (ascending, one per appended record) so later scans over the
+    /// cache report *file* record ids (the lazy/offsets admission path
+    /// stores exactly these). Full records are dropped here, so their
+    /// deallocation is billed to the build.
+    pub fn finish(self, schema: &Schema, record_ids: Vec<u32>) -> CacheData {
+        match self {
+            EntryBuilder::Dremel(builder) => {
+                let mut store = builder.finish();
+                store.set_source_record_ids(record_ids);
+                CacheData::Dremel(Arc::new(store))
+            }
+            EntryBuilder::Flat(builder) => {
+                let mut store = builder.finish();
+                store.set_source_record_ids(record_ids);
+                CacheData::Columnar(Arc::new(store))
+            }
+            EntryBuilder::Records(records, StoreChoice::Columnar) => {
+                let mut store = ColumnStore::build(schema, &records);
+                store.set_source_record_ids(record_ids);
+                CacheData::Columnar(Arc::new(store))
+            }
+            EntryBuilder::Records(records, StoreChoice::Dremel) => {
+                let mut store = DremelStore::build(schema, &records);
+                store.set_source_record_ids(record_ids);
+                CacheData::Dremel(Arc::new(store))
+            }
+            EntryBuilder::Records(records, StoreChoice::Row) => {
+                let mut store = RowStore::build(schema, &records);
+                store.set_source_record_ids(record_ids);
+                CacheData::Row(Arc::new(store))
+            }
+        }
+    }
+}

@@ -13,6 +13,7 @@
 //! * expose per-scan metrics that feed the cost-based cache policies.
 
 pub mod csv;
+pub mod entry;
 pub mod fault;
 pub mod gen;
 pub mod json;
@@ -21,6 +22,7 @@ pub mod posmap;
 pub mod raw_batch;
 pub mod source;
 
+pub use entry::{EntryBuilder, StoreChoice};
 pub use fault::{FaultKind, FaultPlan, FaultSite, RetryPolicy};
 pub use posmap::PositionalMap;
 pub use source::{FileFormat, RawFile, ScanMetrics};

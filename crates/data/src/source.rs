@@ -1,17 +1,18 @@
 //! [`RawFile`]: a raw CSV or JSON source with a lazily built positional
 //! map, exposing flattened, projected scans to the query engine.
 
+use crate::entry::EntryBuilder;
 use crate::fault::{FaultPlan, FaultSite, RetryPolicy};
 use crate::posmap::PositionalMap;
 use crate::raw_batch::{self, RawBatchIndex};
 use crate::{csv, json, json_batch};
 use recache_layout::{
-    BatchScratch, ColumnBatch, DremelBuilder, FlatColumnBuilder, ScanCost, SelectionVector,
-    BATCH_ROWS, CHUNK_RECORDS,
+    BatchScratch, ColumnBatch, ScanCost, SelectionVector, BATCH_ROWS, CHUNK_RECORDS,
 };
 use recache_types::{
     FlatRow, FlatRows, Flattener, LeafField, Result, ScalarType, ScanCtl, Schema, Value,
 };
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -322,89 +323,97 @@ impl RawFile {
     pub fn read_records(&self, record_ids: &[u32]) -> Result<Vec<Value>> {
         let map = self.record_read_map()?;
         let mut out = Vec::with_capacity(record_ids.len());
+        self.read_records_with(&map, record_ids, &mut |record| out.push(record))?;
+        Ok(out)
+    }
+
+    /// Parses full records by id through `map`, in order.
+    fn read_records_with(
+        &self,
+        map: &PositionalMap,
+        record_ids: &[u32],
+        out: &mut dyn FnMut(Value),
+    ) -> Result<()> {
+        let (bytes, schema) = (&self.bytes, &self.schema);
         match self.format {
             FileFormat::Csv => {
-                let accessed = vec![true; self.schema.len()];
+                let accessed = vec![true; schema.len()];
                 for &id in record_ids {
-                    let values = csv::parse_record_at(
-                        &self.bytes,
-                        &self.schema,
-                        &map,
-                        id as usize,
-                        &accessed,
-                    )?;
-                    out.push(Value::Struct(values));
+                    let values = csv::parse_record_at(bytes, schema, map, id as usize, &accessed)?;
+                    out(Value::Struct(values));
                 }
             }
             FileFormat::Json => {
                 for &id in record_ids {
-                    out.push(json::parse_record_at(
-                        &self.bytes,
-                        &self.schema,
-                        &map,
+                    out(json::parse_record_at(
+                        bytes,
+                        schema,
+                        map,
                         id as usize,
                         None,
                     )?);
                 }
             }
         }
-        Ok(out)
-    }
-
-    /// Shreds full records by id into a Dremel builder through the
-    /// positional map (cache materialization): JSON records straight
-    /// from their structure tapes, CSV records one parsed record at a
-    /// time. The store and any error equal shredding
-    /// [`RawFile::read_records`]'s records.
-    pub fn shred_records(&self, record_ids: &[u32], builder: &mut DremelBuilder) -> Result<()> {
-        let map = self.record_read_map()?;
-        let (bytes, schema) = (&self.bytes, &self.schema);
-        match self.format {
-            FileFormat::Csv => {
-                let accessed = vec![true; schema.len()];
-                for &id in record_ids {
-                    let values = csv::parse_record_at(bytes, schema, &map, id as usize, &accessed)?;
-                    builder.push_record(&Value::Struct(values));
-                }
-            }
-            FileFormat::Json => {
-                for &id in record_ids {
-                    json::shred_record_at(bytes, schema, &map, id as usize, builder)?;
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Appends full records by id to a flat columnar builder through the
-    /// positional map (cache materialization): CSV fields parsed from
-    /// their spans straight into the columns, flat JSON records one
-    /// parsed record at a time. The store and any error equal building
-    /// from [`RawFile::read_records`]'s records.
-    pub fn append_flat_records(
-        &self,
-        record_ids: &[u32],
-        builder: &mut FlatColumnBuilder,
-    ) -> Result<()> {
+    /// Appends full records by id to a cache entry's builder through the
+    /// positional map, behind the row-path fault gate (the post-scan
+    /// build).
+    pub fn append_records(&self, record_ids: &[u32], builder: &mut EntryBuilder) -> Result<()> {
         let map = self.record_read_map()?;
+        self.append_records_with(&map, record_ids, builder)
+    }
+
+    /// [`RawFile::append_records`] through a map the caller sampled, with
+    /// no fault gate: a batched scan builds its entry this way from the
+    /// records of a chunk whose own gate already admitted them. Nested
+    /// JSON records shred straight from their structure tapes into a
+    /// Dremel builder; CSV fields parse from their spans straight into a
+    /// flat columnar builder; every other pairing goes one parsed record
+    /// at a time. The store and any error equal building from
+    /// [`RawFile::read_records`]' records.
+    pub fn append_records_with(
+        &self,
+        map: &PositionalMap,
+        record_ids: &[u32],
+        builder: &mut EntryBuilder,
+    ) -> Result<()> {
         let (bytes, schema) = (&self.bytes, &self.schema);
-        for &id in record_ids {
-            match self.format {
-                FileFormat::Csv => csv::push_record_at(bytes, &map, id as usize, builder)?,
-                FileFormat::Json => {
-                    let record = json::parse_record_at(bytes, schema, &map, id as usize, None)?;
+        match (builder, self.format) {
+            (EntryBuilder::Dremel(builder), FileFormat::Json) => {
+                for &id in record_ids {
+                    json::shred_record_at(bytes, schema, map, id as usize, builder)?;
+                }
+                Ok(())
+            }
+            (EntryBuilder::Flat(builder), FileFormat::Csv) => {
+                for &id in record_ids {
+                    csv::push_record_at(bytes, map, id as usize, builder)?;
+                }
+                Ok(())
+            }
+            (EntryBuilder::Dremel(builder), _) => {
+                self.read_records_with(map, record_ids, &mut |record| builder.push_record(&record))
+            }
+            (EntryBuilder::Flat(builder), _) => {
+                self.read_records_with(map, record_ids, &mut |record| {
                     let fields: &[Value] = match &record {
                         Value::Struct(fields) => fields,
                         _ => &[],
                     };
-                    builder.push_record(|i, col| {
+                    let Ok(()) = builder.push_record(|i, col| {
                         col.push(fields.get(i).unwrap_or(&Value::Null));
-                        Ok::<(), recache_types::Error>(())
-                    })?;
-                }
+                        Ok::<(), Infallible>(())
+                    });
+                })
+            }
+            (EntryBuilder::Records(records, _), _) => {
+                records.reserve(record_ids.len());
+                self.read_records_with(map, record_ids, &mut |record| records.push(record))
             }
         }
-        Ok(())
     }
 
     /// Whether [`RawFile::scan_batches_range`] can serve this file: any

@@ -32,9 +32,10 @@
 use crate::exactsum::ExactSum;
 use crate::kernel::{BatchAggregator, CompiledPredicate};
 use crate::plan::{AccessPath, AggFunc, QueryPlan, TablePlan};
-use recache_data::RawFile;
+use recache_data::{EntryBuilder, PositionalMap, RawFile, StoreChoice};
 use recache_layout::{
-    ColumnBatch, ColumnStore, DremelStore, RowStore, ScanCost, SelectionVector, BATCH_ROWS,
+    CacheData, ColumnBatch, ColumnStore, DremelStore, RowStore, ScanCost, SelectionVector,
+    BATCH_ROWS,
 };
 use recache_types::{CancelToken, Error, Result, ScanCtl, Value};
 use std::collections::HashMap;
@@ -143,6 +144,23 @@ impl ExecOptions {
     }
 }
 
+/// A request to build a table's eager cache entry inside its batched
+/// scan, passed to [`execute_building`] / [`execute_shared_building`].
+/// A raw scan appends each chunk's satisfying records, right after the
+/// predicate kernels ran over them; a lazy entry's by-id scan appends
+/// every record it reads, before the filter. Each task builds its own
+/// part, and the parts merge in task order and seal once, into
+/// [`TableStats::built`]. Cache-store scans, joins and the row path
+/// build nothing: the caller builds after the scan instead.
+#[derive(Clone)]
+pub struct BuildRequest {
+    pub choice: StoreChoice,
+    /// The file's positional map, sampled once before the scan. The file's
+    /// bytes never change, so the records it locates are the ones the scan
+    /// reads even if the file's own map is reset meanwhile.
+    pub map: Arc<PositionalMap>,
+}
+
 /// Contiguous task ranges per parallel scan: a few tasks per thread so
 /// range stealing can rebalance skew without shrinking batches.
 const TASKS_PER_THREAD: usize = 4;
@@ -229,6 +247,15 @@ pub struct TableStats {
     /// Whether the batched scan failed with an I/O error and the table
     /// was served by the row-at-a-time fallback instead.
     pub degraded_fallback: bool,
+    /// The entry a [`BuildRequest`] asked for, when the batched pass
+    /// served the table: the sealed store, or the error of the first
+    /// record that failed to build. A failed build drops the entry only;
+    /// the answer stands.
+    pub built: Option<Result<CacheData>>,
+    /// Wall time charged to `built`, and left out of `exec_ns`: the
+    /// scan's wall time times the appends' share of the tasks' summed
+    /// busy time, plus the merge and seal.
+    pub build_ns: u64,
 }
 
 /// Whole-query execution statistics.
@@ -256,6 +283,16 @@ pub fn execute(plan: &QueryPlan) -> Result<QueryOutput> {
 
 /// Executes a plan under explicit [`ExecOptions`].
 pub fn execute_with(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> {
+    execute_building(plan, options, None)
+}
+
+/// [`execute_with`], building the cache entry `build` asks for inside
+/// the scan of a single-table plan (a join ignores it).
+pub fn execute_building(
+    plan: &QueryPlan,
+    options: &ExecOptions,
+    build: Option<&BuildRequest>,
+) -> Result<QueryOutput> {
     let t_start = Instant::now();
     if plan.tables.is_empty() {
         return Err(Error::plan("plan has no tables"));
@@ -269,7 +306,7 @@ pub fn execute_with(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutp
         }
     }
     let output = if plan.tables.len() == 1 && plan.joins.is_empty() {
-        execute_single(plan, options)?
+        execute_single(plan, options, build)?
     } else {
         execute_join(plan, options)?
     };
@@ -279,7 +316,11 @@ pub fn execute_with(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutp
 }
 
 /// Streaming path: scan → filter → aggregate without materializing rows.
-fn execute_single(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput> {
+fn execute_single(
+    plan: &QueryPlan,
+    options: &ExecOptions,
+    build: Option<&BuildRequest>,
+) -> Result<QueryOutput> {
     let table = &plan.tables[0];
 
     // Vectorized fast path: a batchable source + (absent or compilable)
@@ -288,7 +329,7 @@ fn execute_single(plan: &QueryPlan, options: &ExecOptions) -> Result<QueryOutput
     let mut degraded = false;
     if let Some((store, pred)) = batchable(table, options) {
         let raw = !store.is_cache_store();
-        match scan_participants(store, vec![(plan, pred)], options) {
+        match scan_participants(store, vec![(plan, pred, build)], options) {
             Ok(mut outputs) => return Ok(outputs.remove(0)),
             // A raw batched scan whose I/O error survived bounded retry
             // degrades to the row-at-a-time fallback below: the row
@@ -592,6 +633,8 @@ struct ScanOutcome {
     records_scanned: usize,
     flattened_rows: Option<usize>,
     retried_chunks: u64,
+    /// Summed wall time of the batched scan's tasks (0 on the row path).
+    busy_ns: u64,
 }
 
 /// A scan source that supports batched scans: the three cache stores,
@@ -829,17 +872,28 @@ pub fn shareable(plan: &QueryPlan, options: &ExecOptions) -> bool {
 /// fails the *whole* pass — callers fall back to independent execution
 /// per participant, where the solo degraded-fallback path applies.
 pub fn execute_shared(plans: &[QueryPlan], options: &ExecOptions) -> Result<Vec<QueryOutput>> {
+    execute_shared_building(plans, &vec![None; plans.len()], options)
+}
+
+/// [`execute_shared`], building the cache entry `builds[i]` asks for
+/// inside the pass, for each plan `i`.
+pub fn execute_shared_building(
+    plans: &[QueryPlan],
+    builds: &[Option<BuildRequest>],
+    options: &ExecOptions,
+) -> Result<Vec<QueryOutput>> {
+    assert_eq!(plans.len(), builds.len(), "one build request per plan");
     let t_start = Instant::now();
     let mut source: Option<&Arc<RawFile>> = None;
     let mut members = Vec::with_capacity(plans.len());
-    for plan in plans {
+    for (plan, build) in plans.iter().zip(builds) {
         let (file, pred) =
             share_of(plan, options).ok_or_else(|| Error::plan("plan is not shareable"))?;
         if source.is_some_and(|s| !Arc::ptr_eq(s, file)) {
             return Err(Error::plan("shared scan plans target different sources"));
         }
         source = Some(file);
-        members.push((plan, pred));
+        members.push((plan, pred, build.as_ref()));
     }
     let file = source.ok_or_else(|| Error::plan("shared scan needs at least one plan"))?;
     let mut outputs = scan_participants(StoreRef::Raw(file), members, options)?;
@@ -857,6 +911,8 @@ struct Participant<'p> {
     pred: Option<CompiledPredicate>,
     /// Aggregate input slots as union positions (`None` = `count(*)`).
     agg_slots: Vec<Option<usize>>,
+    /// The entry to build in the pass, and the file it reads.
+    build: Option<(&'p BuildRequest, &'p RawFile)>,
 }
 
 /// One participant's output from one task's chunks.
@@ -865,10 +921,13 @@ struct Sink {
     rows_out: usize,
     /// Satisfying record ids, when the plan collects them.
     ids: Option<Vec<u32>>,
+    /// This task's part of the participant's entry, when it builds one.
+    build: Option<TaskBuild>,
 }
 
 impl Sink {
-    fn new(plan: &QueryPlan) -> Self {
+    fn new(part: &Participant<'_>) -> Self {
+        let plan = part.plan;
         Sink {
             aggs: plan
                 .aggregates
@@ -877,6 +936,12 @@ impl Sink {
                 .collect(),
             rows_out: 0,
             ids: plan.tables[0].collect_satisfying.then(Vec::new),
+            build: part.build.map(|(request, file)| TaskBuild {
+                builder: Ok(EntryBuilder::new(file.schema(), request.choice)),
+                ids: Vec::new(),
+                append_ns: 0,
+                seal_ns: 0,
+            }),
         }
     }
 
@@ -895,6 +960,14 @@ impl Sink {
         }
     }
 
+    /// Appends the records of `rows` to this task's part of the entry,
+    /// when the participant builds one.
+    fn build(&mut self, part: &Participant<'_>, batch: &ColumnBatch<'_>, rows: &SelectionVector) {
+        if let (Some(build), Some((request, file))) = (self.build.as_mut(), part.build) {
+            build.append(request, file, batch, rows.as_slice());
+        }
+    }
+
     /// Appends the sink of the next task (task order is row order).
     fn merge(&mut self, next: Sink) {
         self.rows_out += next.rows_out;
@@ -904,6 +977,75 @@ impl Sink {
         for (into, part) in self.aggs.iter_mut().zip(next.aggs) {
             into.merge(part);
         }
+        if let (Some(into), Some(part)) = (self.build.as_mut(), next.build) {
+            into.merge(part);
+        }
+    }
+}
+
+/// One task's part of an entry built in the pass.
+struct TaskBuild {
+    /// The records appended so far, or the error of the first record
+    /// that failed to build (nothing more is appended then).
+    builder: Result<EntryBuilder>,
+    /// File record ids of the appended records, ascending.
+    ids: Vec<u32>,
+    /// Time spent appending, on this task's thread.
+    append_ns: u64,
+    /// Time spent merging later tasks' parts in, and sealing.
+    seal_ns: u64,
+}
+
+impl TaskBuild {
+    /// Appends the records of `rows` of `batch`. A record's rows are
+    /// adjacent and record ids ascend, so each record is taken once.
+    fn append(
+        &mut self,
+        request: &BuildRequest,
+        file: &RawFile,
+        batch: &ColumnBatch<'_>,
+        rows: &[u32],
+    ) {
+        let Ok(builder) = self.builder.as_mut() else {
+            return;
+        };
+        let t0 = Instant::now();
+        let start = self.ids.len();
+        for &row in rows {
+            let id = batch.record_ids[row as usize];
+            if self.ids.last() != Some(&id) {
+                self.ids.push(id);
+            }
+        }
+        if let Err(err) = file.append_records_with(&request.map, &self.ids[start..], builder) {
+            self.builder = Err(err);
+        }
+        self.append_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    fn merge(&mut self, next: TaskBuild) {
+        let t0 = Instant::now();
+        match (&mut self.builder, next.builder) {
+            (Ok(into), Ok(part)) => {
+                into.append(part);
+                self.ids.extend(next.ids);
+            }
+            (Ok(_), Err(err)) => self.builder = Err(err),
+            (Err(_), _) => {}
+        }
+        self.append_ns += next.append_ns;
+        self.seal_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Seals the merged entry, returning it with the time charged to it:
+    /// `grid_ns` (the scan's wall time) times this build's share of the
+    /// tasks' summed `busy_ns`, plus the merge and seal.
+    fn seal(mut self, file: &RawFile, grid_ns: u64, busy_ns: u64) -> (Result<CacheData>, u64) {
+        let t0 = Instant::now();
+        let built = self.builder.map(|b| b.finish(file.schema(), self.ids));
+        self.seal_ns += t0.elapsed().as_nanos() as u64;
+        let share = (self.append_ns as f64 / busy_ns.max(1) as f64).min(1.0);
+        (built, (grid_ns as f64 * share) as u64 + self.seal_ns)
     }
 }
 
@@ -927,14 +1069,25 @@ impl Sink {
 /// order (order-exact sums via [`ExactSum`]). The pass's chunk retries
 /// happened once, so they are charged to slot 0 only and registry
 /// counters are not inflated K-fold.
+///
+/// A participant with a [`BuildRequest`] over a raw or lazy source also
+/// appends records to its task's entry builder per batch, timed apart
+/// from `C` and `D`: over a raw file the rows its predicate kept, over a
+/// lazy entry's ids every row, before the filter. Chunks are
+/// transactional, so a retried chunk appends once.
 fn scan_participants(
     store: StoreRef<'_>,
-    members: Vec<(&QueryPlan, Option<CompiledPredicate>)>,
+    members: Vec<(&QueryPlan, Option<CompiledPredicate>, Option<&BuildRequest>)>,
     options: &ExecOptions,
 ) -> Result<Vec<QueryOutput>> {
     let t0 = Instant::now();
+    let (build_file, build_every_row) = match store {
+        StoreRef::Raw(file) => (Some(file), false),
+        StoreRef::Offsets(file, _) => (Some(file), true),
+        _ => (None, false),
+    };
     let mut union: Vec<usize> = Vec::new();
-    for (plan, _) in &members {
+    for (plan, _, _) in &members {
         for &leaf in &plan.tables[0].accessed {
             if !union.contains(&leaf) {
                 union.push(leaf);
@@ -943,7 +1096,7 @@ fn scan_participants(
     }
     let parts: Vec<Participant<'_>> = members
         .into_iter()
-        .map(|(plan, pred)| {
+        .map(|(plan, pred, build)| {
             let map: Vec<usize> = plan.tables[0]
                 .accessed
                 .iter()
@@ -962,15 +1115,19 @@ fn scan_participants(
                     .iter()
                     .map(|a| a.slot.map(|s| map[s]))
                     .collect(),
+                build: build.zip(build_file),
             }
         })
         .collect();
-    let want_ids = parts.iter().any(|p| p.plan.tables[0].collect_satisfying);
+    let want_ids = parts
+        .iter()
+        .any(|p| p.plan.tables[0].collect_satisfying || p.build.is_some());
     let last = parts.len() - 1;
     let make = || {
-        let sinks: Vec<Sink> = parts.iter().map(|p| Sink::new(p.plan)).collect();
+        let sinks: Vec<Sink> = parts.iter().map(Sink::new).collect();
         (sinks, SelectionVector::new())
     };
+    let t_grid = Instant::now();
     let (scan, tasks) = scan_grid(
         store,
         &union,
@@ -980,6 +1137,9 @@ fn scan_participants(
         make,
         |(sinks, scratch), batch, sel, phases| {
             for (i, (part, sink)) in parts.iter().zip(sinks.iter_mut()).enumerate() {
+                if build_every_row {
+                    sink.build(part, batch, sel);
+                }
                 let survivors: &SelectionVector = match &part.pred {
                     None => sel,
                     Some(pred) => {
@@ -997,12 +1157,16 @@ fn scan_participants(
                         }
                     }
                 };
+                if !build_every_row {
+                    sink.build(part, batch, survivors);
+                }
                 let t_sink = Instant::now();
                 sink.consume(&part.agg_slots, batch, survivors);
                 phases.data_ns += t_sink.elapsed().as_nanos() as u64;
             }
         },
     )?;
+    let grid_ns = t_grid.elapsed().as_nanos() as u64;
     let mut merged: Option<Vec<Sink>> = None;
     for (sinks, _scratch) in tasks {
         match merged.as_mut() {
@@ -1014,23 +1178,40 @@ fn scan_participants(
             }
         }
     }
-    let sinks = merged.expect("a chunk grid runs at least one task");
-    let exec_ns = t0.elapsed().as_nanos() as u64;
+    let mut sinks = merged.expect("a chunk grid runs at least one task");
+    let builds: Vec<Option<(Result<CacheData>, u64)>> = sinks
+        .iter_mut()
+        .zip(&parts)
+        .map(|(sink, part)| {
+            let (_, file) = part.build?;
+            Some(sink.build.take()?.seal(file, grid_ns, scan.busy_ns))
+        })
+        .collect();
+    // The builds ran inside the pass; what the pass charges to the scan
+    // is the rest.
+    let build_ns: u64 = builds.iter().flatten().map(|(_, ns)| ns).sum();
+    let exec_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(build_ns);
     Ok(parts
         .iter()
         .zip(sinks)
+        .zip(builds)
         .enumerate()
-        .map(|(i, (part, sink))| {
+        .map(|(i, ((part, sink), build))| {
             let scan = ScanOutcome {
                 retried_chunks: if i == 0 { scan.retried_chunks } else { 0 },
                 ..scan.clone()
             };
             let table = &part.plan.tables[0];
+            let mut stats = table_stats(table, scan, exec_ns, sink.rows_out, sink.ids);
+            if let Some((built, ns)) = build {
+                stats.built = Some(built);
+                stats.build_ns = ns;
+            }
             QueryOutput {
                 values: sink.aggs.into_iter().map(BatchAggregator::finish).collect(),
                 rows_aggregated: sink.rows_out,
                 stats: ExecStats {
-                    tables: vec![table_stats(table, scan, exec_ns, sink.rows_out, sink.ids)],
+                    tables: vec![stats],
                     // Aggregation is folded into exec_ns on the streaming
                     // path; the caller stamps total_ns.
                     ..ExecStats::default()
@@ -1089,6 +1270,7 @@ fn scan_grid<T: Send>(
     let mut threads = options.effective_threads();
     let mut cost = ScanCost::default();
     let mut states = Vec::new();
+    let mut busy_ns = 0u64;
     let mut lo = 0usize;
     loop {
         let wave = match options.reprice {
@@ -1098,6 +1280,7 @@ fn scan_grid<T: Send>(
         let hi = n_chunks.min(lo + wave);
         let ranges = task_ranges(hi - lo, threads);
         let tasks = ThreadPool::global().map_index(ranges.len(), threads, |t| {
+            let t_task = Instant::now();
             let (task_lo, task_hi) = ranges[t];
             let mut state = make();
             let mut phases = ScanCost::default();
@@ -1114,10 +1297,11 @@ fn scan_grid<T: Send>(
                 c.add(&phases);
                 c
             });
-            (scanned, state)
+            (scanned, state, t_task.elapsed().as_nanos() as u64)
         });
         let mut first_task_err: Option<Error> = None;
-        for (scanned, state) in tasks {
+        for (scanned, state, task_ns) in tasks {
+            busy_ns += task_ns;
             match scanned {
                 Ok(c) => {
                     cost.add(&c);
@@ -1158,6 +1342,7 @@ fn scan_grid<T: Send>(
             // scan — the cost model prices cache layouts, not files.
             cache_scan: store.is_cache_store().then_some(cost),
             retried_chunks: ctl.retries(),
+            busy_ns,
         },
         states,
     ))
@@ -1187,6 +1372,7 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
                 records_scanned: metrics.records,
                 flattened_rows: None,
                 retried_chunks: 0,
+                busy_ns: 0,
             })
         }
         AccessPath::Offsets { file, store } => {
@@ -1204,6 +1390,7 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
                 records_scanned: metrics.records,
                 flattened_rows: None,
                 retried_chunks: 0,
+                busy_ns: 0,
             })
         }
         AccessPath::Columnar(store) => {
@@ -1219,6 +1406,7 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
                 flattened_rows: Some(store.row_count()),
                 cache_scan: Some(cost),
                 retried_chunks: 0,
+                busy_ns: 0,
             })
         }
         AccessPath::Dremel(store) => {
@@ -1234,6 +1422,7 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
                 flattened_rows: Some(store.flattened_rows()),
                 cache_scan: Some(cost),
                 retried_chunks: 0,
+                busy_ns: 0,
             })
         }
         AccessPath::Row(store) => {
@@ -1249,6 +1438,7 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
                 flattened_rows: Some(store.row_count()),
                 cache_scan: Some(cost),
                 retried_chunks: 0,
+                busy_ns: 0,
             })
         }
     }
@@ -1275,6 +1465,8 @@ fn table_stats(
         satisfying,
         retried_chunks: scan.retried_chunks,
         degraded_fallback: false,
+        built: None,
+        build_ns: 0,
     }
 }
 

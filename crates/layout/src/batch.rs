@@ -332,6 +332,12 @@ impl ScratchColumn {
         self.col
     }
 
+    /// Appends every entry of another scratch column of the same type.
+    pub(crate) fn append(&mut self, other: ScratchColumn) {
+        self.any_null |= other.any_null;
+        self.col.append(other.col);
+    }
+
     /// Appends a value; `Null` (or a type mismatch) appends the zero value
     /// and clears the validity bit.
     #[inline]

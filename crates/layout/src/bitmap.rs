@@ -45,6 +45,22 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Appends every bit of `other`, leaving the words a bit-by-bit
+    /// `push` of them would.
+    pub(crate) fn append(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &word in &other.words {
+                *self.words.last_mut().expect("a partial word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
     /// Reads a bit. Panics if out of bounds (debug) / returns false
     /// (release, via masked indexing) — callers stay in bounds.
     #[inline]
@@ -99,6 +115,19 @@ mod tests {
         assert_eq!(bm.len(), 200);
         for i in 0..200 {
             assert_eq!(bm.get(i), i % 3 == 0, "bit {i}");
+        }
+    }
+
+    #[test]
+    fn append_equals_pushing_every_bit() {
+        let bits = |n: usize, salt: usize| (0..n).map(move |i| (i * 7 + salt).is_multiple_of(3));
+        for a in [0, 1, 63, 64, 65, 130] {
+            for b in [0, 1, 63, 64, 65, 200] {
+                let mut appended: Bitmap = bits(a, 0).collect();
+                appended.append(&bits(b, 1).collect());
+                let pushed: Bitmap = bits(a, 0).chain(bits(b, 1)).collect();
+                assert_eq!(appended, pushed, "{a} + {b} bits");
+            }
         }
     }
 

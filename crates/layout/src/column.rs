@@ -120,6 +120,28 @@ impl ColumnData {
         }
     }
 
+    /// Appends every entry of a same-typed column still being built (a
+    /// sealed dictionary column takes no appends, nor is one appended).
+    pub(crate) fn append(&mut self, other: ColumnData) {
+        match (self, other) {
+            (ColumnData::Bool(out), ColumnData::Bool(v)) => out.extend(v),
+            (ColumnData::Int(out), ColumnData::Int(v)) => out.extend(v),
+            (ColumnData::Float(out), ColumnData::Float(v)) => out.extend(v),
+            (
+                ColumnData::Str { offsets, bytes },
+                ColumnData::Str {
+                    offsets: more,
+                    bytes: more_bytes,
+                },
+            ) => {
+                let base = bytes.len() as u32;
+                offsets.extend(more[1..].iter().map(|&o| base + o));
+                bytes.extend(more_bytes);
+            }
+            _ => unreachable!("append of a mismatched or sealed column"),
+        }
+    }
+
     /// Reads a value (non-null slot).
     #[inline]
     pub fn get(&self, index: usize) -> Value {
@@ -344,6 +366,12 @@ impl Column {
     pub fn push(&mut self, value: &Value) {
         self.valid.push(!value.is_null());
         self.data.push(value);
+    }
+
+    /// Appends every entry of another same-typed column.
+    pub(crate) fn append(&mut self, other: Column) {
+        self.data.append(other.data);
+        self.valid.append(&other.valid);
     }
 
     /// Copies entry `index` of another same-typed column (typed append,

@@ -56,6 +56,16 @@ impl FlatColumnBuilder {
         Ok(())
     }
 
+    /// Appends the records of another builder over the same schema, as
+    /// if they had been pushed here one by one (parallel builds merge
+    /// their parts in record order).
+    pub fn append(&mut self, other: FlatColumnBuilder) {
+        for (col, more) in self.columns.iter_mut().zip(other.columns) {
+            col.append(more);
+        }
+        self.records += other.records;
+    }
+
     /// Seals the store, dictionary-encoding as [`ColumnStore::build`]
     /// does: one row per record, so every mask is 0 and every shape
     /// empty.

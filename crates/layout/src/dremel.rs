@@ -644,6 +644,46 @@ impl DremelBuilder {
         Ok(())
     }
 
+    /// Appends the records of another builder over the same schema, as
+    /// if they had been shredded here one by one (parallel builds merge
+    /// their parts in record order). The chunk index is taken at the
+    /// merged store's own [`CHUNK_RECORDS`] boundaries: each record
+    /// starts with one entry of repetition level 0 in every leaf, so a
+    /// boundary inside `other` is found by walking its levels from
+    /// `other`'s own chunk start before it.
+    pub fn append(&mut self, other: DremelBuilder) {
+        // The global boundaries that fall inside `other`, as record
+        // indexes into it.
+        let first = self.record_count.next_multiple_of(CHUNK_RECORDS) - self.record_count;
+        let boundaries = (first..other.record_count).step_by(CHUNK_RECORDS);
+        for ((col, starts), (more, more_starts)) in self
+            .columns
+            .iter_mut()
+            .zip(&mut self.chunk_starts)
+            .zip(other.columns.into_iter().zip(other.chunk_starts))
+        {
+            let base = col.len() as u32;
+            for boundary in boundaries.clone() {
+                let mut record = boundary / CHUNK_RECORDS * CHUNK_RECORDS;
+                let mut entry = more_starts[boundary / CHUNK_RECORDS] as usize;
+                while record < boundary {
+                    entry += 1;
+                    while more.rep[entry] != 0 {
+                        entry += 1;
+                    }
+                    record += 1;
+                }
+                starts.push(base + entry as u32);
+            }
+            col.data.append(more.data);
+            col.valid.append(&more.valid);
+            col.def.extend(more.def);
+            col.rep.extend(more.rep);
+        }
+        self.record_count += other.record_count;
+        self.flattened_rows += other.flattened_rows;
+    }
+
     /// Seals the store, dictionary-encoding low-cardinality string leaves
     /// at the default threshold (as [`DremelStore::build`] does).
     pub fn finish(self) -> DremelStore {

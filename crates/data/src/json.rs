@@ -17,10 +17,12 @@
 //! arranged as the schema's tree. Every later read through the map —
 //! mapped scans, lazy re-reads, full-record reads — decodes from the
 //! tape, and cache materialization shreds each record from it straight
-//! into Dremel columns ([`shred_record_at`]): unwanted subtrees are one
-//! jump, no key is matched again, and each scalar is decoded by the same
-//! typed parser at its recorded offset, so the answer (value or error) is
-//! exactly [`parse_record`]'s. A record the tape walk cannot index is
+//! into Dremel columns ([`shred_record_at`]) through the builder's
+//! compiled walk: unwanted subtrees are one jump, no key is matched
+//! again, and each scalar is read at its recorded offset by the parser's
+//! own routines as its leaf's type (an `i64`, an `f64`, string bytes),
+//! with no `Value` built, so the answer (store or error) is exactly that
+//! of [`parse_record`]'s value. A record the tape walk cannot index is
 //! parsed from its bytes instead.
 //!
 //! Batched scans ([`TapeScan`]) build the tapes chunk by chunk on the
@@ -29,11 +31,12 @@
 //! record by walking its tape, so no `Value` is built.
 
 use crate::posmap::PositionalMap;
-use recache_layout::{DremelBuilder, LeafValue, NodeRead, ScratchColumn, ShredNode};
+use recache_layout::{DremelBuilder, FieldSet, Holds, ScratchColumn, ShredInput};
 use recache_types::{
     DataType, Error, Field, FlatInput, FlatRows, Flattener, LeafField, Result, Schema, Value,
 };
 use std::borrow::Cow;
+use std::convert::Infallible;
 
 /// Serializes records (struct values matching `schema`) into
 /// line-delimited JSON. `Null` fields are omitted, as in real-world
@@ -162,18 +165,16 @@ impl<'a> Cursor<'a> {
     /// Parses a JSON string, decoding escapes: borrowed from the input
     /// when it has none, decoded into an owned string otherwise. Invalid
     /// UTF-8 is the same typed error on both paths.
+    #[inline]
     fn parse_str(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
         let start = self.pos;
-        let utf8 = |bytes: &'a [u8]| {
-            std::str::from_utf8(bytes)
-                .map_err(|_| Error::parse_at("invalid utf-8 in string", start))
-        };
         // Fast path: no escapes.
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
                 b'"' => {
-                    let s = utf8(&self.bytes[start..self.pos])?;
+                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| Error::parse_at("invalid utf-8 in string", start))?;
                     self.pos += 1;
                     return Ok(Cow::Borrowed(s));
                 }
@@ -181,15 +182,27 @@ impl<'a> Cursor<'a> {
                 _ => self.pos += 1,
             }
         }
-        // Slow path with escape decoding. Runs of plain bytes end at an
-        // ASCII `"` or `\`, never inside a multi-byte character, so
-        // validating run by run validates the whole string.
+        self.parse_escaped_str(start).map(Cow::Owned)
+    }
+
+    /// [`Self::parse_str`] of a string with escapes (or unterminated),
+    /// whose content starts at `start` and whose first `\` or end the
+    /// cursor is at.
+    #[cold]
+    fn parse_escaped_str(&mut self, start: usize) -> Result<String> {
+        let utf8 = |bytes: &'a [u8]| {
+            std::str::from_utf8(bytes)
+                .map_err(|_| Error::parse_at("invalid utf-8 in string", start))
+        };
+        // Runs of plain bytes end at an ASCII `"` or `\`, never inside a
+        // multi-byte character, so validating run by run validates the
+        // whole string.
         let mut s = utf8(&self.bytes[start..self.pos])?.to_owned();
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(s));
+                    return Ok(s);
                 }
                 b'\\' => {
                     self.pos += 1;
@@ -725,12 +738,48 @@ struct Tape<'a> {
     record: &'a [u8],
 }
 
-impl Tape<'_> {
+impl<'a> Tape<'a> {
     /// Number of words of the node at `at`.
     fn node_len(&self, at: usize) -> usize {
         match self.words[at] & TAPE_TAG {
             0 => 1,
             _ => (self.words[at] & TAPE_PAYLOAD) as usize,
+        }
+    }
+
+    /// The `(field index, child node)` pairs of the struct node at `at`
+    /// in key order, from the pair whose index word is `entry` on.
+    fn entries(self, at: usize, entry: usize) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let end = at + self.node_len(at);
+        let mut entry = entry;
+        std::iter::from_fn(move || {
+            (entry < end).then(|| {
+                let node = entry + 1;
+                let idx = self.words[entry] as usize;
+                entry = node + self.node_len(node);
+                (idx, node)
+            })
+        })
+    }
+
+    /// What the node at `at` holds read as the list or struct type `ty`.
+    /// A raw node is decoded for its errors and reads as null, as
+    /// [`Cursor::parse_typed`] reads a value of another kind; a container
+    /// node of another kind is a map/schema mismatch.
+    fn container(&self, at: usize, ty: &DataType) -> Result<Holds> {
+        match (self.words[at] & TAPE_TAG, ty) {
+            (0, _) => {
+                Cursor {
+                    bytes: self.record,
+                    pos: self.words[at] as usize,
+                }
+                .parse_typed(ty, &Want::All)?;
+                Ok(Holds::Null)
+            }
+            (TAPE_STRUCT, DataType::Struct(_)) => Ok(Holds::Struct { repeats: false }),
+            (TAPE_LIST, DataType::List(_)) if self.node_len(at) > 1 => Ok(Holds::List),
+            (TAPE_LIST, DataType::List(_)) => Ok(Holds::Empty),
+            _ => Err(tape_schema_mismatch()),
         }
     }
 
@@ -765,15 +814,10 @@ impl Tape<'_> {
     /// [`Want::Skip`] struct still yields a struct of `Null`s, as
     /// [`Cursor::parse_object`] does for a record.
     fn decode_struct(&self, at: usize, fields: &[Field], want: &Want) -> Result<Value> {
-        let end = at + self.node_len(at);
         let mut children = vec![Value::Null; fields.len()];
-        let mut entry = at + 1;
-        while entry < end {
-            let idx = self.words[entry] as usize;
+        for (idx, node) in self.entries(at, at + 1) {
             let field = fields.get(idx).ok_or_else(tape_schema_mismatch)?;
-            let node = entry + 1;
             children[idx] = self.decode(node, &field.data_type, want.field(idx))?;
-            entry = node + self.node_len(node);
         }
         Ok(Value::Struct(children))
     }
@@ -782,10 +826,10 @@ impl Tape<'_> {
 /// A node of a record's [`Tape`], shredded in place by
 /// [`DremelBuilder::push_node`]: the tape gives the structure, and only
 /// scalars are read from the record, each at its offset by the parser's
-/// own routines. A struct's fields are visited in key order, the last of
-/// duplicate keys shredded and the earlier ones decoded only for their
-/// errors, so the outcome is that of decoding the record into a `Value`
-/// and shredding that.
+/// own routines and pushed typed. A struct's fields are visited in key
+/// order, the last of duplicate keys shredded and the earlier ones
+/// decoded only for their errors, so the outcome is that of decoding the
+/// record into a `Value` and shredding that.
 #[derive(Debug, Clone, Copy)]
 struct TapeNode<'a> {
     tape: Tape<'a>,
@@ -793,103 +837,129 @@ struct TapeNode<'a> {
 }
 
 impl<'a> TapeNode<'a> {
-    fn at(self, at: usize) -> Self {
-        TapeNode { at, ..self }
+    /// The record offset of a raw node, and the byte there; a container
+    /// node where a leaf is expected is a map/schema mismatch.
+    #[inline]
+    fn raw(self) -> Result<(usize, Option<&'a u8>)> {
+        let word = self.tape.words[self.at];
+        if word & TAPE_TAG != 0 {
+            return Err(tape_schema_mismatch());
+        }
+        Ok((word as usize, self.tape.record.get(word as usize)))
     }
 
-    /// A raw node read as `ty`, as [`Cursor::parse_typed`] reads it: a
-    /// string of a string leaf stays borrowed when it has no escapes, a
-    /// number of a number leaf goes straight to the parser's number arm,
-    /// and a container type reads as `Null` (or the parser's error).
-    fn read_raw(self, pos: usize, ty: &DataType) -> Result<NodeRead<'a>> {
-        let mut cursor = Cursor {
+    /// The number literal at `pos`, by the parser's number routine.
+    #[inline]
+    fn number(self, pos: usize) -> Result<Value> {
+        parse_number_at(self.tape.record, pos).map(|(number, _)| number)
+    }
+
+    /// The raw node at `pos` read as a leaf of type `ty` the long way:
+    /// decoded by [`Cursor::parse_typed`], then read by `read` as the
+    /// `Value` input reads it. The typed reads take this path for every
+    /// literal their own fast paths do not.
+    #[cold]
+    fn parse_raw<T>(
+        self,
+        pos: usize,
+        ty: DataType,
+        read: impl FnOnce(&Value) -> std::result::Result<Option<T>, Infallible>,
+    ) -> Result<Option<T>> {
+        let value = Cursor {
             bytes: self.tape.record,
             pos,
-        };
-        match (ty, self.tape.record.get(pos)) {
-            (DataType::Str, Some(b'"')) => {
-                return Ok(NodeRead::Leaf(LeafValue::Str(cursor.parse_str()?)))
-            }
-            (DataType::Int | DataType::Float, Some(b'-' | b'0'..=b'9')) => {
-                let value = cursor.parse_number_as(ty)?;
-                return Ok(NodeRead::Leaf(LeafValue::Value(Cow::Owned(value))));
-            }
-            _ => {}
         }
-        let value = cursor.parse_typed(ty, &Want::All)?;
-        Ok(match (ty, value) {
-            (DataType::List(_) | DataType::Struct(_), _) | (_, Value::Null) => NodeRead::Null,
-            (_, value) => NodeRead::Leaf(LeafValue::Value(Cow::Owned(value))),
-        })
+        .parse_typed(&ty, &Want::All)?;
+        let Ok(read) = read(&value);
+        Ok(read)
     }
 }
 
-impl<'a> ShredNode<'a> for TapeNode<'a> {
+impl<'a> ShredInput<'a> for TapeNode<'a> {
     type Error = Error;
 
-    fn read(self, ty: &DataType) -> Result<NodeRead<'a>> {
-        let word = self.tape.words[self.at];
-        match (word & TAPE_TAG, ty) {
-            (0, _) => self.read_raw(word as usize, ty),
-            (TAPE_STRUCT, DataType::Struct(_)) => Ok(NodeRead::Struct),
-            (TAPE_LIST, DataType::List(_)) if self.tape.node_len(self.at) > 1 => Ok(NodeRead::List),
-            (TAPE_LIST, DataType::List(_)) => Ok(NodeRead::Empty),
-            _ => Err(tape_schema_mismatch()),
+    #[inline]
+    fn int(self) -> Result<Option<i64>> {
+        match self.raw()? {
+            (pos, Some(b'-' | b'0'..=b'9')) => Ok(Some(self.number(pos)?.as_i64().unwrap_or(0))),
+            (pos, _) => self.parse_raw(pos, DataType::Int, |v| v.int()),
         }
     }
 
-    fn elements(self, mut visit: impl FnMut(Self) -> Result<()>) -> Result<()> {
-        let end = self.at + self.tape.node_len(self.at);
-        let mut node = self.at + 1;
-        while node < end {
-            visit(self.at(node))?;
-            node += self.tape.node_len(node);
+    #[inline]
+    fn float(self) -> Result<Option<f64>> {
+        match self.raw()? {
+            (pos, Some(b'-' | b'0'..=b'9')) => Ok(Some(self.number(pos)?.as_f64().unwrap_or(0.0))),
+            (pos, _) => self.parse_raw(pos, DataType::Float, |v| v.float()),
+        }
+    }
+
+    fn bool(self) -> Result<Option<bool>> {
+        let (pos, _) = self.raw()?;
+        self.parse_raw(pos, DataType::Bool, |v| v.bool())
+    }
+
+    #[inline]
+    fn str(self) -> Result<Option<Cow<'a, str>>> {
+        match self.raw()? {
+            (pos, Some(b'"')) => {
+                let mut cursor = Cursor {
+                    bytes: self.tape.record,
+                    pos,
+                };
+                Ok(Some(cursor.parse_str()?))
+            }
+            (pos, _) => self.parse_raw(pos, DataType::Str, |v| {
+                Ok(v.str()?.map(|s| Cow::Owned(s.into_owned())))
+            }),
+        }
+    }
+
+    fn elements(self, ty: &DataType, mut visit: impl FnMut(Self) -> Result<()>) -> Result<Holds> {
+        let (tape, at) = (self.tape, self.at);
+        let holds = tape.container(at, ty)?;
+        if holds == Holds::List {
+            let end = at + tape.node_len(at);
+            let mut elem = at + 1;
+            while elem < end {
+                visit(TapeNode { tape, at: elem })?;
+                elem += tape.node_len(elem);
+            }
+        }
+        Ok(holds)
+    }
+
+    fn fields(self, ty: &DataType, present: &mut FieldSet<'_>) -> Result<Holds> {
+        let holds = self.tape.container(self.at, ty)?;
+        if !matches!(holds, Holds::Struct { .. }) {
+            return Ok(holds);
+        }
+        let mut repeats = false;
+        for (idx, _) in self.tape.entries(self.at, self.at + 1) {
+            repeats |= !present.insert(idx).ok_or_else(tape_schema_mismatch)?;
+        }
+        Ok(Holds::Struct { repeats })
+    }
+
+    fn visit_fields(
+        self,
+        ty: &DataType,
+        repeats: bool,
+        mut visit: impl FnMut(usize, Self) -> Result<()>,
+    ) -> Result<()> {
+        let (tape, at) = (self.tape, self.at);
+        for (idx, node) in tape.entries(at, at + 1) {
+            let next = node + tape.node_len(node);
+            if repeats && tape.entries(at, next).any(|(later, _)| later == idx) {
+                let DataType::Struct(fields) = ty else {
+                    return Err(tape_schema_mismatch());
+                };
+                tape.decode(node, &fields[idx].data_type, &Want::All)?;
+            } else {
+                visit(idx, TapeNode { tape, at: node })?;
+            }
         }
         Ok(())
-    }
-
-    fn fields(
-        self,
-        fields: &[Field],
-        mut visit: impl FnMut(usize, Option<Self>) -> Result<()>,
-    ) -> Result<()> {
-        let tape = self.tape;
-        let end = self.at + tape.node_len(self.at);
-        let next_entry = |entry: usize| entry + 1 + tape.node_len(entry + 1);
-        let mut present = FieldSet::new(fields.len());
-        let mut repeats = false;
-        let mut entry = self.at + 1;
-        while entry < end {
-            let idx = tape.words[entry] as usize;
-            if idx >= fields.len() {
-                return Err(tape_schema_mismatch());
-            }
-            repeats |= !present.insert(idx);
-            entry = next_entry(entry);
-        }
-        let mut entry = self.at + 1;
-        while entry < end {
-            let idx = tape.words[entry] as usize;
-            let next = next_entry(entry);
-            let overwritten = repeats && {
-                let mut later = next;
-                let mut found = false;
-                while later < end && !found {
-                    found = tape.words[later] as usize == idx;
-                    later = next_entry(later);
-                }
-                found
-            };
-            if overwritten {
-                tape.decode(entry + 1, &fields[idx].data_type, &Want::All)?;
-            } else {
-                visit(idx, Some(self.at(entry + 1)))?;
-            }
-            entry = next;
-        }
-        (0..fields.len())
-            .filter(|&idx| !present.contains(idx))
-            .try_for_each(|idx| visit(idx, None))
     }
 }
 
@@ -959,17 +1029,14 @@ impl Tape<'_> {
     /// a subtree without a picked leaf is never read, and any other node
     /// fails exactly where decoding it would.
     fn pick(&self, at: usize, ty: &DataType, pick: &Pick, out: &mut Picked) -> Result<()> {
-        let node = TapeNode { tape: *self, at };
         match (pick, ty, self.words[at] & TAPE_TAG) {
             (Pick::Skip, _, _) => Ok(()),
             (Pick::Leaf(column), _, _) => {
-                out.slots[at] = match node.read(ty)? {
-                    NodeRead::Leaf(value) => {
-                        let col = &mut out.columns[*column];
-                        col.push_leaf(value);
-                        col.len() as u32 - 1
-                    }
-                    _ => NO_NODE,
+                let col = &mut out.columns[*column];
+                out.slots[at] = if col.push_read(TapeNode { tape: *self, at })? {
+                    col.len() as u32 - 1
+                } else {
+                    NO_NODE
                 };
                 Ok(())
             }
@@ -988,7 +1055,7 @@ impl Tape<'_> {
             // A value of another kind where a container is expected reads
             // as null (or the parser's error); a container node where the
             // schema has none is a map/schema mismatch.
-            _ => node.read(ty).map(drop),
+            _ => self.container(at, ty).map(drop),
         }
     }
 
@@ -1000,20 +1067,15 @@ impl Tape<'_> {
         picks: &[Pick],
         out: &mut Picked,
     ) -> Result<()> {
-        let end = at + self.node_len(at);
         let base = out.fields.len();
         out.fields.resize(base + fields.len(), NO_NODE);
         out.slots[at] = base as u32;
-        let mut entry = at + 1;
-        while entry < end {
-            let idx = self.words[entry] as usize;
+        for (idx, node) in self.entries(at, at + 1) {
             let field = fields.get(idx).ok_or_else(tape_schema_mismatch)?;
-            let node = entry + 1;
             out.fields[base + idx] = node as u32;
             if !matches!(picks[idx], Pick::Skip) {
                 self.pick(node, &field.data_type, &picks[idx], out)?;
             }
-            entry = node + self.node_len(node);
         }
         Ok(())
     }
@@ -1191,40 +1253,6 @@ impl<'s> TapeScan<'s> {
     }
 }
 
-/// A set of field indexes: one word for structs of up to 64 fields.
-struct FieldSet {
-    small: u64,
-    large: Vec<bool>,
-}
-
-impl FieldSet {
-    fn new(n: usize) -> Self {
-        FieldSet {
-            small: 0,
-            large: if n > 64 { vec![false; n] } else { Vec::new() },
-        }
-    }
-
-    /// Adds `idx`; false if it was already present.
-    fn insert(&mut self, idx: usize) -> bool {
-        let fresh = !self.contains(idx);
-        if self.large.is_empty() {
-            self.small |= 1 << idx;
-        } else {
-            self.large[idx] = true;
-        }
-        fresh
-    }
-
-    fn contains(&self, idx: usize) -> bool {
-        if self.large.is_empty() {
-            self.small >> idx & 1 == 1
-        } else {
-            self.large[idx]
-        }
-    }
-}
-
 fn tape_schema_mismatch() -> Error {
     Error::exec("positional map tape does not match the schema")
 }
@@ -1235,10 +1263,17 @@ fn tape_schema_mismatch() -> Error {
 /// shared by the row tokenizer and the batched flat-JSON tokenizer
 /// (`json_batch`), so the accepted character set and the
 /// integral-vs-float split can never diverge between the two paths.
+#[inline]
 pub(crate) fn parse_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)> {
-    if let Some(short) = parse_short_number_at(bytes, pos) {
-        return Ok(short);
+    match parse_short_number_at(bytes, pos) {
+        Some(short) => Ok(short),
+        None => parse_long_number_at(bytes, pos),
     }
+}
+
+/// [`parse_number_at`] of a literal its fast path does not take.
+#[cold]
+fn parse_long_number_at(bytes: &[u8], pos: usize) -> Result<(Value, usize)> {
     let start = pos;
     let (pos, is_float) = number_extent(bytes, start);
     let text = std::str::from_utf8(&bytes[start..pos])
@@ -1286,6 +1321,7 @@ fn number_extent(bytes: &[u8], pos: usize) -> (usize, bool) {
 /// `str::parse::<i64>` gives it, a decimal to the single rounding
 /// `csv::parse_f64_fast` does. `None` sends every other literal down the
 /// general path.
+#[inline]
 fn parse_short_number_at(bytes: &[u8], pos: usize) -> Option<(Value, usize)> {
     const POW10: [f64; 16] = [
         1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
@@ -2258,6 +2294,78 @@ mod tests {
         assert_eq!(parse_short_number_at(b"1e5", 0), None);
         assert_eq!(parse_short_number_at(b"-", 0), None);
         assert_eq!(parse_short_number_at(b".", 0), None);
+    }
+
+    /// Every edge literal in every scalar position pushes — through the
+    /// record's tape, through its parsed `Value` and into a batched
+    /// scan's pick column — what `ColumnData::push` stores for
+    /// `parse_record`'s value of it.
+    #[test]
+    fn edge_literals_push_what_column_push_stores() {
+        use recache_layout::{Column, DremelStore};
+        const LITERALS: &[&str] = &[
+            "-0",
+            "7",
+            "1.5",
+            "-1.5",
+            "1e3",
+            "1E+3",
+            "-2.5e-3",
+            "1e400",
+            "1234567890123456789",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "12345678901234567890123",
+            "true",
+            "false",
+            "\"7\"",
+            "\"\"",
+            "\"x\\u00e9\\n\"",
+            "null",
+            "{}",
+            "[]",
+            "{\"v\":1}",
+            "[1,2]",
+        ];
+        for ty in [
+            DataType::Int,
+            DataType::Float,
+            DataType::Bool,
+            DataType::Str,
+        ] {
+            let scalar = ty.as_scalar().unwrap();
+            for field in [
+                Field::new("v", ty.clone()),
+                Field::required("v", ty.clone()),
+            ] {
+                let schema = Schema::new(vec![field]);
+                for literal in LITERALS {
+                    let case = format!("{ty:?} {literal}");
+                    let bytes = format!("{{\"v\":{literal}}}").into_bytes();
+                    let parsed = parse_record(&bytes, &schema, None).unwrap();
+                    let Value::Struct(fields) = &parsed else {
+                        panic!("records parse to structs")
+                    };
+                    let mut want = Column::new(scalar);
+                    want.push(&fields[0]);
+                    let want = want.get(0);
+                    let map = scan_build_map(&bytes, &schema, None, |_, _| Ok(())).unwrap();
+                    assert!(map.json_tape(0).is_some(), "{case}");
+                    let mut builder = DremelBuilder::new(&schema);
+                    shred_record_at(&bytes, &schema, &map, 0, &mut builder).unwrap();
+                    let taped = builder.finish();
+                    assert_eq!(taped.column(0).value(0), want, "{case}: tape");
+                    let valued = DremelStore::build(&schema, [&parsed]);
+                    assert_eq!(valued.column(0).value(0), want, "{case}: value");
+                    assert_eq!(taped, valued, "{case}: stores");
+                    let mut scan = TapeScan::new(&schema, &schema.leaves(), &[0]);
+                    let mut cols = vec![ScratchColumn::new(scalar)];
+                    assert_eq!(scan.push_mapped(&bytes, &map, 0, &mut cols).unwrap(), 1);
+                    assert_eq!(cols[0].as_batch_column().value(0), want, "{case}: pick");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
-use crate::dremel::LeafValue;
+use crate::dremel::ShredInput;
 use recache_types::{list_dim_ranges, ScalarType, Schema, Value};
 
 /// Rows per batch. A multiple of 64 so batch-aligned validity views start
@@ -360,30 +360,21 @@ impl ScratchColumn {
     #[inline]
     pub fn push_int(&mut self, v: i64) {
         self.col.valid.push(true);
-        match &mut self.col.data {
-            ColumnData::Int(out) => out.push(v),
-            _ => unreachable!("push_int on a non-int column"),
-        }
+        self.col.data.push_int(v);
     }
 
     /// Appends a valid float.
     #[inline]
     pub fn push_float(&mut self, v: f64) {
         self.col.valid.push(true);
-        match &mut self.col.data {
-            ColumnData::Float(out) => out.push(v),
-            _ => unreachable!("push_float on a non-float column"),
-        }
+        self.col.data.push_float(v);
     }
 
     /// Appends a valid bool.
     #[inline]
     pub fn push_bool(&mut self, v: bool) {
         self.col.valid.push(true);
-        match &mut self.col.data {
-            ColumnData::Bool(out) => out.push(v),
-            _ => unreachable!("push_bool on a non-bool column"),
-        }
+        self.col.data.push_bool(v);
     }
 
     /// Copies entry `index` of a store column (typed, no `Value` boxing).
@@ -402,15 +393,16 @@ impl ScratchColumn {
         self.col.data.push_str_bytes(s);
     }
 
-    /// Appends a non-null leaf read from a raw record: a string straight
-    /// into the arena, any other value with [`ScratchColumn::push`]'s
-    /// coercions.
+    /// Reads `input` as a leaf of this column's type (see
+    /// [`ShredInput::push_into`]) and appends it if it holds a value;
+    /// returns whether it did. A null appends nothing.
     #[inline]
-    pub fn push_leaf(&mut self, value: LeafValue<'_>) {
-        match value {
-            LeafValue::Str(s) => self.push_str_bytes(s.as_bytes()),
-            LeafValue::Value(value) => self.push(&value),
+    pub fn push_read<'a, I: ShredInput<'a>>(&mut self, input: I) -> Result<bool, I::Error> {
+        let held = input.push_into(self.scalar_type(), &mut self.col.data)?;
+        if held {
+            self.col.valid.push(true);
         }
+        Ok(held)
     }
 
     /// Copies entry `index` of another scratch column of the same type.

@@ -34,6 +34,7 @@ impl Bitmap {
     }
 
     /// Appends one bit.
+    #[inline]
     pub fn push(&mut self, bit: bool) {
         let word = self.len / 64;
         if word == self.words.len() {

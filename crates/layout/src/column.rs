@@ -105,6 +105,33 @@ impl ColumnData {
         }
     }
 
+    /// Appends one integer (typed twin of `push(&Value::Int(v))`).
+    #[inline]
+    pub fn push_int(&mut self, v: i64) {
+        match self {
+            ColumnData::Int(out) => out.push(v),
+            _ => unreachable!("push_int on a non-int column"),
+        }
+    }
+
+    /// Appends one float.
+    #[inline]
+    pub fn push_float(&mut self, v: f64) {
+        match self {
+            ColumnData::Float(out) => out.push(v),
+            _ => unreachable!("push_float on a non-float column"),
+        }
+    }
+
+    /// Appends one bool.
+    #[inline]
+    pub fn push_bool(&mut self, v: bool) {
+        match self {
+            ColumnData::Bool(out) => out.push(v),
+            _ => unreachable!("push_bool on a non-bool column"),
+        }
+    }
+
     /// Appends one string value directly from its encoded bytes — no
     /// intermediate `String` allocation; the bytes land straight in the
     /// shared heap (the row store's decode-into-arena path).

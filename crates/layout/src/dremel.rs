@@ -12,11 +12,12 @@
 //!   cost ReCache measures as the computational component `C`.
 //!
 //! Writes go through the incremental [`DremelBuilder`], which shreds one
-//! record at a time from any [`ShredNode`] input: a parsed [`Value`], or
-//! (in `recache-data`) a raw JSON record read in place through its
-//! structure tape. The level rules are written once, over that trait, so
-//! the two inputs cannot shred differently; the same walk counts the
-//! record's flattened rows.
+//! record at a time from any [`ShredInput`]: a parsed [`Value`], or (in
+//! `recache-data`) a raw JSON record read in place through its structure
+//! tape. The builder compiles the schema once into a plan, and one walk
+//! over it holds the level rules, so the two inputs cannot shred
+//! differently; leaves are read and pushed as their own type, and the
+//! same walk counts the record's flattened rows.
 //!
 //! Scans are two-phase: assembly produces *placeholder* rows holding
 //! column entry indexes (compute phase), then values are gathered
@@ -28,7 +29,7 @@ use crate::bitmap::Bitmap;
 use crate::column::ColumnData;
 use crate::shape::leaf_count;
 use crate::ScanCost;
-use recache_types::{DataType, Field, FlatRows, Flattener, Schema, Value};
+use recache_types::{DataType, Field, FlatRows, Flattener, ScalarType, Schema, Value};
 use std::borrow::Cow;
 use std::convert::Infallible;
 use std::ops::Range;
@@ -50,17 +51,10 @@ pub struct DremelColumn {
 }
 
 impl DremelColumn {
-    fn push_leaf(&mut self, value: LeafValue<'_>, def: u16, rep: u16) {
-        match value {
-            LeafValue::Str(s) => {
-                self.valid.push(true);
-                self.data.push_str_bytes(s.as_bytes());
-            }
-            LeafValue::Value(value) => {
-                self.valid.push(!value.is_null());
-                self.data.push(&value);
-            }
-        }
+    /// Records an entry whose value was just pushed into `data`.
+    #[inline]
+    fn push_held(&mut self, def: u16, rep: u16) {
+        self.valid.push(true);
         self.def.push(def);
         self.rep.push(rep);
     }
@@ -562,21 +556,27 @@ fn projection_order(projection: &[usize]) -> Vec<usize> {
 }
 
 /// An incremental [`DremelStore`] builder: records are shredded one at a
-/// time, from any input that implements [`ShredNode`] — a parsed
+/// time, from any input that implements [`ShredInput`] — a parsed
 /// [`Value`] ([`DremelBuilder::push_record`]) or a raw record read in
-/// place ([`DremelBuilder::push_node`]). Both go through the one set of
-/// level rules below, so they cannot drift:
+/// place ([`DremelBuilder::push_node`]).
 ///
-/// * a nullable field that reads as null, or that is absent from its
-///   struct, writes one null entry per leaf beneath it at the definition
-///   level reached so far;
+/// [`DremelBuilder::new`] compiles the schema once into a plan: per node
+/// its kind (a leaf of some scalar type, a list or a struct), whether it
+/// is nullable, the columns of the leaves beneath it and the plans of its
+/// children. Both inputs go through the one walk over that plan, which
+/// holds the level rules, so they cannot shred differently:
+///
+/// * a field that reads as null, or that is absent from its struct,
+///   writes one null entry per leaf beneath it at the definition level
+///   reached so far;
 /// * any other field adds one definition level if nullable;
 /// * a non-empty list adds one definition level to its elements, and
 ///   every element after the first starts at the list's own repetition
 ///   level;
 /// * an empty list, or a value of the wrong kind for a list or struct,
 ///   writes one null entry per leaf beneath it;
-/// * a scalar writes one entry, valid unless null.
+/// * a scalar writes one entry, valid unless null, read and pushed as
+///   its leaf's own type (`i64`, `f64`, `bool` or string bytes).
 ///
 /// The flattened row count comes from the same walk: a struct multiplies
 /// its fields' counts, a non-empty list sums its elements', and
@@ -586,6 +586,8 @@ pub struct DremelBuilder {
     schema: Schema,
     plan: Plan,
     columns: Vec<DremelColumn>,
+    /// Field sets of the structs wider than 64 fields being walked.
+    wide: Vec<u64>,
     chunk_starts: Vec<Vec<u32>>,
     record_count: usize,
     flattened_rows: usize,
@@ -604,12 +606,17 @@ impl DremelBuilder {
             })
             .collect();
         let mut leaf = 0;
-        let plan = Plan::of_fields(schema.fields(), &mut leaf);
+        let plan = Plan::of(
+            &DataType::Struct(schema.fields().to_vec()),
+            false,
+            &mut leaf,
+        );
         DremelBuilder {
             schema: schema.clone(),
             plan,
             chunk_starts: vec![Vec::new(); columns.len()],
             columns,
+            wide: Vec::new(),
             record_count: 0,
             flattened_rows: 0,
         }
@@ -624,21 +631,18 @@ impl DremelBuilder {
     /// Shreds one record from its root node, read as a struct of the
     /// schema's fields. On error the record is partly written, and the
     /// builder must be dropped.
-    pub fn push_node<'a, N: ShredNode<'a>>(&mut self, root: N) -> Result<(), N::Error> {
+    pub fn push_node<'a, I: ShredInput<'a>>(&mut self, root: I) -> Result<(), I::Error> {
         if self.record_count.is_multiple_of(CHUNK_RECORDS) {
             for (starts, col) in self.chunk_starts.iter_mut().zip(&self.columns) {
                 starts.push(col.len() as u32);
             }
         }
-        let rows = shred_struct(
-            &mut self.columns,
-            self.schema.fields(),
-            &self.plan,
-            root,
-            0,
-            0,
-            0,
-        )?;
+        self.wide.clear();
+        let mut walk = Walk {
+            columns: &mut self.columns,
+            wide: &mut self.wide,
+        };
+        let rows = walk.node(&self.plan, root, 0, 0, 0)?;
         self.record_count += 1;
         self.flattened_rows += rows;
         Ok(())
@@ -708,204 +712,319 @@ impl DremelBuilder {
     }
 }
 
-/// One node of a record being shredded, read against the schema type
-/// the level rules expect there. [`DremelBuilder`] walks a record
-/// through this trait only, so every input shreds by the same rules.
-pub trait ShredNode<'a>: Copy {
+/// One node of a record being shredded, read against the plan of the
+/// schema node it stands for. [`DremelBuilder`] walks a record through
+/// this trait only, so every input shreds by the same rules.
+pub trait ShredInput<'a>: Copy {
     type Error;
 
-    /// What the node holds when read as `ty`.
-    fn read(self, ty: &DataType) -> Result<NodeRead<'a>, Self::Error>;
+    /// The node read as an `Int` leaf: `None` if null, otherwise the
+    /// value [`ColumnData::push`] stores for it.
+    fn int(self) -> Result<Option<i64>, Self::Error>;
 
-    /// Visits the elements of a node that read as [`NodeRead::List`], in
-    /// order.
+    /// The node read as a `Float` leaf (see [`ShredInput::int`]).
+    fn float(self) -> Result<Option<f64>, Self::Error>;
+
+    /// The node read as a `Bool` leaf (see [`ShredInput::int`]).
+    fn bool(self) -> Result<Option<bool>, Self::Error>;
+
+    /// The node read as a `Str` leaf (see [`ShredInput::int`]).
+    fn str(self) -> Result<Option<Cow<'a, str>>, Self::Error>;
+
+    /// Reads the node as a leaf of type `ty` and pushes its value into
+    /// `data` if it holds one; returns whether it did. Each type's read
+    /// and push stay typed, with no dispatch on the value between them.
+    #[inline]
+    fn push_into(self, ty: ScalarType, data: &mut ColumnData) -> Result<bool, Self::Error> {
+        let held = match ty {
+            ScalarType::Int => self.int()?.map(|v| data.push_int(v)),
+            ScalarType::Float => self.float()?.map(|v| data.push_float(v)),
+            ScalarType::Bool => self.bool()?.map(|v| data.push_bool(v)),
+            ScalarType::Str => self.str()?.map(|s| data.push_str_bytes(s.as_bytes())),
+        };
+        Ok(held.is_some())
+    }
+
+    /// The node read as the list type `ty`. When it is a non-empty list
+    /// ([`Holds::List`]), first visits its elements in order.
     fn elements(
         self,
+        ty: &DataType,
         visit: impl FnMut(Self) -> Result<(), Self::Error>,
-    ) -> Result<(), Self::Error>;
+    ) -> Result<Holds, Self::Error>;
 
-    /// Visits each of `fields` of a node that read as
-    /// [`NodeRead::Struct`] (or of a record root) exactly once, by index
-    /// and in any order, with `None` for a field the node does not hold.
-    fn fields(
+    /// The node read as the struct type `ty`. When it is a struct
+    /// ([`Holds::Struct`]), first adds to `present` (empty, one slot per
+    /// field) every field it holds.
+    fn fields(self, ty: &DataType, present: &mut FieldSet<'_>) -> Result<Holds, Self::Error>;
+
+    /// Visits the fields a node read as the struct type `ty` holds, by
+    /// index and in order. A field the node holds more than once (which
+    /// `fields` reports as `repeats`) is visited for its last occurrence
+    /// only, and the earlier ones are read for their errors alone.
+    fn visit_fields(
         self,
-        fields: &[Field],
-        visit: impl FnMut(usize, Option<Self>) -> Result<(), Self::Error>,
+        ty: &DataType,
+        repeats: bool,
+        visit: impl FnMut(usize, Self) -> Result<(), Self::Error>,
     ) -> Result<(), Self::Error>;
 }
 
-/// A node read against its schema type (see [`ShredNode::read`]).
-#[derive(Debug)]
-pub enum NodeRead<'a> {
+/// What a node read as a list or a struct holds (see [`ShredInput`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Holds {
     /// A null value.
     Null,
-    /// Not null, but nothing beneath it for this type: an empty list, or
-    /// a value of another kind where a list or struct is expected.
+    /// Not null, but nothing beneath it: an empty list, or a value of
+    /// another kind where a list or struct is expected.
     Empty,
-    /// A non-null scalar.
-    Leaf(LeafValue<'a>),
     /// A non-empty list.
     List,
-    /// A struct.
-    Struct,
+    /// A struct; `repeats` when it holds some field more than once.
+    Struct { repeats: bool },
 }
 
-/// A non-null scalar as a node hands it to its leaf column.
+/// The fields a struct node holds, one bit per field, in storage the
+/// shredding walk owns (see [`ShredInput::fields`]).
 #[derive(Debug)]
-pub enum LeafValue<'a> {
-    /// A string, appended straight into the column's arena.
-    Str(Cow<'a, str>),
-    /// Any other value, appended with [`ColumnData::push`]'s coercions.
-    Value(Cow<'a, Value>),
+pub struct FieldSet<'s> {
+    words: &'s mut [u64],
+    len: usize,
 }
 
-impl<'a> ShredNode<'a> for &'a Value {
+impl FieldSet<'_> {
+    /// Adds field `idx`: `None` if the struct has no such field, else
+    /// whether it was not present yet.
+    #[inline]
+    pub fn insert(&mut self, idx: usize) -> Option<bool> {
+        if idx >= self.len {
+            return None;
+        }
+        let (word, bit) = (&mut self.words[idx / 64], 1u64 << (idx % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        Some(fresh)
+    }
+
+    fn contains(&self, idx: usize) -> bool {
+        self.words[idx / 64] >> (idx % 64) & 1 == 1
+    }
+}
+
+impl<'a> ShredInput<'a> for &'a Value {
     type Error = Infallible;
 
-    fn read(self, ty: &DataType) -> Result<NodeRead<'a>, Infallible> {
-        Ok(match (ty, self) {
-            (_, Value::Null) => NodeRead::Null,
-            (DataType::List(_), Value::List(items)) if !items.is_empty() => NodeRead::List,
-            (DataType::Struct(_), Value::Struct(_)) => NodeRead::Struct,
-            (DataType::List(_) | DataType::Struct(_), _) => NodeRead::Empty,
-            (DataType::Str, Value::Str(s)) => NodeRead::Leaf(LeafValue::Str(Cow::Borrowed(s))),
-            (_, value) => NodeRead::Leaf(LeafValue::Value(Cow::Borrowed(value))),
+    // `ColumnData::push`'s coercions: numbers and bools convert, and
+    // any other value reads as the type's zero value.
+    fn int(self) -> Result<Option<i64>, Infallible> {
+        Ok(held(self).map(|v| v.as_i64().unwrap_or(0)))
+    }
+
+    fn float(self) -> Result<Option<f64>, Infallible> {
+        Ok(held(self).map(|v| v.as_f64().unwrap_or(0.0)))
+    }
+
+    fn bool(self) -> Result<Option<bool>, Infallible> {
+        Ok(held(self).map(|v| v.as_bool().unwrap_or(false)))
+    }
+
+    fn str(self) -> Result<Option<Cow<'a, str>>, Infallible> {
+        Ok(held(self).map(|v| Cow::Borrowed(v.as_str().unwrap_or(""))))
+    }
+
+    fn elements(
+        self,
+        _: &DataType,
+        visit: impl FnMut(Self) -> Result<(), Infallible>,
+    ) -> Result<Holds, Infallible> {
+        Ok(match self {
+            Value::Null => Holds::Null,
+            Value::List(items) if !items.is_empty() => {
+                items.iter().try_for_each(visit)?;
+                Holds::List
+            }
+            _ => Holds::Empty,
         })
     }
 
-    fn elements(
+    fn fields(self, _: &DataType, present: &mut FieldSet<'_>) -> Result<Holds, Infallible> {
+        Ok(match self {
+            Value::Null => Holds::Null,
+            Value::Struct(children) => {
+                for idx in 0..children.len().min(present.len) {
+                    present.insert(idx);
+                }
+                Holds::Struct { repeats: false }
+            }
+            _ => Holds::Empty,
+        })
+    }
+
+    fn visit_fields(
         self,
-        mut visit: impl FnMut(Self) -> Result<(), Infallible>,
+        ty: &DataType,
+        _: bool,
+        mut visit: impl FnMut(usize, Self) -> Result<(), Infallible>,
     ) -> Result<(), Infallible> {
-        if let Value::List(items) = self {
-            items.iter().try_for_each(&mut visit)?;
+        if let (Value::Struct(children), DataType::Struct(fields)) = (self, ty) {
+            for (idx, child) in children.iter().take(fields.len()).enumerate() {
+                visit(idx, child)?;
+            }
         }
         Ok(())
     }
-
-    fn fields(
-        self,
-        fields: &[Field],
-        mut visit: impl FnMut(usize, Option<Self>) -> Result<(), Infallible>,
-    ) -> Result<(), Infallible> {
-        let children: &[Value] = match self {
-            Value::Struct(children) => children,
-            _ => &[],
-        };
-        (0..fields.len()).try_for_each(|i| visit(i, children.get(i)))
-    }
 }
 
-/// The leaves of one schema node and the plans of its children (a
-/// struct's fields, a list's element), laid out once per builder so a
-/// field can be shredded without counting the leaves before it.
+/// `value` unless it is null.
+fn held(value: &Value) -> Option<&Value> {
+    (!value.is_null()).then_some(value)
+}
+
+/// A schema node compiled for shredding: what the walk dispatches on,
+/// built once per builder.
 #[derive(Debug)]
 struct Plan {
+    kind: Kind,
+    /// A nullable struct field.
+    nullable: bool,
+    /// The columns of the leaves beneath.
     leaves: Range<usize>,
+    /// A struct's fields, or a list's element.
     kids: Vec<Plan>,
+    /// The node's type, which inputs read containers against.
+    ty: DataType,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Leaf(ScalarType),
+    List,
+    Struct,
 }
 
 impl Plan {
-    fn of(ty: &DataType, leaf: &mut usize) -> Plan {
+    /// The plan of a node of type `ty` whose first leaf is `*leaf`,
+    /// advancing `*leaf` past its leaves.
+    fn of(ty: &DataType, nullable: bool, leaf: &mut usize) -> Plan {
         let start = *leaf;
-        let kids = match ty {
-            DataType::Struct(fields) => return Plan::of_fields(fields, leaf),
-            DataType::List(inner) => vec![Plan::of(inner, leaf)],
-            _ => {
+        let (kind, kids) = match ty {
+            DataType::Struct(fields) => (
+                Kind::Struct,
+                fields
+                    .iter()
+                    .map(|f| Plan::of(&f.data_type, f.nullable, leaf))
+                    .collect(),
+            ),
+            DataType::List(inner) => (Kind::List, vec![Plan::of(inner, false, leaf)]),
+            scalar => {
                 *leaf += 1;
-                Vec::new()
+                (
+                    Kind::Leaf(scalar.as_scalar().expect("a scalar type")),
+                    Vec::new(),
+                )
             }
         };
         Plan {
+            kind,
+            nullable,
             leaves: start..*leaf,
             kids,
-        }
-    }
-
-    fn of_fields(fields: &[Field], leaf: &mut usize) -> Plan {
-        let start = *leaf;
-        let kids = fields
-            .iter()
-            .map(|f| Plan::of(&f.data_type, leaf))
-            .collect();
-        Plan {
-            leaves: start..*leaf,
-            kids,
+            ty: ty.clone(),
         }
     }
 }
 
-/// Shreds the fields of a struct node; returns its flattened row count.
-/// `r` is the repetition level of the *first* entry each leaf writes in
-/// this scope, `d` the definition level reached so far and `depth` the
-/// number of list ancestors.
-fn shred_struct<'a, N: ShredNode<'a>>(
-    columns: &mut [DremelColumn],
-    fields: &[Field],
-    plan: &Plan,
-    node: N,
-    r: u16,
-    d: u16,
-    depth: u16,
-) -> Result<usize, N::Error> {
-    let mut rows = 1;
-    node.fields(fields, |i, child| {
-        let field = &fields[i];
-        let plan = &plan.kids[i];
-        let read = match child {
-            Some(child) => child.read(&field.data_type)?,
-            None => NodeRead::Null,
+/// One record being shredded into the builder's columns.
+struct Walk<'b> {
+    columns: &'b mut [DremelColumn],
+    /// See [`DremelBuilder`]'s field of the same name.
+    wide: &'b mut Vec<u64>,
+}
+
+impl Walk<'_> {
+    /// Shreds `input`, a node of `plan`; returns its flattened row count.
+    /// `r` is the repetition level of the *first* entry each leaf writes
+    /// here, `d` the definition level reached so far and `depth` the
+    /// number of list ancestors.
+    fn node<'a, I: ShredInput<'a>>(
+        &mut self,
+        plan: &Plan,
+        input: I,
+        r: u16,
+        d: u16,
+        depth: u16,
+    ) -> Result<usize, I::Error> {
+        let d_held = d + u16::from(plan.nullable);
+        let (holds, rows) = match plan.kind {
+            Kind::Leaf(ty) => {
+                let col = &mut self.columns[plan.leaves.start];
+                if input.push_into(ty, &mut col.data)? {
+                    col.push_held(d_held, r);
+                } else {
+                    col.push_null(d, r);
+                }
+                return Ok(1);
+            }
+            Kind::List => {
+                let (elem, depth) = (&plan.kids[0], depth + 1);
+                let (mut rows, mut r_elem) = (0, r);
+                let holds = input.elements(&plan.ty, |item| {
+                    rows += self.node(elem, item, r_elem, d_held + 1, depth)?;
+                    r_elem = depth;
+                    Ok(())
+                })?;
+                (holds, rows)
+            }
+            Kind::Struct => self.fields(plan, input, r, d_held, depth)?,
         };
-        rows *= if field.nullable && matches!(read, NodeRead::Null) {
-            emit_nulls(columns, plan, r, d);
-            1
+        match holds {
+            Holds::List | Holds::Struct { .. } => return Ok(rows),
+            Holds::Null => emit_nulls(self.columns, plan, r, d),
+            Holds::Empty => emit_nulls(self.columns, plan, r, d_held),
+        }
+        Ok(1)
+    }
+
+    /// [`Walk::node`] of a struct, whose fields start at definition level
+    /// `d`: the fields it lacks get nulls, then the ones it holds are
+    /// shredded in order.
+    fn fields<'a, I: ShredInput<'a>>(
+        &mut self,
+        plan: &Plan,
+        input: I,
+        r: u16,
+        d: u16,
+        depth: u16,
+    ) -> Result<(Holds, usize), I::Error> {
+        let len = plan.kids.len();
+        let mut small = 0u64;
+        let base = self.wide.len();
+        let words = if len <= 64 {
+            std::slice::from_mut(&mut small)
         } else {
-            let d = d + u16::from(field.nullable);
-            shred_read(columns, &field.data_type, plan, child, read, r, d, depth)?
+            self.wide.resize(base + len.div_ceil(64), 0);
+            &mut self.wide[base..]
         };
-        Ok(())
-    })?;
-    Ok(rows)
-}
-
-/// Shreds a node already read as `ty`; returns its flattened row count.
-#[allow(clippy::too_many_arguments)]
-fn shred_read<'a, N: ShredNode<'a>>(
-    columns: &mut [DremelColumn],
-    ty: &DataType,
-    plan: &Plan,
-    node: Option<N>,
-    read: NodeRead<'a>,
-    r: u16,
-    d: u16,
-    depth: u16,
-) -> Result<usize, N::Error> {
-    match (ty, read, node) {
-        (DataType::List(inner), NodeRead::List, Some(node)) => {
-            let elem = &plan.kids[0];
-            let depth = depth + 1;
-            let mut rows = 0;
-            let mut r_elem = r;
-            node.elements(|item| {
-                let read = item.read(inner)?;
-                rows += shred_read(columns, inner, elem, Some(item), read, r_elem, d + 1, depth)?;
-                r_elem = depth;
-                Ok(())
-            })?;
-            Ok(rows)
+        let mut present = FieldSet { words, len };
+        let holds = input.fields(&plan.ty, &mut present);
+        if let Ok(Holds::Struct { .. }) = holds {
+            for (idx, kid) in plan.kids.iter().enumerate() {
+                if !present.contains(idx) {
+                    emit_nulls(self.columns, kid, r, d);
+                }
+            }
         }
-        (DataType::Struct(fields), NodeRead::Struct, Some(node)) => {
-            shred_struct(columns, fields, plan, node, r, d, depth)
-        }
-        (_, NodeRead::Leaf(value), _) => {
-            columns[plan.leaves.start].push_leaf(value, d, r);
-            Ok(1)
-        }
-        // Null, empty, or a container the type does not hold.
-        _ => {
-            emit_nulls(columns, plan, r, d);
-            Ok(1)
-        }
+        self.wide.truncate(base);
+        let repeats = match holds? {
+            Holds::Struct { repeats } => repeats,
+            holds => return Ok((holds, 1)),
+        };
+        let mut rows = 1;
+        input.visit_fields(&plan.ty, repeats, |idx, field| {
+            rows *= self.node(&plan.kids[idx], field, r, d, depth)?;
+            Ok(())
+        })?;
+        Ok((Holds::Struct { repeats }, rows))
     }
 }
 

@@ -38,7 +38,7 @@ pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, DICT_MAX_RATIO, DICT_MIN_ROWS};
 pub use columnar::{ColumnStore, FlatColumnBuilder};
 pub use convert::{columnar_to_dremel, columnar_to_row, dremel_to_columnar, row_to_columnar};
-pub use dremel::{DremelBuilder, DremelStore, LeafValue, NodeRead, ShredNode, CHUNK_RECORDS};
+pub use dremel::{DremelBuilder, DremelStore, FieldSet, Holds, ShredInput, CHUNK_RECORDS};
 pub use offsets::OffsetStore;
 pub use row::RowStore;
 pub use shape::ShapeCursor;

@@ -9,11 +9,12 @@
 //!
 //! The CI `chaos` job runs this suite under `RECACHE_FAULT_SEED`.
 
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use recache::data::gen::tpch;
 use recache::data::{csv, json, FaultKind, FaultPlan, FaultSite, FileFormat, RawFile};
-use recache::layout::{CacheData, ColumnStore, DremelStore, OffsetStore, RowStore};
+use recache::layout::{CacheData, ColumnStore, DremelBuilder, DremelStore, OffsetStore, RowStore};
 use recache::materialize::{materialize_with_admission, upgrade_to_eager, StoreChoice};
-use recache::types::{DataType, Error, Field, Schema, Value};
+use recache::types::{flatten_record, DataType, Error, Field, Schema, Value};
 use recache::{Admission, QueryRequest, ReCache};
 use std::sync::Arc;
 
@@ -265,4 +266,225 @@ fn batched_csv_scans_answer_over_invalid_utf8_like_the_row_path() {
     let (first, mapped) = answers(true);
     assert_eq!(first, row_first, "vectorized first scan");
     assert_eq!(mapped, row_first, "vectorized mapped scan");
+}
+
+/// A random type of a field at `depth` (the schema's fields are at 1):
+/// scalars of all four types, and below depth 3 lists and structs, so
+/// lists of structs of lists occur.
+fn random_type(rng: &mut StdRng, depth: u32) -> DataType {
+    let scalars = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Bool,
+    ];
+    match rng.random_range(0..if depth < 3 { 8 } else { 4 }) {
+        k @ 0..=3 => scalars[k].clone(),
+        4 | 5 => DataType::List(Box::new(random_type(rng, depth + 1))),
+        _ => DataType::Struct(random_fields(rng, depth + 1, 1..5)),
+    }
+}
+
+/// Fields of random types, nullable and required alike, as many as a
+/// draw from `widths`.
+fn random_fields(rng: &mut StdRng, depth: u32, widths: std::ops::Range<usize>) -> Vec<Field> {
+    (0..rng.random_range(widths))
+        .map(|i| {
+            let ty = random_type(rng, depth);
+            match rng.random_bool(0.7) {
+                true => Field::new(format!("f{i}"), ty),
+                false => Field::required(format!("f{i}"), ty),
+            }
+        })
+        .collect()
+}
+
+/// A random schema. Every third one has a root of more than 64 fields,
+/// one of them a list of a struct of more than 64 fields, so a wide
+/// struct is walked inside another.
+fn random_tape_schema(rng: &mut StdRng, case: usize) -> Schema {
+    if !case.is_multiple_of(3) {
+        return Schema::new(random_fields(rng, 1, 1..6));
+    }
+    let mut fields = random_fields(rng, 2, 65..80);
+    let wide = DataType::Struct(random_fields(rng, 3, 65..72));
+    let at = rng.random_range(0..fields.len());
+    fields[at] = Field::new(format!("f{at}"), DataType::List(Box::new(wide)));
+    Schema::new(fields)
+}
+
+/// Appends a scalar literal for a leaf of type `ty`: its own kind, or
+/// one of the edge literals (the other number kind, out-of-range
+/// integers, escapes, other kinds), or — at rate `damage` — a literal
+/// no parse accepts.
+fn random_scalar(rng: &mut StdRng, ty: &DataType, damage: f64, out: &mut Vec<u8>) {
+    const EDGE: &[&[u8]] = &[
+        b"true",
+        b"false",
+        b"-0",
+        b"1.5",
+        b"1e3",
+        b"-2.5E-3",
+        b"1234567890123456789",
+        b"-9223372036854775809",
+        b"12345678901234567890123",
+        b"\"7\"",
+        b"\"a\\\"b\\\\c\\u00e9\\n\"",
+        b"\"caf\xc3\xa9\"",
+    ];
+    const DAMAGED: &[&[u8]] = &[b"\"bad\xffutf8\"", b"\"\\q\"", b"1e", b"--4", b"-"];
+    if rng.random_bool(damage) {
+        return out.extend_from_slice(DAMAGED[rng.random_range(0..DAMAGED.len())]);
+    }
+    if rng.random_bool(0.25) {
+        return out.extend_from_slice(EDGE[rng.random_range(0..EDGE.len())]);
+    }
+    let own = match ty {
+        DataType::Int => format!("{}", rng.random_range(-1000..1000i64)),
+        DataType::Float => format!("{:.2}", rng.random_range(-100.0..100.0)),
+        DataType::Bool => ["true", "false"][rng.random_range(0..2)].to_string(),
+        _ => format!("\"s{}\"", rng.random_range(0..9)),
+    };
+    out.extend_from_slice(own.as_bytes());
+}
+
+/// Appends a hostile JSON value for a node of type `ty`: mostly well
+/// typed, with explicit nulls, empty lists, containers of the wrong
+/// kind (or scalars where containers belong) mixed in.
+fn random_value(rng: &mut StdRng, ty: &DataType, damage: f64, out: &mut Vec<u8>) {
+    let container = matches!(ty, DataType::List(_) | DataType::Struct(_));
+    match rng.random_range(0..14) {
+        0 => return out.extend_from_slice(b"null"),
+        1 => return out.extend_from_slice(b"[]"),
+        2 => return out.extend_from_slice(b"{\"f0\":1}"),
+        3 if container => return random_scalar(rng, &DataType::Int, damage, out),
+        _ => {}
+    }
+    match ty {
+        DataType::List(inner) => {
+            out.push(b'[');
+            for i in 0..rng.random_range(0..4) {
+                if i > 0 {
+                    out.push(b',');
+                }
+                random_value(rng, inner, damage, out);
+            }
+            out.push(b']');
+        }
+        DataType::Struct(fields) => random_object(rng, fields, damage, out),
+        scalar => random_scalar(rng, scalar, damage, out),
+    }
+}
+
+/// Appends an object for `fields`: keys in shuffled order, some absent,
+/// some repeated (the first occurrence possibly damaged), some escaped,
+/// and unknown keys holding nested junk.
+fn random_object(rng: &mut StdRng, fields: &[Field], damage: f64, out: &mut Vec<u8>) {
+    let mut keys: Vec<usize> = (0..fields.len())
+        .filter(|_| rng.random_bool(0.85))
+        .collect();
+    for _ in 0..rng.random_range(0..3) {
+        if !keys.is_empty() {
+            let key = keys[rng.random_range(0..keys.len())];
+            keys.insert(rng.random_range(0..=keys.len()), key);
+        }
+    }
+    for i in (1..keys.len()).rev() {
+        if rng.random_bool(0.3) {
+            keys.swap(i, rng.random_range(0..=i));
+        }
+    }
+    out.push(b'{');
+    for (n, &key) in keys.iter().enumerate() {
+        if n > 0 {
+            out.push(b',');
+        }
+        if rng.random_bool(0.05) {
+            out.extend_from_slice(b"\"zz\":{\"a\":[1,{\"b\":\"}]\"}]},");
+        }
+        let name = &fields[key].name;
+        if rng.random_bool(0.05) {
+            // The same key, its first letter escaped.
+            let escaped = format!("\"\\u{:04x}{}\":", name.as_bytes()[0], &name[1..]);
+            out.extend_from_slice(escaped.as_bytes());
+        } else {
+            out.extend_from_slice(format!("\"{name}\":").as_bytes());
+        }
+        random_value(rng, &fields[key].data_type, damage, out);
+    }
+    out.push(b'}');
+}
+
+/// Over seeded random schemas and hostile records, shredding a record
+/// through its structure tape builds the store of shredding
+/// `parse_record`'s value, or fails with the same error — one record
+/// at a time, and the whole file into one builder, whose store
+/// reassembles to the parsed records.
+#[test]
+fn random_schemas_shred_through_the_tape_like_the_parsed_values() {
+    let mut rng = StdRng::seed_from_u64(fault_seed() ^ 0x7A9E);
+    let (mut taped, mut errors) = (0, 0);
+    for case in 0..60 {
+        let schema = random_tape_schema(&mut rng, case);
+        let lines: Vec<Vec<u8>> = (0..rng.random_range(1..30))
+            .map(|_| {
+                let damage = if rng.random_bool(0.3) { 0.02 } else { 0.0 };
+                let mut line = Vec::new();
+                random_object(&mut rng, schema.fields(), damage, &mut line);
+                line
+            })
+            .collect();
+        let bytes = lines.join(&b'\n');
+        let nothing = json::LeafProjection::new(&schema, &vec![false; schema.leaves().len()]);
+        let map = json::scan_build_map(&bytes, &schema, Some(&nothing), |_, _| Ok(())).unwrap();
+        let mut whole = DremelBuilder::new(&schema);
+        let mut parsed = Vec::new();
+        for (record, line) in lines.iter().enumerate() {
+            let want = json::parse_record(line, &schema, None);
+            let mut builder = DremelBuilder::new(&schema);
+            let got = json::shred_record_at(&bytes, &schema, &map, record, &mut builder)
+                .map(|()| builder.finish());
+            let case = format!(
+                "case {case} record {record}: {}",
+                String::from_utf8_lossy(line)
+            );
+            match want {
+                Ok(value) => {
+                    assert_eq!(
+                        got.unwrap(),
+                        DremelStore::build(&schema, [&value]),
+                        "{case}"
+                    );
+                    json::shred_record_at(&bytes, &schema, &map, record, &mut whole).unwrap();
+                    parsed.push(value);
+                }
+                Err(err) => {
+                    assert_eq!(got.unwrap_err().to_string(), err.to_string(), "{case}");
+                    errors += 1;
+                }
+            }
+            taped += usize::from(map.json_tape(record).is_some());
+        }
+        let whole = whole.finish();
+        assert_eq!(whole, DremelStore::build(&schema, &parsed), "case {case}");
+        // The level streams hold the records: reassembled, they flatten
+        // to the parsed values' rows, which the walk also counted. (Wide
+        // records, whose rows multiply across dozens of lists, are left
+        // to the store comparison.)
+        if !case.is_multiple_of(3) {
+            let rows: Vec<_> = parsed.iter().map(|v| flatten_record(&schema, v)).collect();
+            let rebuilt: Vec<_> = whole
+                .to_records()
+                .iter()
+                .map(|v| flatten_record(&schema, v))
+                .collect();
+            assert_eq!(rebuilt, rows, "case {case}");
+            let count: usize = rows.iter().map(Vec::len).sum();
+            assert_eq!(whole.flattened_rows(), count, "case {case}");
+        }
+    }
+    assert!(
+        taped > 500 && errors > 50,
+        "{taped} taped records, {errors} errors"
+    );
 }

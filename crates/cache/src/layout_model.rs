@@ -66,14 +66,30 @@ pub enum FlatLayoutChoice {
     Columnar,
 }
 
+/// A window observation's memoized `ComputeCost` estimate, valid while
+/// the Dremel history generation and `R` it was computed under hold.
+#[derive(Debug, Clone, Copy)]
+struct CostMemo {
+    generation: u64,
+    r_total: usize,
+    c_ns: u64,
+}
+
 /// Per-entry observation window plus long-term Parquet compute history.
 #[derive(Debug, Clone, Default)]
 pub struct LayoutHistory {
     /// Most recent observations since the last layout switch (bounded).
     window: VecDeque<QueryObservation>,
+    /// `ComputeCost` memo per window observation (parallel to `window`):
+    /// a decision on a columnar entry reads every window observation's
+    /// estimate, and each fresh estimate scans all of `dremel_history`.
+    memo: VecDeque<Option<CostMemo>>,
     /// Dremel-layout observations (the `ComputeCost(r, c)`
     /// nearest-neighbour estimator needs them even after switches).
     dremel_history: Vec<QueryObservation>,
+    /// Bumped on every push to `dremel_history`: the estimates derived
+    /// from it are stale once it changes.
+    dremel_generation: u64,
     /// Number of layout switches performed (stats/diagnostics).
     pub switches: u32,
 }
@@ -87,6 +103,7 @@ impl LayoutHistory {
     pub fn observe(&mut self, obs: QueryObservation) {
         if obs.layout == LayoutKind::Dremel {
             self.dremel_history.push(obs);
+            self.dremel_generation += 1;
             // Bound the long-term history; old workload phases stop being
             // representative anyway.
             if self.dremel_history.len() > 256 {
@@ -95,8 +112,10 @@ impl LayoutHistory {
         }
         if self.window.len() >= WINDOW_CAP {
             self.window.pop_front();
+            self.memo.pop_front();
         }
         self.window.push_back(obs);
+        self.memo.push_back(None);
     }
 
     /// Observations since the last switch (most recent `WINDOW_CAP`).
@@ -109,6 +128,7 @@ impl LayoutHistory {
     /// queries").
     pub fn reset_window(&mut self) {
         self.window.clear();
+        self.memo.clear();
         self.switches += 1;
     }
 
@@ -142,8 +162,10 @@ impl LayoutHistory {
     }
 
     /// Applies the §4.2 cost model given the item's current layout and
-    /// flattened row count `R`.
-    pub fn decide_nested(&self, current: LayoutKind, r_total: usize) -> LayoutDecision {
+    /// flattened row count `R`. On a columnar item each window
+    /// observation's `ComputeCost` is memoized until the Dremel history or
+    /// `R` changes, so a decision costs O(window), not O(window · history).
+    pub fn decide_nested(&mut self, current: LayoutKind, r_total: usize) -> LayoutDecision {
         if self.window.is_empty() || r_total == 0 {
             return LayoutDecision::Stay;
         }
@@ -173,13 +195,14 @@ impl LayoutHistory {
                 let mut cost_relational = 0.0f64;
                 let mut cost_parquet = 0.0f64;
                 let mut t_switch = 0.0f64;
-                for o in &self.window {
+                for i in 0..self.window.len() {
+                    let o = self.window[i];
                     if o.layout != LayoutKind::Columnar {
                         continue;
                     }
                     let ratio = o.rows.max(1) as f64 / r_total as f64;
                     cost_relational += o.d_ns as f64;
-                    let compute = self.compute_cost_estimate(o.rows, o.cols, r_total) as f64;
+                    let compute = self.memoized_estimate(i, r_total) as f64;
                     cost_parquet += (o.d_ns as f64 + compute) * ratio;
                     let scale = r_total as f64 / o.rows.max(1) as f64;
                     t_switch = t_switch.max((o.d_ns + o.c_ns) as f64 * scale);
@@ -191,6 +214,25 @@ impl LayoutHistory {
                 }
             }
             _ => LayoutDecision::Stay,
+        }
+    }
+
+    /// `compute_cost_estimate` for window observation `i`, recomputed only
+    /// when the Dremel history or `r_total` changed since it was cached.
+    fn memoized_estimate(&mut self, i: usize, r_total: usize) -> u64 {
+        let generation = self.dremel_generation;
+        match self.memo[i] {
+            Some(m) if m.generation == generation && m.r_total == r_total => m.c_ns,
+            _ => {
+                let o = self.window[i];
+                let c_ns = self.compute_cost_estimate(o.rows, o.cols, r_total);
+                self.memo[i] = Some(CostMemo {
+                    generation,
+                    r_total,
+                    c_ns,
+                });
+                c_ns
+            }
         }
     }
 
@@ -358,7 +400,7 @@ mod tests {
 
     #[test]
     fn empty_window_stays() {
-        let history = LayoutHistory::new();
+        let mut history = LayoutHistory::new();
         assert_eq!(
             history.decide_nested(LayoutKind::Dremel, 100),
             LayoutDecision::Stay
@@ -400,6 +442,167 @@ mod tests {
             history.observe(obs(0, 0, 1000, 8, LayoutKind::Row));
         }
         assert_eq!(history.decide_flat(4), FlatLayoutChoice::Row);
+    }
+
+    /// A from-scratch evaluator of Eqs. 1–5 over its own copies of the
+    /// window and the Dremel history: no memo, every `ComputeCost` a
+    /// fresh nearest-neighbour scan.
+    #[derive(Default)]
+    struct NaiveModel {
+        window: Vec<QueryObservation>,
+        dremel: Vec<QueryObservation>,
+    }
+
+    impl NaiveModel {
+        fn observe(&mut self, o: QueryObservation) {
+            if o.layout == LayoutKind::Dremel {
+                self.dremel.push(o);
+                if self.dremel.len() > 256 {
+                    self.dremel.remove(0);
+                }
+            }
+            self.window.push(o);
+            if self.window.len() > WINDOW_CAP {
+                self.window.remove(0);
+            }
+        }
+
+        fn compute_cost(&self, rows: usize, cols: usize, r_total: usize) -> u64 {
+            let record_level = rows < r_total;
+            let mut best: Option<(f64, u64)> = None;
+            for o in &self.dremel {
+                if (o.rows < r_total) != record_level {
+                    continue;
+                }
+                let d = (o.rows.max(1) as f64 / rows.max(1) as f64).ln().abs()
+                    + (o.cols as f64 - cols as f64).abs();
+                // First-seen wins ties, as `min_by` does.
+                if best.is_none_or(|(b, _)| d < b) {
+                    best = Some((d, o.c_ns));
+                }
+            }
+            match (best, record_level) {
+                (Some((_, c)), _) => c,
+                (None, true) => 0,
+                (None, false) => (rows * cols * 4) as u64,
+            }
+        }
+
+        fn decide(&self, current: LayoutKind, r_total: usize) -> LayoutDecision {
+            if self.window.is_empty() || r_total == 0 {
+                return LayoutDecision::Stay;
+            }
+            let r = r_total as f64;
+            let mut lhs = 0.0f64;
+            let mut rhs = 0.0f64;
+            let mut t = 0.0f64;
+            for o in self.window.iter().filter(|o| o.layout == current) {
+                let ri = o.rows.max(1) as f64;
+                let total = (o.d_ns + o.c_ns) as f64;
+                t = t.max(total * r / ri);
+                match current {
+                    LayoutKind::Dremel => {
+                        lhs += total;
+                        rhs += o.d_ns as f64 * (r / ri);
+                    }
+                    _ => {
+                        lhs += o.d_ns as f64;
+                        let c = self.compute_cost(o.rows, o.cols, r_total) as f64;
+                        rhs += (o.d_ns as f64 + c) * (ri / r);
+                    }
+                }
+            }
+            match current {
+                LayoutKind::Dremel if lhs > rhs + t => LayoutDecision::SwitchToColumnar,
+                LayoutKind::Columnar if lhs > rhs + t => LayoutDecision::SwitchToDremel,
+                _ => LayoutDecision::Stay,
+            }
+        }
+    }
+
+    /// Seeded random interleavings of Dremel and Columnar observations,
+    /// decisions under a few `R`s, and window resets: the memoized model
+    /// decides exactly as the naive evaluator does.
+    #[test]
+    fn memoized_decisions_match_naive_evaluator() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let mut switches = [0usize; 3];
+        for _ in 0..40 {
+            let mut history = LayoutHistory::new();
+            let mut naive = NaiveModel::default();
+            for _ in 0..600 {
+                match next(40) {
+                    0..=19 => {
+                        // Columnar observations carry no compute share,
+                        // as the session records them.
+                        let (layout, c_ns) = if next(3) == 0 {
+                            (LayoutKind::Dremel, next(20_000))
+                        } else {
+                            (LayoutKind::Columnar, 0)
+                        };
+                        let o = obs(
+                            1_000 + next(1_000),
+                            c_ns,
+                            [100, 200, 300, 400, 800, 1_200][next(6) as usize],
+                            1 + next(6) as usize,
+                            layout,
+                        );
+                        history.observe(o);
+                        naive.observe(o);
+                    }
+                    20..=38 => {
+                        let current = if next(4) == 0 {
+                            LayoutKind::Dremel
+                        } else {
+                            LayoutKind::Columnar
+                        };
+                        let r_total = [400, 800, 1_200][next(3) as usize];
+                        let got = history.decide_nested(current, r_total);
+                        assert_eq!(got, naive.decide(current, r_total));
+                        switches[match got {
+                            LayoutDecision::Stay => 0,
+                            LayoutDecision::SwitchToColumnar => 1,
+                            LayoutDecision::SwitchToDremel => 2,
+                        }] += 1;
+                    }
+                    _ => {
+                        history.reset_window();
+                        naive.window.clear();
+                    }
+                }
+            }
+        }
+        // The interleavings reach every outcome, not only `Stay`.
+        assert!(switches.iter().all(|&n| n > 0), "{switches:?}");
+    }
+
+    /// A Dremel observation arriving after a decision re-prices the
+    /// columnar window: the memoized estimates must not outlive it.
+    #[test]
+    fn new_dremel_history_invalidates_memoized_estimates() {
+        let mut history = LayoutHistory::new();
+        for _ in 0..6 {
+            history.observe(obs(800, 0, 100, 2, LayoutKind::Columnar));
+        }
+        // No record-level history: ComputeCost 0, same as
+        // `columnar_switches_back_when_queries_go_record_level`.
+        assert_eq!(
+            history.decide_nested(LayoutKind::Columnar, 400),
+            LayoutDecision::SwitchToDremel
+        );
+        // Record-level Parquet compute turns out expensive.
+        history.observe(obs(100, 100_000, 100, 2, LayoutKind::Dremel));
+        assert_eq!(
+            history.decide_nested(LayoutKind::Columnar, 400),
+            LayoutDecision::Stay
+        );
     }
 
     #[test]

@@ -1010,7 +1010,8 @@ impl ReCache {
     /// the layout is still what the conversion started from, so racing
     /// sessions cannot clobber each other's switches.
     fn maybe_switch_layout(&self, id: EntryId) -> Option<((LayoutKind, LayoutKind), u64)> {
-        // Snapshot the decision inputs under the shard lock; the store
+        // Snapshot the decision inputs under the shard lock (the write
+        // side: deciding updates the layout model's cost memo); the store
         // itself is an `Arc`, so conversion needs no further locking.
         enum Planned {
             DremelToColumnar(Arc<recache_layout::DremelStore>),
@@ -1018,7 +1019,7 @@ impl ReCache {
             ColumnarToRow(Arc<recache_layout::ColumnStore>),
             RowToColumnar(Arc<recache_layout::RowStore>),
         }
-        let planned = self.registry.with_entry(id, |entry| {
+        let planned = self.registry.with_entry_mut(id, |entry| {
             let current = entry.data.layout();
             let nested = match &entry.data {
                 CacheData::Columnar(s) => s.schema().has_nested(),

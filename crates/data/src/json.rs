@@ -2359,7 +2359,7 @@ mod tests {
                     let valued = DremelStore::build(&schema, [&parsed]);
                     assert_eq!(valued.column(0).value(0), want, "{case}: value");
                     assert_eq!(taped, valued, "{case}: stores");
-                    let mut scan = TapeScan::new(&schema, &schema.leaves(), &[0]);
+                    let mut scan = TapeScan::new(&schema, schema.leaves(), &[0]);
                     let mut cols = vec![ScratchColumn::new(scalar)];
                     assert_eq!(scan.push_mapped(&bytes, &map, 0, &mut cols).unwrap(), 1);
                     assert_eq!(cols[0].as_batch_column().value(0), want, "{case}: pick");

@@ -51,7 +51,6 @@ pub struct RawFile {
     format: FileFormat,
     schema: Schema,
     bytes: Vec<u8>,
-    leaves: Vec<LeafField>,
     /// JSON with a list or struct field: batched scans read it through
     /// structure tapes, [`CHUNK_RECORDS`] records per chunk.
     nested: bool,
@@ -81,7 +80,7 @@ impl std::fmt::Debug for RawFile {
         f.debug_struct("RawFile")
             .field("format", &self.format)
             .field("bytes", &self.bytes.len())
-            .field("leaves", &self.leaves.len())
+            .field("leaves", &self.leaves().len())
             .finish()
     }
 }
@@ -89,7 +88,6 @@ impl std::fmt::Debug for RawFile {
 impl RawFile {
     /// Wraps raw bytes (used by tests and generators).
     pub fn from_bytes(bytes: Vec<u8>, format: FileFormat, schema: Schema) -> Self {
-        let leaves = schema.leaves();
         RawFile {
             format,
             nested: format == FileFormat::Json
@@ -99,7 +97,6 @@ impl RawFile {
                     .any(|f| f.data_type.as_scalar().is_none()),
             schema,
             bytes,
-            leaves,
             posmap: Mutex::new(None),
             batch: Mutex::new(None),
             faults: Mutex::new(FaultState::default()),
@@ -168,7 +165,7 @@ impl RawFile {
 
     /// Scalar leaves in canonical order (the engine's column universe).
     pub fn leaves(&self) -> &[LeafField] {
-        &self.leaves
+        self.schema.leaves()
     }
 
     /// Raw size in bytes.
@@ -198,7 +195,7 @@ impl RawFile {
         accessed: &[bool],
         on_row: &mut dyn FnMut(usize, FlatRow),
     ) -> Result<ScanMetrics> {
-        debug_assert_eq!(accessed.len(), self.leaves.len());
+        debug_assert_eq!(accessed.len(), self.leaves().len());
         self.row_scan_gate()?;
         let existing = self.posmap();
         let mut metrics = ScanMetrics {
@@ -695,7 +692,7 @@ impl RawFile {
             "batched scans require a file under 4 GiB"
         );
         // A flat file's leaf id is its field index.
-        let leaves = &self.leaves;
+        let leaves = self.leaves();
         let accessed_fields: Vec<(usize, ScalarType, usize)> = projection
             .iter()
             .enumerate()
@@ -1043,6 +1040,14 @@ mod tests {
         ];
         let bytes = json::write_json(&schema, &records);
         RawFile::from_bytes(bytes, FileFormat::Json, schema)
+    }
+
+    #[test]
+    fn leaves_are_the_schemas_own_slice() {
+        for file in [csv_file(), json_file()] {
+            assert!(std::ptr::eq(file.leaves(), file.schema().leaves()));
+        }
+        assert_eq!(json_file().leaves().len(), 2);
     }
 
     #[test]

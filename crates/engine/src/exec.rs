@@ -79,8 +79,10 @@ pub struct ExecOptions {
     /// Threads driving vectorized cache-store scans: batch chunks are
     /// share-nothing, so they are split into contiguous task ranges
     /// executed on the shared work-stealing pool and merged in fixed
-    /// task order. `0` (the default) means all available parallelism;
-    /// `1` reproduces single-threaded execution exactly. Results are
+    /// task order. `0` (the default) means all available parallelism,
+    /// as [`workpool::available_parallelism`] reports it: sampled once
+    /// per process, so resolving it costs nothing per query. `1`
+    /// reproduces single-threaded execution exactly. Results are
     /// bit-identical at every thread count (sums accumulate through
     /// [`ExactSum`], extremes/ids merge in row order).
     pub threads: usize,
@@ -1766,6 +1768,14 @@ mod tests {
             record_level: true,
             collect_satisfying: false,
         }
+    }
+
+    #[test]
+    fn default_threads_resolve_to_the_sampled_parallelism() {
+        let machine = workpool::available_parallelism();
+        assert_eq!(ExecOptions::default().effective_threads(), machine);
+        assert_eq!(ExecOptions::default().effective_threads(), machine);
+        assert_eq!(ExecOptions::with_threads(3).effective_threads(), 3);
     }
 
     #[test]

@@ -214,10 +214,20 @@ impl SelectionVector {
     }
 
     /// Keeps only the selected rows for which `keep` holds (stable,
-    /// in-place) — the primitive predicate kernels are built on.
+    /// in-place) — the primitive predicate kernels are built on. The
+    /// compaction is branch-free: every row is written to the next output
+    /// slot and the slot advances by `keep(row) as usize`, so a
+    /// data-dependent outcome never costs a mispredicted branch.
     #[inline]
     pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        self.idx.retain(|&row| keep(row));
+        let idx = self.idx.as_mut_slice();
+        let mut n = 0;
+        for i in 0..idx.len() {
+            let row = idx[i];
+            idx[n] = row;
+            n += usize::from(keep(row));
+        }
+        self.idx.truncate(n);
     }
 }
 

@@ -2,6 +2,7 @@
 //! definition/repetition levels used by the nested columnar cache layout.
 
 use crate::path::FieldPath;
+use std::sync::Arc;
 
 /// Scalar leaf types supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,14 +119,40 @@ impl LeafField {
 }
 
 /// A top-level record schema: an implicit struct.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The scalar leaves are derived once, at construction, and shared by
+/// clones: path resolution and every scan ask for them per query.
+#[derive(Clone)]
 pub struct Schema {
     fields: Vec<Field>,
+    leaves: Arc<[LeafField]>,
+}
+
+/// Schemas are equal when their fields are; the leaves follow from them.
+impl PartialEq for Schema {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields == other.fields
+    }
+}
+
+impl std::fmt::Debug for Schema {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Schema")
+            .field("fields", &self.fields)
+            .finish()
+    }
 }
 
 impl Schema {
     pub fn new(fields: Vec<Field>) -> Self {
-        Schema { fields }
+        let mut leaves = Vec::new();
+        for field in &fields {
+            collect_leaves(field, &mut Vec::new(), 0, 0, &mut leaves);
+        }
+        Schema {
+            fields,
+            leaves: leaves.into(),
+        }
     }
 
     pub fn fields(&self) -> &[Field] {
@@ -170,12 +197,8 @@ impl Schema {
     ///
     /// This ordering is the canonical column ordering used by every cache
     /// layout and by flattened rows.
-    pub fn leaves(&self) -> Vec<LeafField> {
-        let mut out = Vec::new();
-        for field in &self.fields {
-            collect_leaves(field, &mut Vec::new(), 0, 0, &mut out);
-        }
-        out
+    pub fn leaves(&self) -> &[LeafField] {
+        &self.leaves
     }
 
     /// Index into [`Schema::leaves`] for a dotted path, if it names a leaf.
@@ -337,6 +360,63 @@ mod tests {
         assert_eq!(leaves[0].max_rep, 1);
         assert_eq!(leaves[0].max_def, 2); // nullable + list
         assert_eq!(leaves[0].scalar_type, ScalarType::Str);
+    }
+
+    /// Leaves by a separate walk over the type tree: each list layer adds
+    /// one definition and one repetition level, a nullable field one
+    /// definition level.
+    fn walk_leaves(ty: &DataType, path: &[String], def: u16, rep: u16, out: &mut Vec<LeafField>) {
+        match ty {
+            DataType::List(inner) => walk_leaves(inner, path, def + 1, rep + 1, out),
+            DataType::Struct(fields) => {
+                for f in fields {
+                    let mut child = path.to_vec();
+                    child.push(f.name.clone());
+                    walk_leaves(&f.data_type, &child, def + u16::from(f.nullable), rep, out);
+                }
+            }
+            scalar => out.push(LeafField {
+                path: FieldPath::from_steps(path.to_vec()),
+                scalar_type: scalar.as_scalar().unwrap(),
+                max_def: def,
+                max_rep: rep,
+            }),
+        }
+    }
+
+    #[test]
+    fn cached_leaves_match_a_fresh_walk_on_random_schemas() {
+        use crate::flatten::property_tests::{random_schema, Rng};
+        let mut rng = Rng::new(0x1EAF);
+        for case in 0..300 {
+            let schema = random_schema(&mut rng);
+            let mut expected = Vec::new();
+            walk_leaves(
+                &DataType::Struct(schema.fields().to_vec()),
+                &[],
+                0,
+                0,
+                &mut expected,
+            );
+            assert_eq!(schema.leaves(), expected.as_slice(), "case {case}");
+            for (i, leaf) in expected.iter().enumerate() {
+                assert_eq!(schema.leaf_index(&leaf.path), Some(i), "case {case}");
+            }
+            // A clone shares the leaves; a rebuild from equal fields is equal.
+            let clone = schema.clone();
+            assert!(std::ptr::eq(clone.leaves(), schema.leaves()));
+            let rebuilt = Schema::new(schema.fields().to_vec());
+            assert_eq!(rebuilt, schema);
+            assert_eq!(rebuilt.leaves(), schema.leaves());
+        }
+    }
+
+    #[test]
+    fn schemas_compare_by_fields() {
+        let a = order_lineitems_schema();
+        assert_eq!(a, order_lineitems_schema());
+        let b = Schema::new(a.fields()[..2].to_vec());
+        assert_ne!(a, b);
     }
 
     #[test]

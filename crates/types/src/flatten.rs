@@ -918,7 +918,7 @@ mod oracle {
 /// Seeded random schemas and records: the walker must reproduce the
 /// oracle's rows, masks and order exactly, for every projection.
 #[cfg(test)]
-mod property_tests {
+pub(crate) mod property_tests {
     use super::*;
     use crate::datatype::Field;
 

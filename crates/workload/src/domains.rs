@@ -27,7 +27,10 @@ impl Domains {
                 }
             }
         }
-        Domains { leaves, ranges }
+        Domains {
+            leaves: leaves.to_vec(),
+            ranges,
+        }
     }
 
     pub fn leaves(&self) -> &[LeafField] {

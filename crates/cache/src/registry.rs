@@ -290,22 +290,6 @@ impl CacheRegistry {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one shared multi-predicate raw pass (a batched scan that
-    /// served two or more concurrently-admitted queries at once).
-    pub fn note_shared_scan(&self) {
-        self.counters.shared_scans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` queries served by a shared scan (the pass's participant
-    /// count, leader included).
-    pub fn note_shared_scan_participants(&self, n: u64) {
-        if n > 0 {
-            self.counters
-                .shared_scan_participants
-                .fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Counts one query that surfaced a non-retryable scan failure.
     pub fn note_failed_scan(&self) {
         self.counters.failed_scans.fetch_add(1, Ordering::Relaxed);

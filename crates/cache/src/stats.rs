@@ -108,11 +108,13 @@ pub struct RegistryCounters {
     /// in-flight scan and who waited for the leader's admitted entry
     /// instead of re-scanning raw (distinct from exact-key `coalesced`).
     pub coalesced_subsumed: u64,
-    /// Shared multi-predicate raw passes: one per batched scan that
-    /// served two or more concurrently-admitted queries.
+    /// Always 0: every raw pass runs one query's plan, so no pass is
+    /// shared. The field stays only because the benchmark harness
+    /// (`ledger/`) builds and reads this struct; ROADMAP item B removes
+    /// it along with the ledger's `core.shared_scans` row.
     pub shared_scans: u64,
-    /// Total queries served by shared scans (each shared pass contributes
-    /// its participant count, leader included).
+    /// Always 0, for the same reason as `shared_scans`; item B removes
+    /// it too.
     pub shared_scan_participants: u64,
 }
 
@@ -140,8 +142,6 @@ pub struct AtomicRegistryCounters {
     pub result_evictions: AtomicU64,
     pub result_invalidations: AtomicU64,
     pub coalesced_subsumed: AtomicU64,
-    pub shared_scans: AtomicU64,
-    pub shared_scan_participants: AtomicU64,
 }
 
 impl AtomicRegistryCounters {
@@ -165,8 +165,8 @@ impl AtomicRegistryCounters {
             result_evictions: self.result_evictions.load(Ordering::Relaxed),
             result_invalidations: self.result_invalidations.load(Ordering::Relaxed),
             coalesced_subsumed: self.coalesced_subsumed.load(Ordering::Relaxed),
-            shared_scans: self.shared_scans.load(Ordering::Relaxed),
-            shared_scan_participants: self.shared_scan_participants.load(Ordering::Relaxed),
+            shared_scans: 0,
+            shared_scan_participants: 0,
         }
     }
 }

@@ -45,14 +45,10 @@ pub use request::{CacheOutcome, QueryBody, QueryRequest, QueryResponse, QueryTel
 use resolve::{resolve, ResolvedQuery};
 pub use result::{QueryResult, QueryStats, TableSummary};
 pub use result_cache::{ResultCache, ResultCacheConfig};
-pub use session::{
-    AdmissionGate, AdmissionPermit, AdmissionStats, Scheduler, SharedScanConfig, StreamLease,
-};
-use session::{
-    Begin, FlightGuard, FlightKey, FlightOutcome, Inflight, SharedRole, SharedScans, SharedServe,
-};
+pub use session::{AdmissionGate, AdmissionPermit, AdmissionStats, Scheduler, StreamLease};
+use session::{Begin, FlightGuard, FlightKey, FlightOutcome, Inflight};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,7 +80,6 @@ pub struct ReCacheBuilder {
     layout: LayoutPolicy,
     caching: bool,
     result_cache: result_cache::ResultCacheConfig,
-    shared_scans: SharedScanConfig,
 }
 
 impl Default for ReCacheBuilder {
@@ -98,7 +93,6 @@ impl Default for ReCacheBuilder {
             // Off unless `RECACHE_RESULT_CACHE_ENABLED` opts the process
             // in (the server front end enables serving sessions itself).
             result_cache: result_cache::ResultCacheConfig::from_env(),
-            shared_scans: SharedScanConfig::from_env(),
         }
     }
 }
@@ -168,14 +162,6 @@ impl ReCacheBuilder {
         self
     }
 
-    /// Replaces the shared-scan configuration (default:
-    /// [`SharedScanConfig::from_env`], i.e. enabled with the
-    /// `RECACHE_SHARED_SCAN` env override applied).
-    pub fn shared_scans(mut self, config: SharedScanConfig) -> Self {
-        self.shared_scans = config;
-        self
-    }
-
     /// Builds the session. The result cache is wired to the registry's
     /// invalidation listener here, so every data-cache eviction/removal
     /// precisely drops the result entries pinned to the departed
@@ -192,8 +178,6 @@ impl ReCacheBuilder {
             registry,
             results,
             inflight: Inflight::default(),
-            shared: SharedScans::new(self.shared_scans),
-            live: AtomicUsize::new(0),
             admission: self.admission,
             layout: self.layout,
             caching: self.caching,
@@ -214,12 +198,6 @@ pub struct ReCache {
     results: Arc<result_cache::ResultCache>,
     /// Single-flight table for in-flight cacheable scans.
     inflight: Inflight,
-    /// Shared-scan rendezvous board (work sharing across co-running
-    /// queries on one source).
-    shared: SharedScans,
-    /// Queries currently inside `run_spec`. Shared-scan leaders only pay
-    /// the gather window when this says someone could actually join.
-    live: AtomicUsize,
     admission: AdmissionConfig,
     layout: LayoutPolicy,
     caching: bool,
@@ -463,7 +441,6 @@ impl ReCache {
     /// spec under final options (deadline already folded into `cancel`).
     fn run_spec(&self, spec: &QuerySpec, options: &ExecOptions) -> Result<QueryResult> {
         let t_run = Instant::now();
-        let _live = LiveGuard::enter(&self.live, &self.shared);
         self.queries_run.fetch_add(1, Ordering::Relaxed);
         self.registry.tick();
         if let Err(err) = options.check_cancel() {
@@ -715,7 +692,7 @@ impl ReCache {
             }
             _ => None,
         };
-        let output = match self.shared_execute(&plan, options, build.as_ref()) {
+        let output = match exec::execute_building(&plan, options, build.as_ref()) {
             Ok(output) => output,
             Err(err) => {
                 // Classify the failure before it propagates. Any flight
@@ -905,77 +882,6 @@ impl ReCache {
         })
     }
 
-    /// Executes a plan, sharing the raw pass with concurrently-admitted
-    /// queries over the same source when possible.
-    ///
-    /// A shareable plan (single batchable raw table) rendezvouses on the
-    /// session's [`SharedScans`] board: the first arrival leads, holds
-    /// the group open for the gather window, then runs ONE batched pass
-    /// evaluating every participant's predicate per chunk
-    /// ([`exec::execute_shared`]) and publishes each member's own
-    /// rows/aggregates. Every fallback path (solo group, shared-pass
-    /// error, abandoned leader, cancelled member) degrades to the plain
-    /// per-query [`exec::execute_with`], so sharing can change only the
-    /// number of raw passes — never a query's result.
-    ///
-    /// The gather window is only paid when at least one other query is
-    /// live inside [`ReCache::run_spec`], so single-stream workloads see
-    /// no added latency — and the leader stops gathering early once
-    /// every live query has joined the group (or finished), so the full
-    /// window is an upper bound, not a fixed cost.
-    fn shared_execute(
-        &self,
-        plan: &QueryPlan,
-        options: &ExecOptions,
-        build: Option<&BuildRequest>,
-    ) -> Result<exec::QueryOutput> {
-        let config = self.shared.config();
-        if !config.enabled
-            || self.live.load(Ordering::Relaxed) < 2
-            || !exec::shareable(plan, options)
-        {
-            return exec::execute_building(plan, options, build);
-        }
-        match self.shared.rendezvous(&plan.tables[0].name, plan, build) {
-            SharedRole::Lead(lead) => {
-                let members = lead.gather(&self.live);
-                if members.len() < 2 {
-                    // Nobody joined inside the window: plain solo run.
-                    // (Dropping the lead publishes fallback to the empty
-                    // member set — a no-op.)
-                    drop(lead);
-                    return exec::execute_building(plan, options, build);
-                }
-                let (plans, builds): (Vec<QueryPlan>, Vec<Option<BuildRequest>>) =
-                    members.into_iter().unzip();
-                match exec::execute_shared_building(&plans, &builds, options) {
-                    Ok(mut outputs) => {
-                        self.registry.note_shared_scan();
-                        self.registry
-                            .note_shared_scan_participants(plans.len() as u64);
-                        let mine = outputs.remove(0);
-                        lead.publish(outputs.into_iter().map(SharedServe::Output).collect());
-                        Ok(mine)
-                    }
-                    Err(_) => {
-                        // Release members to their own solo runs first,
-                        // then retry solo ourselves: per-query fault
-                        // handling (bounded retry, degraded fallback,
-                        // typed errors) applies unchanged.
-                        drop(lead);
-                        exec::execute_building(plan, options, build)
-                    }
-                }
-            }
-            SharedRole::Member(gather, ticket) => {
-                match gather.await_serve(ticket, options.cancel.as_deref())? {
-                    SharedServe::Output(output) => Ok(output),
-                    SharedServe::Fallback => exec::execute_building(plan, options, build),
-                }
-            }
-        }
-    }
-
     /// Whether a miss on `source` is admitted eagerly whatever its sample
     /// would say: eager is forced, or the source is in the working set
     /// (§5.2).
@@ -1115,30 +1021,6 @@ impl ReCache {
         self.registry
             .replace_data_if(id, Some(LayoutKind::Offsets), data, ns);
         Ok(ns)
-    }
-}
-
-/// RAII increment of the session's live-query gauge (decrements on every
-/// exit path from `run_spec`, including errors and panics). A departure
-/// wakes every gathering shared-scan leader to re-read the gauge.
-struct LiveGuard<'a> {
-    gauge: &'a AtomicUsize,
-    shared: &'a SharedScans,
-}
-
-impl<'a> LiveGuard<'a> {
-    fn enter(gauge: &'a AtomicUsize, shared: &'a SharedScans) -> Self {
-        gauge.fetch_add(1, Ordering::Relaxed);
-        LiveGuard { gauge, shared }
-    }
-}
-
-impl Drop for LiveGuard<'_> {
-    fn drop(&mut self) {
-        // Decrement before waking: the group lock taken in between orders
-        // the decrement before the woken leader's re-read.
-        self.gauge.fetch_sub(1, Ordering::Relaxed);
-        self.shared.wake_gathers();
     }
 }
 

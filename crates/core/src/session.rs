@@ -3,7 +3,7 @@
 //!
 //! A [`ReCache`] session is `Send + Sync`, so K
 //! independent query streams can run against one shared cache. This
-//! module supplies the two pieces that make that *useful* rather than
+//! module supplies the pieces that make that *useful* rather than
 //! merely safe:
 //!
 //! * [`Scheduler`] — admits K streams concurrently and negotiates each
@@ -28,13 +28,6 @@
 //!   (subsumption coalescing — restricted to single-table followers,
 //!   which hold no leaderships of their own, so the wait graph stays
 //!   acyclic).
-//! * [`SharedScans`](crate-private) + [`SharedScanConfig`] — the shared
-//!   multi-predicate scan rendezvous: when K concurrently-admitted
-//!   queries miss on the same batchable raw source with *different*
-//!   predicates, the first one to reach the executor leads a short
-//!   gather window, batches every participant's predicate into one raw
-//!   pass (`recache_engine::exec::execute_shared`), and distributes
-//!   per-query outputs — K queries, one scan.
 //! * [`AdmissionGate`] — bounded admission with shed-on-overload for
 //!   serving layers: at most `max_running` queries execute while at most
 //!   `max_queued` wait their turn; anything beyond that is *shed* with a
@@ -45,14 +38,13 @@
 
 use crate::{QueryRequest, QueryResponse, QueryResult, ReCache};
 use recache_cache::registry::LeafRange;
-use recache_engine::exec::{BuildRequest, ExecOptions, QueryOutput, Repricer};
-use recache_engine::plan::QueryPlan;
+use recache_engine::exec::{ExecOptions, Repricer};
 use recache_engine::sql::QuerySpec;
 use recache_types::{CancelToken, Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Renders a panic payload for error reporting (`&str` and `String`
 /// payloads cover `panic!`/`assert!`; anything else gets a placeholder).
@@ -371,285 +363,6 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Tuning of the shared multi-predicate scan rendezvous.
-///
-/// Env knob (read by [`SharedScanConfig::from_env`], the session
-/// builder's default): `RECACHE_SHARED_SCAN` (`0`/`false`/`off`
-/// disables). The window and group size are set through the builder.
-#[derive(Debug, Clone)]
-pub struct SharedScanConfig {
-    /// Master switch; disabled groups never form and every query scans
-    /// independently (the pre-PR-10 behavior).
-    pub enabled: bool,
-    /// Most queries one shared pass may serve (leader included). The
-    /// gather seals early once the group is full.
-    pub max_participants: usize,
-    /// How long a leader holds the group open for co-runners to join.
-    /// Only paid when other queries are live in the session, so
-    /// single-stream workloads see no added latency.
-    pub gather_window: Duration,
-}
-
-impl Default for SharedScanConfig {
-    fn default() -> Self {
-        SharedScanConfig {
-            enabled: true,
-            max_participants: 16,
-            gather_window: Duration::from_millis(2),
-        }
-    }
-}
-
-impl SharedScanConfig {
-    /// The default config with the `RECACHE_SHARED_SCAN` env override
-    /// applied.
-    pub fn from_env() -> Self {
-        let mut cfg = SharedScanConfig::default();
-        if let Ok(v) = std::env::var("RECACHE_SHARED_SCAN") {
-            cfg.enabled = !matches!(v.trim(), "0" | "false" | "off");
-        }
-        cfg
-    }
-}
-
-/// How one shared-scan member is served.
-pub(crate) enum SharedServe {
-    /// The member's slice of the shared pass: its own rows/aggregates,
-    /// bit-identical to what a solo scan would have produced.
-    Output(QueryOutput),
-    /// The pass failed, was abandoned, or declined this member: run the
-    /// plan independently.
-    Fallback,
-}
-
-struct GatherState {
-    /// A sealed group accepts no more members (its leader is running).
-    sealed: bool,
-    /// Participant plans, each with the cache entry it asks the pass to
-    /// build, in ticket order; slot 0 is the leader's.
-    plans: Vec<(QueryPlan, Option<BuildRequest>)>,
-    /// Per-ticket serves, filled at publish; `None` reads as fallback.
-    results: Vec<Option<SharedServe>>,
-    done: bool,
-}
-
-/// One gathering (or running) shared-scan group over a source.
-pub(crate) struct Gather {
-    state: Mutex<GatherState>,
-    cv: Condvar,
-}
-
-impl Gather {
-    /// Blocks until the leader publishes, then takes this ticket's serve.
-    /// A missing slot (leader died, defensive padding) reads as
-    /// [`SharedServe::Fallback`]. With a cancel token the wait polls, so
-    /// a cancelled member stops waiting promptly.
-    pub(crate) fn await_serve(
-        &self,
-        ticket: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SharedServe> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while !state.done {
-            match cancel {
-                None => state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
-                Some(token) => {
-                    token.check()?;
-                    let (guard, _) = self
-                        .cv
-                        .wait_timeout(state, WAIT_POLL)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                }
-            }
-        }
-        Ok(state
-            .results
-            .get_mut(ticket)
-            .and_then(Option::take)
-            .unwrap_or(SharedServe::Fallback))
-    }
-}
-
-/// This query's role in a shared-scan group.
-pub(crate) enum SharedRole<'a> {
-    /// First to arrive: gather co-runners, run the batched pass, publish.
-    Lead(GatherLead<'a>),
-    /// Joined an open group with this ticket; await the leader's serve.
-    Member(Arc<Gather>, usize),
-}
-
-/// Leadership of a gathering shared-scan group. If the leader unwinds
-/// before publishing (error paths, panics), drop releases every member
-/// with [`SharedServe::Fallback`] rather than leaving them waiting.
-pub(crate) struct GatherLead<'a> {
-    board: &'a SharedScans,
-    source: String,
-    group: Arc<Gather>,
-}
-
-impl GatherLead<'_> {
-    /// Waits out the gather window, un-maps and seals the group, and
-    /// returns every participant's plan and build request in ticket
-    /// order (the leader's at slot 0). The wait is cut short the moment
-    /// no more members can usefully arrive: when the group fills to
-    /// `max_participants`, or when every query counted by the session's
-    /// live gauge is already in the group (a future joiner increments the
-    /// gauge *before* rendezvousing, so a pending joiner is always
-    /// counted). Joining members and departing live queries both notify
-    /// the group's condvar, so the wait needs no polling. After this
-    /// returns no further member can join, so `publish` may size its
-    /// serves off the returned plans.
-    pub(crate) fn gather(&self, live: &AtomicUsize) -> Vec<(QueryPlan, Option<BuildRequest>)> {
-        let config = &self.board.config;
-        let deadline = Instant::now() + config.gather_window;
-        {
-            let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-            while state.plans.len() < config.max_participants
-                && state.plans.len() < live.load(Ordering::Relaxed)
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .group
-                    .cv
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = guard;
-            }
-        }
-        // Un-map BEFORE sealing: members join while holding the map
-        // lock, so "indexed in the map" implies "still open" and a
-        // ticket handed out under that lock is always honored.
-        self.board.unmap(&self.source, &self.group);
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.sealed = true;
-        state.plans.clone()
-    }
-
-    /// Publishes each member's serve (`serves[t - 1]` goes to ticket `t`;
-    /// slot 0 is the leader, who never waits on itself) and wakes them.
-    /// First publication wins; the drop's fallback publish is a no-op
-    /// after this.
-    pub(crate) fn publish(&self, serves: Vec<SharedServe>) {
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.done {
-            return;
-        }
-        let mut results: Vec<Option<SharedServe>> = Vec::with_capacity(serves.len() + 1);
-        results.push(None); // leader's slot, never awaited
-        results.extend(serves.into_iter().map(Some));
-        // Short publishes leave trailing members at `None` → fallback.
-        state.results = results;
-        state.done = true;
-        self.group.cv.notify_all();
-    }
-}
-
-impl Drop for GatherLead<'_> {
-    fn drop(&mut self) {
-        // Unwind safety: un-map first so nobody joins a dead group, then
-        // release any members still waiting with an (empty ⇒ fallback)
-        // publication. When `publish` already ran, this is a no-op.
-        self.board.unmap(&self.source, &self.group);
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.sealed = true;
-        if !state.done {
-            state.results = Vec::new();
-            state.done = true;
-            self.group.cv.notify_all();
-        }
-    }
-}
-
-/// The shared-scan rendezvous board: at most one *gathering* group per
-/// source. Lock order is map → group state (the leader's gather wait
-/// holds only the group lock), and neither is ever held across a scan.
-pub(crate) struct SharedScans {
-    groups: Mutex<HashMap<String, Arc<Gather>>>,
-    config: SharedScanConfig,
-}
-
-impl SharedScans {
-    pub(crate) fn new(config: SharedScanConfig) -> Self {
-        SharedScans {
-            groups: Mutex::new(HashMap::new()),
-            config,
-        }
-    }
-
-    pub(crate) fn config(&self) -> &SharedScanConfig {
-        &self.config
-    }
-
-    /// Joins the open group over `source`, or opens a new one as leader.
-    /// Joining happens while holding the map lock — a mapped group is by
-    /// invariant unsealed (leaders un-map before sealing) — so a member's
-    /// ticket is always eventually served (or explicitly fallback'd).
-    pub(crate) fn rendezvous(
-        &self,
-        source: &str,
-        plan: &QueryPlan,
-        build: Option<&BuildRequest>,
-    ) -> SharedRole<'_> {
-        let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(group) = groups.get(source) {
-            let mut state = group.state.lock().unwrap_or_else(|e| e.into_inner());
-            if !state.sealed && state.plans.len() < self.config.max_participants {
-                state.plans.push((plan.clone(), build.cloned()));
-                let ticket = state.plans.len() - 1;
-                group.cv.notify_all();
-                let group = Arc::clone(group);
-                drop(state);
-                return SharedRole::Member(group, ticket);
-            }
-            // Full group still mapped: fall through and replace it with
-            // a fresh one (its leader un-maps by pointer identity, so
-            // the replacement is never clobbered).
-        }
-        let group = Arc::new(Gather {
-            state: Mutex::new(GatherState {
-                sealed: false,
-                plans: vec![(plan.clone(), build.cloned())],
-                results: Vec::new(),
-                done: false,
-            }),
-            cv: Condvar::new(),
-        });
-        groups.insert(source.to_owned(), Arc::clone(&group));
-        SharedRole::Lead(GatherLead {
-            board: self,
-            source: source.to_owned(),
-            group,
-        })
-    }
-
-    /// Wakes every gathering leader to re-read the live gauge; called
-    /// after a query leaves it. Each group's state lock is taken before
-    /// notifying (map → group state, the board's lock order), so a
-    /// leader between reading the gauge and waiting cannot miss the
-    /// wake-up.
-    pub(crate) fn wake_gathers(&self) {
-        let groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
-        for group in groups.values() {
-            let _state = group.state.lock().unwrap_or_else(|e| e.into_inner());
-            group.cv.notify_all();
-        }
-    }
-
-    fn unmap(&self, source: &str, group: &Arc<Gather>) {
-        let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
-        if groups
-            .get(source)
-            .is_some_and(|current| Arc::ptr_eq(current, group))
-        {
-            groups.remove(source);
-        }
-    }
-}
-
 /// Default cancellation poll while waiting in the admission queue.
 const ADMIT_POLL: Duration = Duration::from_millis(5);
 
@@ -813,7 +526,7 @@ impl SchedulerCore {
 /// [`Scheduler::register_stream`]; the TCP server holds one per live
 /// connection. The lease is owned (it keeps the scheduler core alive),
 /// so it can be wrapped in an `Arc` and re-observed mid-query by a
-/// shared scan's [`Repricer`].
+/// batched scan's [`Repricer`].
 pub struct StreamLease {
     core: Arc<SchedulerCore>,
     slot: usize,
@@ -837,7 +550,7 @@ impl StreamLease {
 
     /// Re-reads this stream's share without re-posting: the cost already
     /// on the board is re-weighed against whatever the other streams
-    /// post *now*. Shared scans call this between chunk waves so threads
+    /// post *now*. Batched scans call this between chunk waves so threads
     /// freed by departed streams rebalance instead of idling.
     pub fn reprice(&self) -> usize {
         weighted_share(
@@ -952,7 +665,7 @@ impl Scheduler {
                                 let estimate = session.estimate_scan_cost(spec);
                                 let threads = lease.negotiate(estimate);
                                 let mut options = ExecOptions::with_threads(threads);
-                                // Shared scans re-observe the lease's
+                                // Batched scans re-observe the lease's
                                 // share between chunk waves, so threads
                                 // freed by finished streams rebalance
                                 // mid-query.
@@ -1336,187 +1049,6 @@ mod tests {
             ),
             Begin::Leader(_)
         ));
-    }
-
-    fn tiny_plan() -> QueryPlan {
-        use recache_engine::plan::{AccessPath, TablePlan};
-        let file = Arc::new(recache_data::RawFile::from_bytes(
-            Vec::new(),
-            recache_data::FileFormat::Csv,
-            recache_types::Schema::new(vec![]),
-        ));
-        QueryPlan {
-            tables: vec![TablePlan {
-                name: "t".to_owned(),
-                access: AccessPath::Raw(file),
-                accessed: vec![],
-                predicate: None,
-                record_level: false,
-                collect_satisfying: false,
-            }],
-            joins: vec![],
-            aggregates: vec![],
-        }
-    }
-
-    #[test]
-    fn shared_scan_members_receive_published_serves() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 3,
-            gather_window: Duration::from_millis(200),
-        });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("first arrival must lead");
-        };
-        let SharedRole::Member(m1, t1) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("second arrival must join");
-        };
-        let SharedRole::Member(m2, t2) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("third arrival must join");
-        };
-        assert_eq!((t1, t2), (1, 2));
-        // Group is full: the gather returns immediately with all plans.
-        let plans = lead.gather(&AtomicUsize::new(3));
-        assert_eq!(plans.len(), 3);
-        // Full and sealed: the next arrival opens a fresh group.
-        assert!(matches!(
-            shared.rendezvous("t", &tiny_plan(), None),
-            SharedRole::Lead(_)
-        ));
-        lead.publish(vec![
-            SharedServe::Output(QueryOutput::default()),
-            SharedServe::Fallback,
-        ]);
-        assert!(matches!(
-            m1.await_serve(t1, None).unwrap(),
-            SharedServe::Output(_)
-        ));
-        assert!(matches!(
-            m2.await_serve(t2, None).unwrap(),
-            SharedServe::Fallback
-        ));
-    }
-
-    #[test]
-    fn gather_seals_early_once_every_live_query_joined() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 8,
-            // Far longer than the test tolerates: the seal below must
-            // come from the live-gauge check, not window expiry.
-            gather_window: Duration::from_secs(10),
-        });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(_m, t) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must join");
-        };
-        assert_eq!(t, 1);
-        // Two live queries, both in the group: nobody else can arrive,
-        // so the gather returns at once.
-        let start = Instant::now();
-        let plans = lead.gather(&AtomicUsize::new(2));
-        assert_eq!(plans.len(), 2);
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "gather slept toward the window instead of sealing on the live gauge"
-        );
-    }
-
-    #[test]
-    fn gather_seals_once_a_live_non_member_departs() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 8,
-            // Far longer than the test tolerates: the seal must come from
-            // the departure's wake-up, not window expiry.
-            gather_window: Duration::from_secs(10),
-        });
-        let live = AtomicUsize::new(0);
-        let _leader = crate::LiveGuard::enter(&live, &shared);
-        let _member = crate::LiveGuard::enter(&live, &shared);
-        let outsider = crate::LiveGuard::enter(&live, &shared);
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(_m, _) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must join");
-        };
-        let start = Instant::now();
-        let gathering = Barrier::new(2);
-        std::thread::scope(|scope| {
-            let gather = scope.spawn(|| {
-                gathering.wait();
-                lead.gather(&live).len()
-            });
-            gathering.wait();
-            // Either order must seal promptly: a departure before the
-            // leader reads the gauge is seen by that read, and one after
-            // it wakes the wait. The pause makes the second order, the
-            // one the wake-up exists for, the likely one.
-            std::thread::sleep(Duration::from_millis(50));
-            drop(outsider);
-            assert_eq!(gather.join().unwrap(), 2);
-        });
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "gather slept toward the window after the last non-member left"
-        );
-    }
-
-    #[test]
-    fn dropped_gather_lead_releases_members_with_fallback() {
-        let shared = SharedScans::new(SharedScanConfig {
-            enabled: true,
-            max_participants: 4,
-            gather_window: Duration::from_millis(200),
-        });
-        let SharedRole::Lead(lead) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must join");
-        };
-        // The leader unwinds without publishing (query error / panic):
-        // members must be released with fallback, not left waiting.
-        drop(lead);
-        assert!(matches!(
-            m.await_serve(t, None).unwrap(),
-            SharedServe::Fallback
-        ));
-        // The dead group is unmapped: the source is claimable again.
-        assert!(matches!(
-            shared.rendezvous("t", &tiny_plan(), None),
-            SharedRole::Lead(_)
-        ));
-    }
-
-    #[test]
-    fn cancelled_shared_scan_member_stops_waiting() {
-        let shared = SharedScans::new(SharedScanConfig::default());
-        let SharedRole::Lead(_lead) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must lead");
-        };
-        let SharedRole::Member(m, t) = shared.rendezvous("t", &tiny_plan(), None) else {
-            panic!("must join");
-        };
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(matches!(
-            m.await_serve(t, Some(&token)),
-            Err(Error::Cancelled)
-        ));
-    }
-
-    #[test]
-    fn shared_scan_config_env_knobs() {
-        // Serialized via a fresh config each time; only parsing logic is
-        // under test, not cross-test env isolation.
-        let cfg = SharedScanConfig::default();
-        assert!(cfg.enabled);
-        assert!(cfg.max_participants >= 2);
     }
 
     #[test]

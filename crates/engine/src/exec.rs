@@ -25,13 +25,13 @@
 //!
 //! # One batched pass for every single-table scan
 //!
-//! A solo batched query is a shared pass with one participant: both run
-//! through `scan_participants`, and every batched scan (solo, shared, or
-//! a join input) fans its chunk grid out through `scan_grid`.
+//! A batched single-table query runs through `scan_batched`, one plan per
+//! pass, and every batched scan (single-table or a join input) fans its
+//! chunk grid out through `scan_grid`.
 
 use crate::exactsum::ExactSum;
 use crate::kernel::{BatchAggregator, CompiledPredicate};
-use crate::plan::{AccessPath, AggFunc, QueryPlan, TablePlan};
+use crate::plan::{AccessPath, AggFunc, AggSpec, QueryPlan, TablePlan};
 use recache_data::{EntryBuilder, PositionalMap, RawFile, StoreChoice};
 use recache_layout::{
     CacheData, ColumnBatch, ColumnStore, DremelStore, RowStore, ScanCost, SelectionVector,
@@ -93,9 +93,8 @@ pub struct ExecOptions {
     /// promptly (workers finish their current chunk and stop).
     pub cancel: Option<Arc<CancelToken>>,
     /// Mid-query repricing hook, consulted between the chunk waves of
-    /// every batched scan (solo, shared, or a join input). `None` (the
-    /// default) runs each scan in one span under the initial `threads`
-    /// budget.
+    /// every batched scan or join input. `None` (the default) runs each
+    /// scan in one span under the initial `threads` budget.
     pub reprice: Option<Repricer>,
 }
 
@@ -147,7 +146,7 @@ impl ExecOptions {
 }
 
 /// A request to build a table's eager cache entry inside its batched
-/// scan, passed to [`execute_building`] / [`execute_shared_building`].
+/// scan, passed to [`execute_building`].
 /// A raw scan appends each chunk's satisfying records, right after the
 /// predicate kernels ran over them; a lazy entry's by-id scan appends
 /// every record it reads, before the filter. Each task builds its own
@@ -326,13 +325,12 @@ fn execute_single(
     let table = &plan.tables[0];
 
     // Vectorized fast path: a batchable source + (absent or compilable)
-    // predicate runs as a batched pass with this plan as its one
-    // participant.
+    // predicate runs as one batched pass.
     let mut degraded = false;
     if let Some((store, pred)) = batchable(table, options) {
         let raw = !store.is_cache_store();
-        match scan_participants(store, vec![(plan, pred, build)], options) {
-            Ok(mut outputs) => return Ok(outputs.remove(0)),
+        match scan_batched(store, plan, pred, build, options) {
+            Ok(output) => return Ok(output),
             // A raw batched scan whose I/O error survived bounded retry
             // degrades to the row-at-a-time fallback below: the row
             // tokenizer re-reads the source independently (its own
@@ -828,108 +826,18 @@ fn batchable<'a>(
     Some((store, pred))
 }
 
-/// The source and compiled predicate of a plan that can join a shared
-/// multi-predicate pass (see [`shareable`]): a single batchable raw
-/// table whose schema has no list. A pass flattens the union of its
-/// participants' leaves, which gives each participant its own rows only
-/// when none of them explodes a list. Nested sources stay out even for
-/// record-level plans: no ledger workload forms a group over them, and
-/// the gather wait each shareable query pays while another query is
-/// live costs `churn_tight` throughput.
-fn share_of<'a>(
-    plan: &'a QueryPlan,
-    options: &ExecOptions,
-) -> Option<(&'a Arc<RawFile>, Option<CompiledPredicate>)> {
-    let [table] = plan.tables.as_slice() else {
-        return None;
-    };
-    let AccessPath::Raw(file) = &table.access else {
-        return None;
-    };
-    if !plan.joins.is_empty() || file.schema().has_nested() {
-        return None;
-    }
-    let (_, pred) = batchable(table, options)?;
-    Some((file, pred))
-}
-
-/// Whether `plan` can participate in a shared multi-predicate scan: a
-/// single-table, join-free query over a *batchable raw* source without
-/// lists (CSV, flat JSON) whose predicate compiles to kernels.
-/// Cache-store and offsets scans are excluded — they are already cheap
-/// or already selective, and sharing them would only serialize
-/// independent reads.
-pub fn shareable(plan: &QueryPlan, options: &ExecOptions) -> bool {
-    share_of(plan, options).is_some()
-}
-
-/// Executes K single-table plans over the *same* raw source as one
-/// shared multi-predicate pass: the file is tokenized once and every
-/// participant filters and aggregates its own share of each batch — the
-/// same batched driver a solo query runs as a pass of one. Outputs
-/// return in plan order and are **bit-identical** to running each plan
-/// alone.
-///
-/// Any error (validation, I/O surviving bounded retry, cancellation)
-/// fails the *whole* pass — callers fall back to independent execution
-/// per participant, where the solo degraded-fallback path applies.
-pub fn execute_shared(plans: &[QueryPlan], options: &ExecOptions) -> Result<Vec<QueryOutput>> {
-    execute_shared_building(plans, &vec![None; plans.len()], options)
-}
-
-/// [`execute_shared`], building the cache entry `builds[i]` asks for
-/// inside the pass, for each plan `i`.
-pub fn execute_shared_building(
-    plans: &[QueryPlan],
-    builds: &[Option<BuildRequest>],
-    options: &ExecOptions,
-) -> Result<Vec<QueryOutput>> {
-    assert_eq!(plans.len(), builds.len(), "one build request per plan");
-    let t_start = Instant::now();
-    let mut source: Option<&Arc<RawFile>> = None;
-    let mut members = Vec::with_capacity(plans.len());
-    for (plan, build) in plans.iter().zip(builds) {
-        let (file, pred) =
-            share_of(plan, options).ok_or_else(|| Error::plan("plan is not shareable"))?;
-        if source.is_some_and(|s| !Arc::ptr_eq(s, file)) {
-            return Err(Error::plan("shared scan plans target different sources"));
-        }
-        source = Some(file);
-        members.push((plan, pred, build.as_ref()));
-    }
-    let file = source.ok_or_else(|| Error::plan("shared scan needs at least one plan"))?;
-    let mut outputs = scan_participants(StoreRef::Raw(file), members, options)?;
-    let total_ns = t_start.elapsed().as_nanos() as u64;
-    for output in &mut outputs {
-        output.stats.total_ns = total_ns;
-    }
-    Ok(outputs)
-}
-
-/// A single-table plan riding a batched pass, rebound onto the pass's
-/// union projection.
-struct Participant<'p> {
-    plan: &'p QueryPlan,
-    pred: Option<CompiledPredicate>,
-    /// Aggregate input slots as union positions (`None` = `count(*)`).
-    agg_slots: Vec<Option<usize>>,
-    /// The entry to build in the pass, and the file it reads.
-    build: Option<(&'p BuildRequest, &'p RawFile)>,
-}
-
-/// One participant's output from one task's chunks.
+/// One task's output of a batched scan.
 struct Sink {
     aggs: Vec<BatchAggregator>,
     rows_out: usize,
     /// Satisfying record ids, when the plan collects them.
     ids: Option<Vec<u32>>,
-    /// This task's part of the participant's entry, when it builds one.
+    /// This task's part of the table's entry, when the scan builds one.
     build: Option<TaskBuild>,
 }
 
 impl Sink {
-    fn new(part: &Participant<'_>) -> Self {
-        let plan = part.plan;
+    fn new(plan: &QueryPlan, build: Option<(&BuildRequest, &RawFile)>) -> Self {
         Sink {
             aggs: plan
                 .aggregates
@@ -938,7 +846,7 @@ impl Sink {
                 .collect(),
             rows_out: 0,
             ids: plan.tables[0].collect_satisfying.then(Vec::new),
-            build: part.build.map(|(request, file)| TaskBuild {
+            build: build.map(|(request, file)| TaskBuild {
                 builder: Ok(EntryBuilder::new(file.schema(), request.choice)),
                 ids: Vec::new(),
                 append_ns: 0,
@@ -947,26 +855,26 @@ impl Sink {
         }
     }
 
-    fn consume(
-        &mut self,
-        agg_slots: &[Option<usize>],
-        batch: &ColumnBatch<'_>,
-        sel: &SelectionVector,
-    ) {
+    fn consume(&mut self, aggregates: &[AggSpec], batch: &ColumnBatch<'_>, sel: &SelectionVector) {
         self.rows_out += sel.len();
         if let Some(ids) = self.ids.as_mut() {
             ids.extend(sel.as_slice().iter().map(|&i| batch.record_ids[i as usize]));
         }
-        for (state, slot) in self.aggs.iter_mut().zip(agg_slots) {
-            state.update(slot.map(|s| &batch.columns[s]), sel);
+        for (state, spec) in self.aggs.iter_mut().zip(aggregates) {
+            state.update(spec.slot.map(|s| &batch.columns[s]), sel);
         }
     }
 
     /// Appends the records of `rows` to this task's part of the entry,
-    /// when the participant builds one.
-    fn build(&mut self, part: &Participant<'_>, batch: &ColumnBatch<'_>, rows: &SelectionVector) {
-        if let (Some(build), Some((request, file))) = (self.build.as_mut(), part.build) {
-            build.append(request, file, batch, rows.as_slice());
+    /// when the scan builds one.
+    fn build(
+        &mut self,
+        build: Option<(&BuildRequest, &RawFile)>,
+        batch: &ColumnBatch<'_>,
+        rows: &SelectionVector,
+    ) {
+        if let (Some(part), Some((request, file))) = (self.build.as_mut(), build) {
+            part.append(request, file, batch, rows.as_slice());
         }
     }
 
@@ -1051,176 +959,88 @@ impl TaskBuild {
     }
 }
 
-/// The batched single-table driver: runs K ≥ 1 plans over one source in
-/// one chunk-grid pass ([`scan_grid`]). A solo query is a pass with one
-/// participant; [`execute_shared`] runs passes with several.
+/// The batched single-table driver: runs one plan over its store in one
+/// chunk-grid pass ([`scan_grid`]), projecting the plan's own `accessed`
+/// leaves. Per batch the predicate kernels compact the batch's selection
+/// in place, their time charged to compute `C`, and the sink's time to
+/// data `D`. Per-task sinks merge in ascending task order, so the output
+/// is the same at every thread count (order-exact sums via [`ExactSum`]).
 ///
-/// The pass projects the union of the participants' leaves in
-/// first-appearance order, so a lone participant's (sorted) projection
-/// maps onto itself. Each participant's predicate and aggregate slots
-/// are rebound onto the union. Per batch, participants 0..K−2 filter a
-/// copy of the base selection into per-task scratch
-/// ([`CompiledPredicate::filter_from`]) and the last one filters the
-/// base selection in place, so a pass of one copies nothing. Every
-/// participant's kernel time is charged to compute `C` and its sink time
-/// to data `D`.
-///
-/// Outputs return in participant order and are bit-identical to running
-/// each plan alone: the chunk grid does not depend on the projection,
-/// clause order is preserved, and per-task sinks merge in ascending task
-/// order (order-exact sums via [`ExactSum`]). The pass's chunk retries
-/// happened once, so they are charged to slot 0 only and registry
-/// counters are not inflated K-fold.
-///
-/// A participant with a [`BuildRequest`] over a raw or lazy source also
+/// With a [`BuildRequest`] over a raw or lazy source the pass also
 /// appends records to its task's entry builder per batch, timed apart
-/// from `C` and `D`: over a raw file the rows its predicate kept, over a
+/// from `C` and `D`: over a raw file the rows the predicate kept, over a
 /// lazy entry's ids every row, before the filter. Chunks are
 /// transactional, so a retried chunk appends once.
-fn scan_participants(
+fn scan_batched(
     store: StoreRef<'_>,
-    members: Vec<(&QueryPlan, Option<CompiledPredicate>, Option<&BuildRequest>)>,
+    plan: &QueryPlan,
+    pred: Option<CompiledPredicate>,
+    build: Option<&BuildRequest>,
     options: &ExecOptions,
-) -> Result<Vec<QueryOutput>> {
+) -> Result<QueryOutput> {
     let t0 = Instant::now();
+    let table = &plan.tables[0];
     let (build_file, build_every_row) = match store {
         StoreRef::Raw(file) => (Some(file), false),
         StoreRef::Offsets(file, _) => (Some(file), true),
         _ => (None, false),
     };
-    let mut union: Vec<usize> = Vec::new();
-    for (plan, _, _) in &members {
-        for &leaf in &plan.tables[0].accessed {
-            if !union.contains(&leaf) {
-                union.push(leaf);
-            }
-        }
-    }
-    let parts: Vec<Participant<'_>> = members
-        .into_iter()
-        .map(|(plan, pred, build)| {
-            let map: Vec<usize> = plan.tables[0]
-                .accessed
-                .iter()
-                .map(|leaf| {
-                    union
-                        .iter()
-                        .position(|u| u == leaf)
-                        .expect("the union holds every accessed leaf")
-                })
-                .collect();
-            Participant {
-                plan,
-                pred: pred.map(|p| p.remap_slots(&map)),
-                agg_slots: plan
-                    .aggregates
-                    .iter()
-                    .map(|a| a.slot.map(|s| map[s]))
-                    .collect(),
-                build: build.zip(build_file),
-            }
-        })
-        .collect();
-    let want_ids = parts
-        .iter()
-        .any(|p| p.plan.tables[0].collect_satisfying || p.build.is_some());
-    let last = parts.len() - 1;
-    let make = || {
-        let sinks: Vec<Sink> = parts.iter().map(Sink::new).collect();
-        (sinks, SelectionVector::new())
-    };
+    let build = build.zip(build_file);
+    let want_ids = table.collect_satisfying || build.is_some();
     let t_grid = Instant::now();
     let (scan, tasks) = scan_grid(
         store,
-        &union,
-        parts[0].plan.tables[0].record_level,
+        &table.accessed,
+        table.record_level,
         want_ids,
         options,
-        make,
-        |(sinks, scratch), batch, sel, phases| {
-            for (i, (part, sink)) in parts.iter().zip(sinks.iter_mut()).enumerate() {
-                if build_every_row {
-                    sink.build(part, batch, sel);
-                }
-                let survivors: &SelectionVector = match &part.pred {
-                    None => sel,
-                    Some(pred) => {
-                        let t_kernel = Instant::now();
-                        if i < last {
-                            pred.filter_from(&batch.columns, sel, scratch);
-                        } else {
-                            pred.filter(&batch.columns, sel);
-                        }
-                        phases.compute_ns += t_kernel.elapsed().as_nanos() as u64;
-                        if i < last {
-                            scratch
-                        } else {
-                            sel
-                        }
-                    }
-                };
-                if !build_every_row {
-                    sink.build(part, batch, survivors);
-                }
-                let t_sink = Instant::now();
-                sink.consume(&part.agg_slots, batch, survivors);
-                phases.data_ns += t_sink.elapsed().as_nanos() as u64;
+        || Sink::new(plan, build),
+        |sink, batch, sel, phases| {
+            if build_every_row {
+                sink.build(build, batch, sel);
             }
+            if let Some(pred) = &pred {
+                let t_kernel = Instant::now();
+                pred.filter(&batch.columns, sel);
+                phases.compute_ns += t_kernel.elapsed().as_nanos() as u64;
+            }
+            if !build_every_row {
+                sink.build(build, batch, sel);
+            }
+            let t_sink = Instant::now();
+            sink.consume(&plan.aggregates, batch, sel);
+            phases.data_ns += t_sink.elapsed().as_nanos() as u64;
         },
     )?;
     let grid_ns = t_grid.elapsed().as_nanos() as u64;
-    let mut merged: Option<Vec<Sink>> = None;
-    for (sinks, _scratch) in tasks {
-        match merged.as_mut() {
-            None => merged = Some(sinks),
-            Some(acc) => {
-                for (into, next) in acc.iter_mut().zip(sinks) {
-                    into.merge(next);
-                }
-            }
-        }
+    let mut tasks = tasks.into_iter();
+    let mut sink = tasks.next().expect("a chunk grid runs at least one task");
+    for next in tasks {
+        sink.merge(next);
     }
-    let mut sinks = merged.expect("a chunk grid runs at least one task");
-    let builds: Vec<Option<(Result<CacheData>, u64)>> = sinks
-        .iter_mut()
-        .zip(&parts)
-        .map(|(sink, part)| {
-            let (_, file) = part.build?;
-            Some(sink.build.take()?.seal(file, grid_ns, scan.busy_ns))
-        })
-        .collect();
-    // The builds ran inside the pass; what the pass charges to the scan
+    let built = match (sink.build.take(), build) {
+        (Some(part), Some((_, file))) => Some(part.seal(file, grid_ns, scan.busy_ns)),
+        _ => None,
+    };
+    // The build ran inside the pass; what the pass charges to the scan
     // is the rest.
-    let build_ns: u64 = builds.iter().flatten().map(|(_, ns)| ns).sum();
+    let build_ns = built.as_ref().map_or(0, |(_, ns)| *ns);
     let exec_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(build_ns);
-    Ok(parts
-        .iter()
-        .zip(sinks)
-        .zip(builds)
-        .enumerate()
-        .map(|(i, ((part, sink), build))| {
-            let scan = ScanOutcome {
-                retried_chunks: if i == 0 { scan.retried_chunks } else { 0 },
-                ..scan.clone()
-            };
-            let table = &part.plan.tables[0];
-            let mut stats = table_stats(table, scan, exec_ns, sink.rows_out, sink.ids);
-            if let Some((built, ns)) = build {
-                stats.built = Some(built);
-                stats.build_ns = ns;
-            }
-            QueryOutput {
-                values: sink.aggs.into_iter().map(BatchAggregator::finish).collect(),
-                rows_aggregated: sink.rows_out,
-                stats: ExecStats {
-                    tables: vec![stats],
-                    // Aggregation is folded into exec_ns on the streaming
-                    // path; the caller stamps total_ns.
-                    ..ExecStats::default()
-                },
-            }
-        })
-        .collect())
+    let mut stats = table_stats(table, scan, exec_ns, sink.rows_out, sink.ids);
+    if let Some((built, ns)) = built {
+        stats.built = Some(built);
+        stats.build_ns = ns;
+    }
+    Ok(QueryOutput {
+        values: sink.aggs.into_iter().map(BatchAggregator::finish).collect(),
+        rows_aggregated: sink.rows_out,
+        stats: ExecStats {
+            tables: vec![stats],
+            // Aggregation is folded into exec_ns on the streaming path;
+            // the caller stamps total_ns.
+            ..ExecStats::default()
+        },
+    })
 }
 
 /// The one chunk-grid driver behind every batched scan. The store's

@@ -198,7 +198,7 @@ impl Shared {
             // cost-weighted share against the other live connections. An
             // explicit client budget is honored as-is, and only the
             // negotiated path re-observes the cost board mid-query
-            // (shared scans reprice between chunk waves).
+            // (batched scans reprice between chunk waves).
             let repricer = Arc::clone(lease);
             (
                 lease.negotiate(self.session.estimate_scan_cost(&spec)),
@@ -271,11 +271,6 @@ impl Shared {
             ("result_evictions".to_owned(), c.result_evictions),
             ("result_invalidations".to_owned(), c.result_invalidations),
             ("coalesced_subsumed".to_owned(), c.coalesced_subsumed),
-            ("shared_scans".to_owned(), c.shared_scans),
-            (
-                "shared_scan_participants".to_owned(),
-                c.shared_scan_participants,
-            ),
             (
                 "result_fast_path".to_owned(),
                 self.result_fast_path.load(Ordering::Relaxed),

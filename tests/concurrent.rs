@@ -20,7 +20,7 @@ use recache::workload::{
     seeded_turns, spa_workload, split_round_robin, tpch_spj_workload, Domains, PoolPhase,
     SpaConfig, SpjConfig,
 };
-use recache::{QueryRequest, ReCache, Scheduler, SharedScanConfig};
+use recache::{QueryRequest, ReCache, Scheduler};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -323,14 +323,9 @@ fn seeded_interleaving_same_seed_same_admitted_set() {
 /// Subsumption coalescing: a follower whose predicate is *contained* in
 /// a different in-flight query's admitted range waits for that leader
 /// and filters its answer from the leader's cache entry — one raw pass
-/// serves the whole subsumed group. Shared scans are disabled here to
-/// isolate the in-flight range-registration mechanism.
+/// serves the whole subsumed group.
 #[test]
 fn subsumed_inflight_scans_reuse_the_leaders_single_raw_pass() {
-    let disabled = SharedScanConfig {
-        enabled: false,
-        ..SharedScanConfig::default()
-    };
     let broad = "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity >= 5";
     let narrows = [
         "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity >= 20",
@@ -339,11 +334,7 @@ fn subsumed_inflight_scans_reuse_the_leaders_single_raw_pass() {
     ];
     let k = 1 + narrows.len();
     let expected: Vec<Vec<Value>> = {
-        let (baseline, _) = common::tpch_session(
-            ReCache::builder().shared_scans(disabled.clone()),
-            0.0008,
-            11,
-        );
+        let (baseline, _) = common::tpch_session(ReCache::builder(), 0.0008, 11);
         std::iter::once(broad)
             .chain(narrows.iter().copied())
             .map(|q| {
@@ -360,11 +351,7 @@ fn subsumed_inflight_scans_reuse_the_leaders_single_raw_pass() {
     // start plus a nudge for the narrow queries makes overlap all but
     // certain, and a few retries absorb scheduler flukes.
     for _attempt in 0..20 {
-        let (session, _) = common::tpch_session(
-            ReCache::builder().shared_scans(disabled.clone()),
-            0.0008,
-            11,
-        );
+        let (session, _) = common::tpch_session(ReCache::builder(), 0.0008, 11);
         let session = &session;
         let expected = &expected;
         let barrier = Barrier::new(k);
@@ -410,96 +397,11 @@ fn subsumed_inflight_scans_reuse_the_leaders_single_raw_pass() {
     );
 }
 
-/// Shared multi-predicate scans: K concurrently-admitted queries with
-/// partially-overlapping (non-subsuming) predicates over one cold source
-/// batch into a single raw pass that splits per-query results on the way
-/// out — strictly fewer raw passes than K, with every query's answer
-/// bit-identical to a serial run.
-#[test]
-fn shared_scan_batches_overlapping_predicates_into_fewer_raw_passes() {
-    let config = SharedScanConfig {
-        enabled: true,
-        max_participants: 16,
-        // Generous window: the rendezvous happens before any scan work,
-        // so a barrier start lands every query inside it.
-        gather_window: Duration::from_millis(50),
-    };
-    // Pairwise overlapping ranges, none containing another — subsumption
-    // cannot serve these; only the shared pass can.
-    let queries = [
-        "SELECT count(*), sum(l_extendedprice) FROM lineitem \
-         WHERE l_quantity >= 10 AND l_quantity <= 30",
-        "SELECT count(*), sum(l_extendedprice) FROM lineitem \
-         WHERE l_quantity >= 20 AND l_quantity <= 40",
-        "SELECT count(*), sum(l_extendedprice) FROM lineitem \
-         WHERE l_quantity >= 30 AND l_quantity <= 50",
-        "SELECT count(*), avg(l_discount) FROM lineitem \
-         WHERE l_quantity >= 1 AND l_quantity <= 15",
-    ];
-    let k = queries.len() as u64;
-    let expected: Vec<Vec<Value>> = {
-        let (baseline, _) = tpch_session(0.0008, 11);
-        queries
-            .iter()
-            .map(|q| {
-                baseline
-                    .execute(&QueryRequest::sql(*q))
-                    .unwrap()
-                    .rows
-                    .clone()
-            })
-            .collect()
-    };
-    let mut shared_seen = false;
-    for _attempt in 0..10 {
-        let (session, _) =
-            common::tpch_session(ReCache::builder().shared_scans(config.clone()), 0.0008, 11);
-        let session = &session;
-        let expected = &expected;
-        let barrier = Barrier::new(queries.len());
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for (i, q) in queries.iter().enumerate() {
-                scope.spawn(move || {
-                    barrier.wait();
-                    let result = session.execute(&QueryRequest::sql(*q)).unwrap();
-                    assert_eq!(
-                        result.rows, expected[i],
-                        "query {i} differs between shared and serial execution"
-                    );
-                });
-            }
-        });
-        let counters = session.cache().counters();
-        if counters.shared_scans >= 1 {
-            shared_seen = true;
-            assert!(
-                counters.shared_scan_participants >= 2,
-                "a shared pass must serve at least two queries"
-            );
-            // Each shared pass with p participants replaces p raw scans
-            // with one: total raw passes are strictly fewer than K.
-            assert!(
-                counters.shared_scan_participants > counters.shared_scans,
-                "shared passes must save raw scans: {} passes for {} participants (K = {k})",
-                counters.shared_scans,
-                counters.shared_scan_participants
-            );
-            break;
-        }
-    }
-    assert!(
-        shared_seen,
-        "no run formed a shared scan: queries never overlapped inside the gather window"
-    );
-}
-
-/// The full overlap matrix under the default sharing config: subsumed,
-/// partially-overlapping, and disjoint predicate groups over one source,
-/// replayed across concurrent sessions — per-query results must match a
-/// serial replay and the registry counters must reconcile at quiescence
-/// whatever mix of sharing, subsumption, and solo scans the timing
-/// produced.
+/// The full overlap matrix: subsumed, partially-overlapping, and
+/// disjoint predicate groups over one source, replayed across concurrent
+/// sessions — per-query results must match a serial replay and the
+/// registry counters must reconcile at quiescence whatever mix of
+/// single-flight, subsumption, and solo scans the timing produced.
 #[test]
 fn overlap_matrix_replay_matches_serial_and_reconciles_counters() {
     let sessions = sessions_knob();

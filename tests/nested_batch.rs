@@ -792,26 +792,3 @@ fn a_failed_nested_first_scan_installs_no_map() {
         .expect("`id` reads everywhere");
     assert_eq!(file.record_count(), Some(HOSTILE.len()));
 }
-
-/// Plans over a nested file never join a shared pass: one that
-/// explodes a list would see the rows of the union's flattening, and the
-/// gather wait buys nothing for the others.
-#[test]
-fn nested_plans_do_not_join_shared_passes() {
-    let (schema, bytes) = order_lineitems();
-    let file = Arc::new(RawFile::from_bytes(bytes, FileFormat::Json, schema.clone()));
-    let mut rng = StdRng::seed_from_u64(fault_seed() ^ 0x5A4E);
-    let options = vectorized(2);
-    let plans: Vec<QueryPlan> = (0..8)
-        .map(|_| {
-            let query = random_query(&mut rng, &schema);
-            plan(&schema, AccessPath::Raw(Arc::clone(&file)), &query)
-        })
-        .collect();
-    assert!(plans
-        .iter()
-        .all(|plan| !recache::engine::exec::shareable(plan, &options)));
-    let err = recache::engine::exec::execute_shared(&plans, &options)
-        .expect_err("nested plans are not shareable");
-    assert!(err.to_string().contains("not shareable"), "{err}");
-}

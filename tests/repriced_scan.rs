@@ -1,15 +1,15 @@
-//! A shared multi-predicate pass is invisible in the answers. Every
-//! participant of `exec::execute_shared` gets exactly what a solo,
-//! single-threaded `exec::execute_with` of its own plan returns: the
+//! How a batched raw pass is split into tasks and chunk waves is
+//! invisible in the answers. Every run of `exec::execute_with` returns
+//! exactly what the single-threaded run of the same plan returns: the
 //! aggregate values bit for bit, the rows aggregated, the satisfying
 //! record ids and the access label.
 //!
-//! The matrix is {CSV, flat JSON} × {first scan, mapped re-scan} ×
-//! groups of 1, 2 and 4 overlapping predicates × threads {1, 2, 8} ×
-//! {no repricer, a repricer cycling 1 → 8 → 2}. Under transient chunk
-//! faults (seeded from `RECACHE_FAULT_SEED`, as in `tests/chaos.rs`)
-//! every output is the fault-free one or the pass fails with a typed
-//! error, and the pass's chunk retries are charged to slot 0 only.
+//! The matrix is {CSV, flat JSON} × {first scan, mapped re-scan} × four
+//! queries over different projections × threads {1, 2, 8} × {no
+//! repricer, a repricer cycling 1 → 8 → 2 that splits the pass into
+//! chunk waves of changing width}. Under transient chunk faults (seeded
+//! from `RECACHE_FAULT_SEED`, as in `tests/chaos.rs`) every run gives
+//! the fault-free answer or a typed error.
 
 use recache::data::gen::tpch;
 use recache::data::{csv, json, FaultPlan, FileFormat, RawFile, RetryPolicy};
@@ -36,9 +36,9 @@ fn fault_seed() -> u64 {
 /// splits the pass into two waves, and eight threads get several tasks.
 const SF: f64 = 0.004;
 
-/// The participants: overlapping, mutually non-subsuming ranges over
-/// different projections. The `count(*)`s have no slot; query
-/// [`COLLECTS`] also collects its satisfying record ids.
+/// The queries: different ranges over different projections. The
+/// `count(*)`s have no slot; query [`COLLECTS`] also collects its
+/// satisfying record ids.
 const QUERIES: [&str; 4] = [
     "SELECT count(*), sum(l_extendedprice) FROM lineitem \
      WHERE l_quantity >= 5 AND l_quantity <= 30",
@@ -52,11 +52,6 @@ const QUERIES: [&str; 4] = [
 
 /// The query that collects satisfying ids.
 const COLLECTS: usize = 2;
-
-/// Groups of K = 1, 2 and 4 participants (indexes into [`QUERIES`]). The
-/// collecting query runs last in the first two groups and in the middle
-/// of the third.
-const GROUPS: [&[usize]; 3] = [&[2], &[1, 2], &[0, 1, 2, 3]];
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -145,7 +140,7 @@ fn prepare(file: &RawFile, warm: &QueryPlan, mode: Mode) {
     }
 }
 
-/// What a participant must reproduce. Values compare through `Debug`,
+/// What every run of a query must reproduce. Values compare through `Debug`,
 /// which prints floats in shortest round-trip form, so equal strings
 /// mean equal bits.
 #[derive(Debug, PartialEq)]
@@ -187,7 +182,7 @@ fn cycling_repricer() -> Repricer {
 }
 
 #[test]
-fn shared_passes_match_solo_runs_bit_for_bit() {
+fn repriced_passes_match_one_thread_runs_bit_for_bit() {
     let repricer = cycling_repricer();
     for format in [FileFormat::Csv, FileFormat::Json] {
         let (session, plans) = lineitem_plans(format);
@@ -202,12 +197,11 @@ fn shared_passes_match_solo_runs_bit_for_bit() {
                     .is_some_and(|ids| ids.len() > 1000),
                 "the collecting query must select rows across chunks"
             );
-            for group in GROUPS {
-                let members: Vec<QueryPlan> = group.iter().map(|&i| plans[i].clone()).collect();
+            for (i, plan) in plans.iter().enumerate() {
                 for threads in THREADS {
                     for reprice in [None, Some(repricer.clone())] {
                         let context = format!(
-                            "{format:?}/{mode:?}/group {group:?}/threads={threads}/repricer={}",
+                            "{format:?}/{mode:?}/query {i}/threads={threads}/repricer={}",
                             reprice.is_some()
                         );
                         prepare(file, &plans[0], mode);
@@ -216,17 +210,14 @@ fn shared_passes_match_solo_runs_bit_for_bit() {
                             reprice,
                             ..ExecOptions::default()
                         };
-                        let outputs = exec::execute_shared(&members, &options)
+                        let output = exec::execute_with(plan, &options)
                             .unwrap_or_else(|e| panic!("{context}: {e}"));
-                        assert_eq!(outputs.len(), group.len(), "{context}");
-                        for (slot, (&i, output)) in group.iter().zip(&outputs).enumerate() {
-                            assert_eq!(
-                                answer(output),
-                                solo[i],
-                                "{context}: participant {slot} (query {i}) diverged from its solo run"
-                            );
-                            assert_eq!(output.stats.tables[0].retried_chunks, 0, "{context}");
-                        }
+                        assert_eq!(
+                            answer(&output),
+                            solo[i],
+                            "{context}: diverged from the one-thread run"
+                        );
+                        assert_eq!(output.stats.tables[0].retried_chunks, 0, "{context}");
                     }
                 }
             }
@@ -235,7 +226,7 @@ fn shared_passes_match_solo_runs_bit_for_bit() {
 }
 
 #[test]
-fn faulted_shared_passes_are_clean_or_typed_errors() {
+fn faulted_passes_are_clean_or_typed_errors() {
     let retry = RetryPolicy {
         max_attempts: 6,
         base_backoff: Duration::from_micros(5),
@@ -249,36 +240,23 @@ fn faulted_shared_passes_are_clean_or_typed_errors() {
         for mode in [Mode::FirstScan, Mode::Mapped] {
             file.set_fault_plan(None);
             let solo = solo_answers(file, &plans, mode);
-            for (g, group) in GROUPS.iter().enumerate() {
-                let members: Vec<QueryPlan> = group.iter().map(|&i| plans[i].clone()).collect();
+            for (i, plan) in plans.iter().enumerate() {
                 for threads in THREADS {
-                    let context = format!("{format:?}/{mode:?}/group {group:?}/threads={threads}");
+                    let context = format!("{format:?}/{mode:?}/query {i}/threads={threads}");
                     // Vary the plan seed per cell so the cells explore
                     // different fault placements, all reproducibly.
                     let seed = fault_seed()
                         ^ (threads as u64) << 8
-                        ^ (g as u64) << 16
+                        ^ (i as u64) << 16
                         ^ (mode as u64) << 24
                         ^ (format as u64) << 32;
                     file.set_fault_plan(None);
                     prepare(file, &plans[0], mode);
                     file.set_fault_plan(Some(FaultPlan::new(seed).transient(0.3)));
-                    match exec::execute_shared(&members, &ExecOptions::with_threads(threads)) {
-                        Ok(outputs) => {
-                            for (slot, (&i, output)) in group.iter().zip(&outputs).enumerate() {
-                                assert_eq!(
-                                    answer(output),
-                                    solo[i],
-                                    "{context}: faults changed participant {slot} (query {i})"
-                                );
-                                if slot > 0 {
-                                    assert_eq!(
-                                        output.stats.tables[0].retried_chunks, 0,
-                                        "{context}: retries are charged to slot 0 only"
-                                    );
-                                }
-                            }
-                            retried += outputs[0].stats.tables[0].retried_chunks;
+                    match exec::execute_with(plan, &ExecOptions::with_threads(threads)) {
+                        Ok(output) => {
+                            assert_eq!(answer(&output), solo[i], "{context}: faults changed it");
+                            retried += output.stats.tables[0].retried_chunks;
                         }
                         Err(e) => assert!(
                             matches!(e, Error::Io(_) | Error::Timeout | Error::Cancelled),

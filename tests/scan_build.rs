@@ -7,13 +7,12 @@
 //! whole, against `materialize_with_admission` / `upgrade_to_eager` over
 //! the same record ids: in every layout, over TPC-H `lineitem` as CSV,
 //! nested `orderLineitems` JSON and a file of hostile JSON records, for
-//! record- and element-level predicates, at 1, 2 and 8 threads, solo and
-//! in a 2-participant shared CSV pass. Through a session it checks that
-//! every layout policy admits the same entries with and without the
-//! in-pass build; that a record damaged in a field the query skips
-//! leaves the answer as it is, admits nothing and counts one failed
-//! scan; that transient chunk faults retry to the same entry; that a
-//! forced-eager first scan still builds after the scan; and that
+//! record- and element-level predicates, at 1, 2 and 8 threads. Through
+//! a session it checks that every layout policy admits the same entries
+//! with and without the in-pass build; that a record damaged in a field
+//! the query skips leaves the answer as it is, admits nothing and counts
+//! one failed scan; that transient chunk faults retry to the same entry;
+//! that a forced-eager first scan still builds after the scan; and that
 //! `lookup_ns + exec_ns + caching_ns ≤ total_ns` on an in-pass miss, a
 //! sampled post-scan miss, a lazy hit that upgrades and a plain hit.
 //!
@@ -313,48 +312,6 @@ fn lazy_upgrades_build_the_upgraded_entries() {
                     assert_eq!(answer(&out), want_answer, "{case}");
                     let (want, _) = upgrade_to_eager(&file, choice, &store).unwrap();
                     assert_store_eq(&built(&mut out), &want, &case);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn shared_csv_passes_build_each_participants_entry() {
-    let source = sources().into_iter().next().unwrap();
-    let session = source.session(ReCache::builder().no_caching());
-    let file = mapped(&session, &source);
-    let plans: Vec<QueryPlan> = source
-        .queries
-        .iter()
-        .map(|sql| plan(&session, sql, AccessPath::Raw(Arc::clone(&file)), true))
-        .collect();
-    let solo: Vec<_> = plans
-        .iter()
-        .map(|p| answer(&exec::execute_with(p, &ExecOptions::with_threads(1)).unwrap()))
-        .collect();
-    for threads in THREADS {
-        for choice in CHOICES {
-            // Both participants build, then only the second one does.
-            for first_builds in [true, false] {
-                let case = format!("{choice:?} at {threads} threads, first builds: {first_builds}");
-                let builds = [
-                    first_builds.then(|| request(&file, choice)),
-                    Some(request(&file, choice)),
-                ];
-                let options = ExecOptions::with_threads(threads);
-                let outs = exec::execute_shared_building(&plans, &builds, &options).unwrap();
-                for (i, mut out) in outs.into_iter().enumerate() {
-                    assert_eq!(answer(&out), solo[i], "{case}: participant {i}");
-                    if builds[i].is_none() {
-                        assert!(out.stats.tables[0].built.is_none(), "{case}");
-                        assert_eq!(out.stats.tables[0].build_ns, 0, "{case}");
-                        continue;
-                    }
-                    let data = built(&mut out);
-                    let satisfying = out.stats.tables[0].satisfying.take().unwrap();
-                    let want = post_scan(&file, choice, satisfying);
-                    assert_store_eq(&data, &want, &format!("{case}: participant {i}"));
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! Shared harness for the figure-reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the ReCache paper
-//! (see `DESIGN.md` for the experiment index). Output is TSV with `#`
-//! comment lines, so series can be piped straight into plotting tools.
+//! (see the experiment index under "Deviations from the paper" in
+//! `docs/ARCHITECTURE.md`). Output is TSV with `#` comment lines, so
+//! series can be piped straight into plotting tools.
 
 pub mod args;
 pub mod datasets;

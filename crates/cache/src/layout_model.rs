@@ -1,9 +1,9 @@
-//! Automatic cache-layout selection (§4.2–4.3).
+//! Automatic cache-layout selection (§4.2).
 //!
-//! Per cached item, ReCache tracks a window of per-query observations —
-//! data-access cost `Di`, computational cost `Ci`, rows needed `ri`,
-//! columns accessed `ci` — plus the item's flattened row count `R`, and
-//! applies the paper's cost model:
+//! Per cached nested item, ReCache tracks a window of per-query
+//! observations — data-access cost `Di`, computational cost `Ci`, rows
+//! needed `ri`, columns accessed `ci` — plus the item's flattened row
+//! count `R`, and applies the paper's cost model:
 //!
 //! * currently Dremel/Parquet (Eqs. 1–3): switch to relational columnar
 //!   when `Σ(Di + Ci) > Σ(Di · R/ri) + T`, `T = max((Di + Ci) · R/ri)`;
@@ -14,11 +14,13 @@
 //! * the tracking window restarts after every switch, so a rapidly
 //!   alternating workload cannot thrash the layout.
 //!
-//! For purely flat data the H2O-style chooser (§4.3) estimates data-cache
-//! misses of row vs columnar layouts from the same window.
+//! Flat items have no choice to make: they stay relational columnar. The
+//! paper's H2O-style row/column chooser (§4.3) is not carried, because on
+//! this engine a row layout cannot win (see "Deviations from the paper"
+//! in `docs/ARCHITECTURE.md`).
 //!
-//! Two engineering refinements over the paper's description (recorded in
-//! `DESIGN.md`):
+//! Two engineering refinements over the paper's description (also
+//! recorded under "Deviations from the paper" in `docs/ARCHITECTURE.md`):
 //! * `ComputeCost` is *level-aware*: record-level queries on the Dremel
 //!   layout read short non-repeated columns without record assembly, so
 //!   their compute cost is estimated from record-level history only
@@ -57,13 +59,6 @@ pub enum LayoutDecision {
     Stay,
     SwitchToColumnar,
     SwitchToDremel,
-}
-
-/// Row vs columnar choice for flat cached items.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlatLayoutChoice {
-    Row,
-    Columnar,
 }
 
 /// A window observation's memoized `ComputeCost` estimate, valid while
@@ -235,29 +230,6 @@ impl LayoutHistory {
             }
         }
     }
-
-    /// H2O-style row/column chooser for flat items (§4.3): estimates
-    /// data-cache misses for both layouts over the window and returns the
-    /// cheaper one. `total_cols` is the tuple width; values are modelled
-    /// as 8 bytes against 64-byte cache lines.
-    pub fn decide_flat(&self, total_cols: usize) -> FlatLayoutChoice {
-        const VALUE_BYTES: f64 = 8.0;
-        const LINE_BYTES: f64 = 64.0;
-        let mut col_misses = 0.0f64;
-        let mut row_misses = 0.0f64;
-        for o in &self.window {
-            let rows = o.rows as f64;
-            // Columnar: touch ci columns, each contiguous.
-            col_misses += (o.cols as f64 * rows * VALUE_BYTES / LINE_BYTES).ceil();
-            // Row: every tuple's full width streams through the cache.
-            row_misses += (rows * total_cols as f64 * VALUE_BYTES / LINE_BYTES).ceil();
-        }
-        if row_misses < col_misses {
-            FlatLayoutChoice::Row
-        } else {
-            FlatLayoutChoice::Columnar
-        }
-    }
 }
 
 fn observation_distance(o: &QueryObservation, rows: usize, cols: usize) -> f64 {
@@ -409,39 +381,6 @@ mod tests {
             history.decide_nested(LayoutKind::Columnar, 100),
             LayoutDecision::Stay
         );
-    }
-
-    #[test]
-    fn flat_chooser_prefers_columns_for_narrow_projections() {
-        let mut history = LayoutHistory::new();
-        // 2 of 16 columns accessed.
-        for _ in 0..10 {
-            history.observe(obs(0, 0, 1000, 2, LayoutKind::Columnar));
-        }
-        assert_eq!(history.decide_flat(16), FlatLayoutChoice::Columnar);
-    }
-
-    #[test]
-    fn flat_chooser_prefers_rows_for_full_tuples() {
-        let mut history = LayoutHistory::new();
-        // All 16 columns accessed: row layout reads the same bytes with
-        // better locality; the miss estimate ties, columnar wins ties,
-        // so model row advantage via wider-than-width access (selects
-        // every column plus padding effects are equal) — H2O picks row
-        // only when it strictly wins.
-        for _ in 0..10 {
-            history.observe(obs(0, 0, 1000, 16, LayoutKind::Row));
-        }
-        // Equal misses -> columnar (ties favour the default layout).
-        assert_eq!(history.decide_flat(16), FlatLayoutChoice::Columnar);
-        // Narrower tuple than accessed columns cannot happen; test the
-        // strict-win path with a 4-wide tuple and 8 accessed (degenerate
-        // input documents the comparison direction).
-        let mut history = LayoutHistory::new();
-        for _ in 0..10 {
-            history.observe(obs(0, 0, 1000, 8, LayoutKind::Row));
-        }
-        assert_eq!(history.decide_flat(4), FlatLayoutChoice::Row);
     }
 
     /// A from-scratch evaluator of Eqs. 1–5 over its own copies of the

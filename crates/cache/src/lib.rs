@@ -11,7 +11,7 @@
 //! * [`admission`] — the reactive eager/lazy admission controller of
 //!   §5.2 (sampled caching-overhead extrapolation against a threshold),
 //! * [`layout_model`] — the automatic layout selector of §4.2 (Eqs. 1–5)
-//!   and the H2O-style row/column chooser of §4.3,
+//!   for nested items (flat items stay columnar),
 //! * [`registry`] — the cache itself: exact-match signatures, R-tree
 //!   range-predicate subsumption (§3.3), stat upkeep and eviction
 //!   driving.
@@ -27,7 +27,7 @@ pub use eviction::{
     EvictView, EvictionContext, EvictionKind, EvictionPolicy, FarthestFirst, GreedyDualRecache,
     Lfu, LogOptimal, Lru, LruJsonPriority, MonetDbRecycler, VectorwiseRecycler,
 };
-pub use layout_model::{FlatLayoutChoice, LayoutDecision, LayoutHistory, QueryObservation};
+pub use layout_model::{LayoutDecision, LayoutHistory, QueryObservation};
 pub use registry::{
     CacheEntry, CacheRegistry, EntryId, EntrySnapshot, FutureOracle, InvalidationListener,
     LeafRange, MatchResult,

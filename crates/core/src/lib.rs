@@ -37,9 +37,7 @@ use recache_data::{FaultPlan, FileFormat, RawFile, RetryPolicy};
 use recache_engine::exec::{self, BuildRequest, ExecOptions};
 use recache_engine::plan::{AccessPath, QueryPlan, TablePlan};
 use recache_engine::sql::{parse_query, QuerySpec};
-use recache_layout::{
-    columnar_to_dremel, columnar_to_row, dremel_to_columnar, row_to_columnar, CacheData, LayoutKind,
-};
+use recache_layout::{columnar_to_dremel, dremel_to_columnar, CacheData, LayoutKind};
 use recache_types::{Error, Result, Schema};
 pub use request::{CacheOutcome, QueryBody, QueryRequest, QueryResponse, QueryTelemetry};
 use resolve::{resolve, ResolvedQuery};
@@ -61,15 +59,13 @@ pub use recache_engine::sql;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutPolicy {
     /// The paper's ReCache behaviour: nested data defaults to the Dremel
-    /// layout and switches via the §4.2 cost model; flat data defaults to
-    /// columnar and may switch to row-oriented via the H2O estimator.
+    /// layout and switches via the §4.2 cost model; flat data stays
+    /// columnar (the §4.3 row layout cannot win on this engine).
     Auto,
     /// Always relational columnar (the "Rel. Columnar" baseline).
     FixedColumnar,
     /// Always nested columnar (the "Parquet" baseline).
     FixedDremel,
-    /// Always row-oriented.
-    FixedRow,
 }
 
 /// Builder for a [`ReCache`] session.
@@ -736,8 +732,12 @@ impl ReCache {
                 Some((id, _)) => {
                     self.registry
                         .record_reuse(id, stats.exec_ns, route.lookup_ns);
-                    // Layout bookkeeping for store scans.
-                    if let Some(cost) = stats.cache_scan {
+                    // Layout bookkeeping for store scans, only where the
+                    // §4.2 model has a choice to make: nested entries under
+                    // `Auto`. Flat entries stay columnar.
+                    let switchable =
+                        self.layout == LayoutPolicy::Auto && table.file.schema().has_nested();
+                    if let Some(cost) = stats.cache_scan.filter(|_| switchable) {
                         self.registry.with_entry_mut(id, |entry| {
                             let rows_needed = if stats.record_level {
                                 entry.data.record_count()
@@ -748,9 +748,8 @@ impl ReCache {
                             // Dremel layout has a meaningful compute
                             // component ("the relational columnar layout
                             // has negligible computational cost") — for
-                            // columnar/row scans the whole cost is data
-                            // access, including the R-proportional row
-                            // walk.
+                            // columnar scans the whole cost is data access,
+                            // including the R-proportional row walk.
                             let layout = entry.data.layout();
                             let (d_ns, c_ns) = if layout == LayoutKind::Dremel {
                                 (cost.data_ns, cost.compute_ns)
@@ -765,11 +764,9 @@ impl ReCache {
                                 layout,
                             });
                         });
-                        if self.layout == LayoutPolicy::Auto {
-                            if let Some((switch, ns)) = self.maybe_switch_layout(id) {
-                                caching_ns += ns;
-                                summary.layout_switch = Some(switch);
-                            }
+                        if let Some((switch, ns)) = self.maybe_switch_layout(id) {
+                            caching_ns += ns;
+                            summary.layout_switch = Some(switch);
                         }
                     }
                     if route.was_offsets {
@@ -897,7 +894,6 @@ impl ReCache {
         match self.layout {
             LayoutPolicy::FixedColumnar => StoreChoice::Columnar,
             LayoutPolicy::FixedDremel => StoreChoice::Dremel,
-            LayoutPolicy::FixedRow => StoreChoice::Row,
             LayoutPolicy::Auto => {
                 // "By default, ReCache caches nested data in the Parquet
                 // layout"; flat data starts columnar.
@@ -910,7 +906,7 @@ impl ReCache {
         }
     }
 
-    /// Applies the automatic layout model to an entry; returns the switch
+    /// Applies the §4.2 layout model to a nested entry; returns the switch
     /// performed and its cost in nanoseconds. The (expensive) layout
     /// conversion runs outside any shard lock; the swap installs only if
     /// the layout is still what the conversion started from, so racing
@@ -922,49 +918,19 @@ impl ReCache {
         enum Planned {
             DremelToColumnar(Arc<recache_layout::DremelStore>),
             ColumnarToDremel(Arc<recache_layout::ColumnStore>),
-            ColumnarToRow(Arc<recache_layout::ColumnStore>),
-            RowToColumnar(Arc<recache_layout::RowStore>),
         }
         let planned = self.registry.with_entry_mut(id, |entry| {
-            let current = entry.data.layout();
-            let nested = match &entry.data {
-                CacheData::Columnar(s) => s.schema().has_nested(),
-                CacheData::Dremel(s) => s.schema().has_nested(),
-                CacheData::Row(s) => s.schema().has_nested(),
-                CacheData::Offsets(_) => return None,
-            };
-            if nested {
-                let decision = entry
-                    .history
-                    .decide_nested(current, entry.data.flattened_rows());
-                match (decision, &entry.data) {
-                    (LayoutDecision::SwitchToColumnar, CacheData::Dremel(store)) => {
-                        Some(Planned::DremelToColumnar(Arc::clone(store)))
-                    }
-                    (LayoutDecision::SwitchToDremel, CacheData::Columnar(store)) => {
-                        Some(Planned::ColumnarToDremel(Arc::clone(store)))
-                    }
-                    _ => None,
+            let decision = entry
+                .history
+                .decide_nested(entry.data.layout(), entry.data.flattened_rows());
+            match (decision, &entry.data) {
+                (LayoutDecision::SwitchToColumnar, CacheData::Dremel(store)) => {
+                    Some(Planned::DremelToColumnar(Arc::clone(store)))
                 }
-            } else {
-                // Flat data: H2O-style row/column choice.
-                let n_leaves = match &entry.data {
-                    CacheData::Columnar(s) => s.schema().leaves().len(),
-                    CacheData::Row(s) => s.schema().leaves().len(),
-                    _ => return None,
-                };
-                let choice = entry.history.decide_flat(n_leaves);
-                match (choice, &entry.data) {
-                    (
-                        recache_cache::layout_model::FlatLayoutChoice::Row,
-                        CacheData::Columnar(store),
-                    ) => Some(Planned::ColumnarToRow(Arc::clone(store))),
-                    (
-                        recache_cache::layout_model::FlatLayoutChoice::Columnar,
-                        CacheData::Row(store),
-                    ) => Some(Planned::RowToColumnar(Arc::clone(store))),
-                    _ => None,
+                (LayoutDecision::SwitchToDremel, CacheData::Columnar(store)) => {
+                    Some(Planned::ColumnarToDremel(Arc::clone(store)))
                 }
+                _ => None,
             }
         })??;
         let (from, new_data, duration) = match planned {
@@ -983,14 +949,6 @@ impl ReCache {
                     CacheData::Dremel(Arc::new(new_store)),
                     d,
                 )
-            }
-            Planned::ColumnarToRow(store) => {
-                let (new_store, d) = columnar_to_row(&store);
-                (LayoutKind::Columnar, CacheData::Row(Arc::new(new_store)), d)
-            }
-            Planned::RowToColumnar(store) => {
-                let (new_store, d) = row_to_columnar(&store);
-                (LayoutKind::Row, CacheData::Columnar(Arc::new(new_store)), d)
             }
         };
         let ns = duration.as_nanos() as u64;
@@ -1029,7 +987,6 @@ fn access_path_for(data: &CacheData, file: &Arc<RawFile>) -> AccessPath {
     match data {
         CacheData::Columnar(s) => AccessPath::Columnar(Arc::clone(s)),
         CacheData::Dremel(s) => AccessPath::Dremel(Arc::clone(s)),
-        CacheData::Row(s) => AccessPath::Row(Arc::clone(s)),
         CacheData::Offsets(s) => AccessPath::Offsets {
             file: Arc::clone(file),
             store: Arc::clone(s),

@@ -23,8 +23,8 @@
 //! structure tape, and a flat columnar entry parses each CSV field from
 //! its span straight into its column (a CSV Dremel entry and a flat JSON
 //! columnar one go one parsed record at a time). Only the columnar
-//! layout of a nested source and the row layout keep every record as a
-//! `Value` and build the store from them at the end.
+//! layout of a nested source keeps every record as a `Value` and builds
+//! the store from them at the end.
 
 use recache_cache::admission::{decide, estimate_overhead, AdmissionConfig, AdmissionDecision};
 use recache_data::{EntryBuilder, RawFile};
@@ -129,7 +129,7 @@ mod tests {
     use super::*;
     use recache_data::gen::tpch;
     use recache_data::{csv, json, FileFormat};
-    use recache_layout::{ColumnStore, DremelStore, RowStore};
+    use recache_layout::{ColumnStore, DremelStore};
     use recache_types::{DataType, Field, Schema, Value};
     use std::io::Write;
 
@@ -233,7 +233,7 @@ mod tests {
         let config = AdmissionConfig::default();
         let result = materialize_with_admission(
             &file,
-            StoreChoice::Row,
+            StoreChoice::Columnar,
             &config,
             (0..500).collect(),
             500,
@@ -242,7 +242,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.decision, AdmissionDecision::Eager);
-        assert!(matches!(result.data, CacheData::Row(_)));
+        assert!(matches!(result.data, CacheData::Columnar(_)));
     }
 
     #[test]
@@ -442,11 +442,6 @@ mod tests {
                 store.set_source_record_ids(ids.to_vec());
                 CacheData::Dremel(Arc::new(store))
             }
-            StoreChoice::Row => {
-                let mut store = RowStore::build(schema, records);
-                store.set_source_record_ids(ids.to_vec());
-                CacheData::Row(Arc::new(store))
-            }
         }
     }
 
@@ -456,7 +451,6 @@ mod tests {
         match (got, want) {
             (CacheData::Columnar(a), CacheData::Columnar(b)) => assert_eq!(a, b, "{case}"),
             (CacheData::Dremel(a), CacheData::Dremel(b)) => assert_eq!(a, b, "{case}"),
-            (CacheData::Row(a), CacheData::Row(b)) => assert_eq!(a, b, "{case}"),
             _ => panic!(
                 "{case}: expected {:?}, got {:?}",
                 want.layout(),
@@ -493,7 +487,7 @@ mod tests {
         ];
         for ids in &id_sets {
             let reversed: Vec<u32> = ids.iter().rev().copied().collect();
-            for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+            for choice in [StoreChoice::Columnar, StoreChoice::Dremel] {
                 let want = fresh_store(file.schema(), fresh, ids, choice);
                 let case = format!("{:?} {choice:?} over {} ids", file.format(), ids.len());
                 for (config, to1, decision) in &paths {
@@ -570,7 +564,7 @@ mod tests {
             let accessed: Vec<bool> = (0..file.leaves().len()).map(|leaf| leaf == 3).collect();
             file.scan_projected(&accessed, &mut |_, _| {}).unwrap();
             assert_eq!(file.posmap().unwrap().json_tape(3).is_some(), taped);
-            for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+            for choice in [StoreChoice::Columnar, StoreChoice::Dremel] {
                 let case = format!("{choice:?} over {:?}", String::from_utf8_lossy(line));
                 let eager = materialize_with_admission(
                     &file,
@@ -640,7 +634,7 @@ mod tests {
         let all: Vec<u32> = (0..n_records as u32).collect();
         let some: Vec<u32> = all.iter().copied().filter(|i| i % 3 != 1).collect();
         for ids in [&all, &some] {
-            for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+            for choice in [StoreChoice::Columnar, StoreChoice::Dremel] {
                 let build = |ids: &[u32]| {
                     let mut builder = EntryBuilder::new(file.schema(), choice);
                     file.append_records_with(&map, ids, &mut builder).unwrap();

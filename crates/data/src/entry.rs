@@ -9,9 +9,7 @@
 //! once; dictionary encoding waits for [`EntryBuilder::finish`], so the
 //! merged store equals a serial build bit for bit.
 
-use recache_layout::{
-    CacheData, ColumnStore, DremelBuilder, DremelStore, FlatColumnBuilder, RowStore,
-};
+use recache_layout::{CacheData, ColumnStore, DremelBuilder, FlatColumnBuilder};
 use recache_types::{Schema, Value};
 use std::sync::Arc;
 
@@ -20,7 +18,6 @@ use std::sync::Arc;
 pub enum StoreChoice {
     Columnar,
     Dremel,
-    Row,
 }
 
 /// An eager cache entry under construction.
@@ -30,8 +27,9 @@ pub enum EntryBuilder {
     Dremel(DremelBuilder),
     /// Filled field by field (CSV from its field spans).
     Flat(FlatColumnBuilder),
-    /// Full records, built into the chosen layout at the end.
-    Records(Vec<Value>, StoreChoice),
+    /// Full records, built into a columnar store at the end (nested data
+    /// under a columnar choice).
+    Records(Vec<Value>),
 }
 
 impl EntryBuilder {
@@ -40,9 +38,8 @@ impl EntryBuilder {
             StoreChoice::Dremel => EntryBuilder::Dremel(DremelBuilder::new(schema)),
             StoreChoice::Columnar => match FlatColumnBuilder::new(schema) {
                 Some(builder) => EntryBuilder::Flat(builder),
-                None => EntryBuilder::Records(Vec::new(), choice),
+                None => EntryBuilder::Records(Vec::new()),
             },
-            StoreChoice::Row => EntryBuilder::Records(Vec::new(), choice),
         }
     }
 
@@ -53,7 +50,7 @@ impl EntryBuilder {
         match (self, other) {
             (EntryBuilder::Dremel(into), EntryBuilder::Dremel(more)) => into.append(more),
             (EntryBuilder::Flat(into), EntryBuilder::Flat(more)) => into.append(more),
-            (EntryBuilder::Records(into, _), EntryBuilder::Records(more, _)) => into.extend(more),
+            (EntryBuilder::Records(into), EntryBuilder::Records(more)) => into.extend(more),
             _ => unreachable!("appending builders of different layouts"),
         }
     }
@@ -75,20 +72,10 @@ impl EntryBuilder {
                 store.set_source_record_ids(record_ids);
                 CacheData::Columnar(Arc::new(store))
             }
-            EntryBuilder::Records(records, StoreChoice::Columnar) => {
+            EntryBuilder::Records(records) => {
                 let mut store = ColumnStore::build(schema, &records);
                 store.set_source_record_ids(record_ids);
                 CacheData::Columnar(Arc::new(store))
-            }
-            EntryBuilder::Records(records, StoreChoice::Dremel) => {
-                let mut store = DremelStore::build(schema, &records);
-                store.set_source_record_ids(record_ids);
-                CacheData::Dremel(Arc::new(store))
-            }
-            EntryBuilder::Records(records, StoreChoice::Row) => {
-                let mut store = RowStore::build(schema, &records);
-                store.set_source_record_ids(record_ids);
-                CacheData::Row(Arc::new(store))
             }
         }
     }

@@ -406,7 +406,7 @@ impl RawFile {
                     });
                 })
             }
-            (EntryBuilder::Records(records, _), _) => {
+            (EntryBuilder::Records(records), _) => {
                 records.reserve(record_ids.len());
                 self.read_records_with(map, record_ids, &mut |record| records.push(record))
             }

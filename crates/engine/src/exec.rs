@@ -4,7 +4,7 @@
 //! # Vectorized vs row-at-a-time execution
 //!
 //! Every access path runs *vectorized* by default: cache-store scans
-//! (columnar / Dremel / row layouts), raw files of any shape (CSV, flat
+//! (columnar / Dremel layouts), raw files of any shape (CSV, flat
 //! JSON, and nested JSON flattened from its structure tapes, via
 //! `RawFile::supports_batch_scan`) and lazy offsets re-reads (the same
 //! raw chunk feeder, over the entry's record ids). The source yields
@@ -34,8 +34,7 @@ use crate::kernel::{BatchAggregator, CompiledPredicate};
 use crate::plan::{AccessPath, AggFunc, AggSpec, QueryPlan, TablePlan};
 use recache_data::{EntryBuilder, PositionalMap, RawFile, StoreChoice};
 use recache_layout::{
-    CacheData, ColumnBatch, ColumnStore, DremelStore, RowStore, ScanCost, SelectionVector,
-    BATCH_ROWS,
+    CacheData, ColumnBatch, ColumnStore, DremelStore, ScanCost, SelectionVector, BATCH_ROWS,
 };
 use recache_types::{CancelToken, Error, Result, ScanCtl, Value};
 use std::collections::HashMap;
@@ -203,17 +202,13 @@ pub enum AccessKind {
     RawMapped,
     CacheColumnar,
     CacheDremel,
-    CacheRow,
     /// Lazy cache: selective re-read of the raw file.
     CacheOffsets,
 }
 
 impl AccessKind {
     pub fn is_cache_store(&self) -> bool {
-        matches!(
-            self,
-            AccessKind::CacheColumnar | AccessKind::CacheDremel | AccessKind::CacheRow
-        )
+        matches!(self, AccessKind::CacheColumnar | AccessKind::CacheDremel)
     }
 }
 
@@ -637,7 +632,7 @@ struct ScanOutcome {
     busy_ns: u64,
 }
 
-/// A scan source that supports batched scans: the three cache stores,
+/// A scan source that supports batched scans: the two eager cache stores,
 /// raw files, whose chunk grids tokenize/parse records straight into
 /// typed scratch columns (no per-record `Value` tree; nested JSON is
 /// flattened from its structure tapes in the same pass), and lazy
@@ -648,7 +643,6 @@ struct ScanOutcome {
 enum StoreRef<'a> {
     Columnar(&'a ColumnStore),
     Dremel(&'a DremelStore),
-    Row(&'a RowStore),
     Raw(&'a RawFile),
     Offsets(&'a RawFile, &'a [u32]),
 }
@@ -664,7 +658,6 @@ impl StoreRef<'_> {
         match self {
             StoreRef::Columnar(_) => AccessKind::CacheColumnar,
             StoreRef::Dremel(_) => AccessKind::CacheDremel,
-            StoreRef::Row(_) => AccessKind::CacheRow,
             StoreRef::Raw(file) => {
                 if file.posmap().is_some() {
                     AccessKind::RawMapped
@@ -680,7 +673,6 @@ impl StoreRef<'_> {
         match self {
             StoreRef::Columnar(s) => s.record_count(),
             StoreRef::Dremel(s) => s.record_count(),
-            StoreRef::Row(s) => s.record_count(),
             StoreRef::Raw(file) => file.known_record_count().unwrap_or(0),
             StoreRef::Offsets(_, ids) => ids.len(),
         }
@@ -693,7 +685,6 @@ impl StoreRef<'_> {
         match self {
             StoreRef::Columnar(s) => Some(s.row_count()),
             StoreRef::Dremel(s) => Some(s.flattened_rows()),
-            StoreRef::Row(s) => Some(s.row_count()),
             StoreRef::Raw(_) | StoreRef::Offsets(..) => None,
         }
     }
@@ -711,7 +702,6 @@ impl StoreRef<'_> {
         match self {
             StoreRef::Columnar(s) => s.batch_chunks(projection, record_level),
             StoreRef::Dremel(s) => s.batch_chunks(projection, record_level),
-            StoreRef::Row(s) => s.batch_chunks(projection, record_level),
             StoreRef::Raw(file) => file.batch_chunks(),
             StoreRef::Offsets(file, ids) => file.batch_chunks_by_id(ids),
         }
@@ -775,9 +765,6 @@ impl StoreRef<'_> {
             StoreRef::Dremel(s) => {
                 s.scan_batches_range(projection, record_level, want_record_ids, lo, hi, on_batch)
             }
-            StoreRef::Row(s) => {
-                s.scan_batches_range(projection, record_level, want_record_ids, lo, hi, on_batch)
-            }
             StoreRef::Raw(_) | StoreRef::Offsets(..) => unreachable!("raw handled above"),
         };
         match ctl.and_then(ScanCtl::cancel_token) {
@@ -808,7 +795,6 @@ fn batchable<'a>(
     let store = match &table.access {
         AccessPath::Columnar(s) => StoreRef::Columnar(s),
         AccessPath::Dremel(s) => StoreRef::Dremel(s),
-        AccessPath::Row(s) => StoreRef::Row(s),
         // Raw scans of any format and shape batch like stores, and so do
         // lazy entries' re-reads of their record ids.
         AccessPath::Raw(file) if file.supports_batch_scan() => StoreRef::Raw(file),
@@ -1242,22 +1228,6 @@ fn scan_table(table: &TablePlan, sink: &mut dyn FnMut(usize, &[Value])) -> Resul
                 rows_scanned: cost.rows_visited,
                 records_scanned: store.record_count(),
                 flattened_rows: Some(store.flattened_rows()),
-                cache_scan: Some(cost),
-                retried_chunks: 0,
-                busy_ns: 0,
-            })
-        }
-        AccessPath::Row(store) => {
-            let cost = store.scan(&table.accessed, table.record_level, &mut |id, row| {
-                if predicate.is_none_or(|p| p.eval_bool(row)) {
-                    sink(id, row);
-                }
-            });
-            Ok(ScanOutcome {
-                access: AccessKind::CacheRow,
-                rows_scanned: cost.rows_visited,
-                records_scanned: store.record_count(),
-                flattened_rows: Some(store.row_count()),
                 cache_scan: Some(cost),
                 retried_chunks: 0,
                 busy_ns: 0,
@@ -1845,7 +1815,7 @@ mod tests {
 
     #[test]
     fn cache_scan_paths_agree_with_raw() {
-        use recache_layout::{ColumnStore, DremelStore, RowStore};
+        use recache_layout::{ColumnStore, DremelStore};
         let schema = Schema::new(vec![
             Field::required("k", DataType::Int),
             Field::required("v", DataType::Float),
@@ -1855,7 +1825,6 @@ mod tests {
             .collect();
         let columnar = Arc::new(ColumnStore::build(&schema, records.iter()));
         let dremel = Arc::new(DremelStore::build(&schema, records.iter()));
-        let rows = Arc::new(RowStore::build(&schema, records.iter()));
         let pred = Some(Expr::between(0, 10.0, 19.0));
         let mk = |access: AccessPath| QueryPlan {
             tables: vec![TablePlan {
@@ -1874,11 +1843,7 @@ mod tests {
             }],
         };
         let expected = Value::Float((10..20).sum::<i64>() as f64);
-        for access in [
-            AccessPath::Columnar(columnar),
-            AccessPath::Dremel(dremel),
-            AccessPath::Row(rows),
-        ] {
+        for access in [AccessPath::Columnar(columnar), AccessPath::Dremel(dremel)] {
             let out = execute(&mk(access)).unwrap();
             assert_eq!(out.values[0], expected);
             assert!(out.stats.tables[0].access.is_cache_store());

@@ -5,7 +5,7 @@
 //! plan-time specialization over monomorphized Rust operators — the cost
 //! *shapes* ReCache's policies depend on (raw parse ≫ in-memory scan;
 //! Dremel scans pay a compute cost columnar scans do not) are preserved,
-//! as documented in `DESIGN.md`.
+//! as recorded under "Deviations from the paper" in `docs/ARCHITECTURE.md`.
 //!
 //! The engine executes select-project-aggregate and select-project-join
 //! queries (the paper's workload templates) over:
@@ -22,7 +22,7 @@
 //!   [`recache_layout::ColumnBatch`]es of up to
 //!   [`recache_layout::BATCH_ROWS`] (4096) rows: borrowed column slices
 //!   for the columnar store and the Dremel short-column fast path,
-//!   gathered scratch columns for the row store and Dremel assembly.
+//!   gathered scratch columns for Dremel assembly.
 //!   4096 is a multiple of 64 (validity views stay word-aligned) and
 //!   matches the timed-scan granularity the seed used, so per-batch
 //!   `ScanCost` sampling is unchanged.

@@ -7,7 +7,7 @@
 
 use crate::expr::Expr;
 use recache_data::RawFile;
-use recache_layout::{ColumnStore, DremelStore, OffsetStore, RowStore};
+use recache_layout::{ColumnStore, DremelStore, OffsetStore};
 use std::sync::Arc;
 
 /// How a table's tuples are obtained.
@@ -19,8 +19,6 @@ pub enum AccessPath {
     Columnar(Arc<ColumnStore>),
     /// Scan an in-memory Dremel (nested columnar) cache.
     Dremel(Arc<DremelStore>),
-    /// Scan an in-memory row-oriented cache.
-    Row(Arc<RowStore>),
     /// Re-read the records a lazy cache selected, through the raw file's
     /// positional map.
     Offsets {
@@ -35,7 +33,6 @@ impl std::fmt::Debug for AccessPath {
             AccessPath::Raw(_) => write!(f, "Raw"),
             AccessPath::Columnar(s) => write!(f, "Columnar({} rows)", s.row_count()),
             AccessPath::Dremel(s) => write!(f, "Dremel({} records)", s.record_count()),
-            AccessPath::Row(s) => write!(f, "Row({} rows)", s.row_count()),
             AccessPath::Offsets { store, .. } => {
                 write!(f, "Offsets({} records)", store.record_count())
             }

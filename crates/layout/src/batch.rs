@@ -20,7 +20,7 @@
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::dremel::ShredInput;
-use recache_types::{list_dim_ranges, ScalarType, Schema, Value};
+use recache_types::{ScalarType, Value};
 
 /// Rows per batch. A multiple of 64 so batch-aligned validity views start
 /// on a bitmap word boundary; 4096 matches the pre-existing timed-scan
@@ -237,20 +237,6 @@ impl<'a> IntoIterator for &'a SelectionVector {
     fn into_iter(self) -> Self::IntoIter {
         self.idx.iter()
     }
-}
-
-/// Bitmask of list dimensions with no projected leaf: flattened rows at a
-/// non-zero index of such a dimension are duplicates from the query's
-/// point of view and are skipped. Shared by every flattened-row store
-/// (columnar, row) so the skip rule cannot drift between layouts.
-pub(crate) fn unaccessed_list_dims(schema: &Schema, projection: &[usize]) -> u64 {
-    let mut mask = 0u64;
-    for (d, (lo, hi)) in list_dim_ranges(schema).into_iter().enumerate() {
-        if !projection.iter().any(|&leaf| leaf >= lo && leaf < hi) {
-            mask |= 1 << d;
-        }
-    }
-    mask
 }
 
 /// Borrowed batch view over entries `[start, end)` of a typed column with

@@ -134,7 +134,7 @@ impl ColumnData {
 
     /// Appends one string value directly from its encoded bytes — no
     /// intermediate `String` allocation; the bytes land straight in the
-    /// shared heap (the row store's decode-into-arena path).
+    /// shared heap.
     #[inline]
     pub fn push_str_bytes(&mut self, s: &[u8]) {
         match self {

@@ -14,7 +14,7 @@ use crate::batch::{ColumnBatch, ScratchColumn, SelectionVector, BATCH_ROWS};
 use crate::column::Column;
 use crate::shape::{self, ShapeCursor};
 use crate::ScanCost;
-use recache_types::{Schema, Value};
+use recache_types::{list_dim_ranges, Schema, Value};
 use std::time::Instant;
 
 /// An incremental builder of the [`ColumnStore`] of a flat schema (every
@@ -192,10 +192,17 @@ impl ColumnStore {
         }
     }
 
-    /// Bitmask of list dimensions with no projected leaf (shared skip
-    /// rule — see [`crate::batch::unaccessed_list_dims`]).
+    /// Bitmask of list dimensions with no projected leaf: flattened rows
+    /// at a non-zero index of such a dimension are duplicates from the
+    /// query's point of view and are skipped.
     fn unaccessed_dims(&self, projection: &[usize]) -> u64 {
-        crate::batch::unaccessed_list_dims(&self.schema, projection)
+        let mut mask = 0u64;
+        for (d, (lo, hi)) in list_dim_ranges(&self.schema).into_iter().enumerate() {
+            if !projection.iter().any(|&leaf| leaf >= lo && leaf < hi) {
+                mask |= 1 << d;
+            }
+        }
+        mask
     }
 
     pub fn schema(&self) -> &Schema {

@@ -6,7 +6,7 @@
 //! wall-clock duration is reported so the cache can compare it against
 //! the estimated transformation cost `T = max((Di + Ci) · R / ri)`.
 
-use crate::{ColumnStore, DremelStore, RowStore};
+use crate::{ColumnStore, DremelStore};
 use std::time::{Duration, Instant};
 
 /// Dremel → relational columnar. Returns the new store and the measured
@@ -33,32 +33,10 @@ pub fn columnar_to_dremel(store: &ColumnStore) -> (DremelStore, Duration) {
     (out, t0.elapsed())
 }
 
-/// Relational columnar → row-oriented (H2O-style switch).
-pub fn columnar_to_row(store: &ColumnStore) -> (RowStore, Duration) {
-    let t0 = Instant::now();
-    let records = store.to_records();
-    let mut out = RowStore::build(store.schema(), records.iter());
-    if let Some(ids) = store.source_record_ids() {
-        out.set_source_record_ids(ids.to_vec());
-    }
-    (out, t0.elapsed())
-}
-
-/// Row-oriented → relational columnar.
-pub fn row_to_columnar(store: &RowStore) -> (ColumnStore, Duration) {
-    let t0 = Instant::now();
-    let records = store.to_records();
-    let mut out = ColumnStore::build(store.schema(), records.iter());
-    if let Some(ids) = store.source_record_ids() {
-        out.set_source_record_ids(ids.to_vec());
-    }
-    (out, t0.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recache_types::{flatten_record, DataType, Field, Schema, Value};
+    use recache_types::{DataType, Field, Schema, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -122,22 +100,7 @@ mod tests {
         dremel.set_source_record_ids(ids.clone());
         let (columnar, _) = dremel_to_columnar(&dremel);
         assert_eq!(columnar.source_record_ids(), Some(ids.as_slice()));
-        let (rows, _) = columnar_to_row(&columnar);
-        assert_eq!(rows.source_record_ids(), Some(ids.as_slice()));
-        let (back, _) = row_to_columnar(&rows);
-        let (dremel2, _) = columnar_to_dremel(&back);
+        let (dremel2, _) = columnar_to_dremel(&columnar);
         assert_eq!(dremel2.source_record_ids(), Some(ids.as_slice()));
-    }
-
-    #[test]
-    fn row_conversions_preserve_flattened_view() {
-        let rs = records();
-        let schema = schema();
-        let columnar = ColumnStore::build(&schema, rs.iter());
-        let (rows, _) = columnar_to_row(&columnar);
-        let (back, _) = row_to_columnar(&rows);
-        for (a, b) in columnar.to_records().iter().zip(back.to_records().iter()) {
-            assert_eq!(flatten_record(&schema, a), flatten_record(&schema, b));
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! In-memory cache layouts for ReCache.
 //!
 //! A cached item stores the set of records that satisfied a selection
-//! operator, in one of four physical layouts (§4 of the paper):
+//! operator, in one of three physical layouts (§4 of the paper):
 //!
 //! * [`ColumnStore`] — *relational columnar*: records flattened into rows
 //!   (lists exploded, parents duplicated), one typed column per leaf, plus
@@ -12,8 +12,6 @@
 //!   (the compute cost the paper measures as `C`), while non-repeated
 //!   projections read short columns directly (the "4x fewer rows" fast
 //!   path),
-//! * [`RowStore`] — *relational row-oriented*: packed byte rows; scans
-//!   touch full tuples regardless of projection (the H2O tradeoff),
 //! * [`OffsetStore`] — *lazy* cache: only the record ids of satisfying
 //!   tuples; reuse re-reads the raw file through its positional map.
 //!
@@ -28,7 +26,6 @@ pub mod columnar;
 pub mod convert;
 pub mod dremel;
 pub mod offsets;
-pub mod row;
 pub mod shape;
 
 pub use batch::{
@@ -37,10 +34,9 @@ pub use batch::{
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, DICT_MAX_RATIO, DICT_MIN_ROWS};
 pub use columnar::{ColumnStore, FlatColumnBuilder};
-pub use convert::{columnar_to_dremel, columnar_to_row, dremel_to_columnar, row_to_columnar};
+pub use convert::{columnar_to_dremel, dremel_to_columnar};
 pub use dremel::{DremelBuilder, DremelStore, FieldSet, Holds, ShredInput, CHUNK_RECORDS};
 pub use offsets::OffsetStore;
-pub use row::RowStore;
 pub use shape::ShapeCursor;
 
 use recache_types::Value;
@@ -48,8 +44,6 @@ use recache_types::Value;
 /// Physical layout of a cached item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayoutKind {
-    /// Relational row-oriented ([`RowStore`]).
-    Row,
     /// Relational column-oriented ([`ColumnStore`]).
     Columnar,
     /// Nested column-oriented, Dremel/Parquet-style ([`DremelStore`]).
@@ -61,7 +55,6 @@ pub enum LayoutKind {
 impl LayoutKind {
     pub fn name(&self) -> &'static str {
         match self {
-            LayoutKind::Row => "row",
             LayoutKind::Columnar => "columnar",
             LayoutKind::Dremel => "dremel",
             LayoutKind::Offsets => "offsets",
@@ -107,7 +100,6 @@ impl ScanCost {
 pub enum CacheData {
     Columnar(std::sync::Arc<ColumnStore>),
     Dremel(std::sync::Arc<DremelStore>),
-    Row(std::sync::Arc<RowStore>),
     Offsets(std::sync::Arc<OffsetStore>),
 }
 
@@ -116,7 +108,6 @@ impl CacheData {
         match self {
             CacheData::Columnar(_) => LayoutKind::Columnar,
             CacheData::Dremel(_) => LayoutKind::Dremel,
-            CacheData::Row(_) => LayoutKind::Row,
             CacheData::Offsets(_) => LayoutKind::Offsets,
         }
     }
@@ -126,7 +117,6 @@ impl CacheData {
         match self {
             CacheData::Columnar(s) => s.byte_size(),
             CacheData::Dremel(s) => s.byte_size(),
-            CacheData::Row(s) => s.byte_size(),
             CacheData::Offsets(s) => s.byte_size(),
         }
     }
@@ -136,7 +126,6 @@ impl CacheData {
         match self {
             CacheData::Columnar(s) => s.record_count(),
             CacheData::Dremel(s) => s.record_count(),
-            CacheData::Row(s) => s.record_count(),
             CacheData::Offsets(s) => s.record_count(),
         }
     }
@@ -147,7 +136,6 @@ impl CacheData {
         match self {
             CacheData::Columnar(s) => s.row_count(),
             CacheData::Dremel(s) => s.flattened_rows(),
-            CacheData::Row(s) => s.row_count(),
             CacheData::Offsets(s) => s.flattened_rows_estimate(),
         }
     }

@@ -450,7 +450,7 @@ mod randomized_tests {
 #[cfg(test)]
 mod flat_build_tests {
     use super::*;
-    use crate::{ColumnStore, RowStore, DICT_MAX_RATIO};
+    use crate::{ColumnStore, DICT_MAX_RATIO};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -507,9 +507,6 @@ mod flat_build_tests {
             let generic = ColumnStore::build_flattened(&schema, &records, ratio, false);
             assert_eq!(flat, generic, "case {case}: columnar stores differ");
             dict_seen |= (0..schema.len()).any(|leaf| flat.leaf_is_dict(leaf));
-            let flat = RowStore::build_flattened(&schema, &records, true);
-            let generic = RowStore::build_flattened(&schema, &records, false);
-            assert_eq!(flat, generic, "case {case}: row stores differ");
         }
         assert!(dict_seen, "some case must dictionary-encode a column");
     }

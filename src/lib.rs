@@ -11,7 +11,8 @@
 //!   SQL, and let the reactive cache accelerate repeats.
 //! * [`types`] — schemas, values, nested paths, flattening.
 //! * [`data`] — raw-data access (positional maps) and dataset generators.
-//! * [`layout`] — cache layouts (row, columnar, Dremel nested columnar).
+//! * [`layout`] — cache layouts (columnar, Dremel nested columnar, lazy
+//!   offsets).
 //! * [`engine`] — query plans and the (vectorized, parallel) executor.
 //! * [`cache`] — admission, eviction and layout-selection policies.
 //! * [`workload`] — the paper's evaluation workload generators.

@@ -12,7 +12,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use recache::data::gen::tpch;
 use recache::data::{csv, json, FaultKind, FaultPlan, FaultSite, FileFormat, RawFile};
-use recache::layout::{CacheData, ColumnStore, DremelBuilder, DremelStore, OffsetStore, RowStore};
+use recache::layout::{CacheData, ColumnStore, DremelBuilder, DremelStore, OffsetStore};
 use recache::materialize::{materialize_with_admission, upgrade_to_eager, StoreChoice};
 use recache::types::{flatten_record, DataType, Error, Field, Schema, Value};
 use recache::{Admission, QueryRequest, ReCache};
@@ -66,11 +66,6 @@ fn value_built(file: &RawFile, ids: &[u32], choice: StoreChoice) -> CacheData {
             store.set_source_record_ids(ids.to_vec());
             CacheData::Dremel(Arc::new(store))
         }
-        StoreChoice::Row => {
-            let mut store = RowStore::build(schema, &records);
-            store.set_source_record_ids(ids.to_vec());
-            CacheData::Row(Arc::new(store))
-        }
     }
 }
 
@@ -78,7 +73,6 @@ fn assert_same_store(got: &CacheData, want: &CacheData, case: &str) {
     match (got, want) {
         (CacheData::Columnar(a), CacheData::Columnar(b)) => assert_eq!(a, b, "{case}"),
         (CacheData::Dremel(a), CacheData::Dremel(b)) => assert_eq!(a, b, "{case}"),
-        (CacheData::Row(a), CacheData::Row(b)) => assert_eq!(a, b, "{case}"),
         _ => panic!("{case}: {:?} vs {:?}", got.layout(), want.layout()),
     }
 }
@@ -90,7 +84,7 @@ fn direct_stores_equal_value_built_stores() {
         let n = file.record_count().unwrap() as u32;
         let ids: Vec<u32> = (0..n).step_by(7).collect();
         assert!(ids.len() > 200, "{name}: {} ids", ids.len());
-        for choice in [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row] {
+        for choice in [StoreChoice::Columnar, StoreChoice::Dremel] {
             let case = format!("{name} {choice:?}");
             let want = value_built(&file, &ids, choice);
             let eager = materialize_with_admission(

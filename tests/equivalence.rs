@@ -124,12 +124,6 @@ fn nested_spa_results_are_layout_independent() {
                     .layout_policy(LayoutPolicy::FixedDremel)
                     .admission(Admission::eager_only()),
             ),
-            (
-                "fixed-row",
-                ReCache::builder()
-                    .layout_policy(LayoutPolicy::FixedRow)
-                    .admission(Admission::eager_only()),
-            ),
             ("lazy", ReCache::builder().admission(Admission::lazy_only())),
         ],
         &|s| {

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use recache::engine::exec::{execute_with, ExecOptions};
 use recache::engine::expr::{CmpOp, Expr};
 use recache::engine::plan::{AccessPath, AggFunc, AggSpec, QueryPlan, TablePlan};
-use recache::layout::{ColumnStore, DremelStore, RowStore};
+use recache::layout::{ColumnStore, DremelStore};
 use recache::types::{DataType, Field, Schema, Value};
 use std::sync::Arc;
 
@@ -99,10 +99,6 @@ fn parallel_float_aggregates_are_deterministic_across_runs() {
         (
             "columnar",
             AccessPath::Columnar(Arc::new(ColumnStore::build(&schema, records.iter()))),
-        ),
-        (
-            "row",
-            AccessPath::Row(Arc::new(RowStore::build(&schema, records.iter()))),
         ),
         (
             "dremel",

@@ -257,3 +257,66 @@ fn benefit_metric_keeps_expensive_json_under_pressure() {
         "greedy-dual should keep the reused, expensive JSON entry"
     );
 }
+
+#[test]
+fn auto_layout_keeps_flat_entries_columnar() {
+    let schema = tpch::lineitem_schema();
+    let (_, rows) = tpch::gen_orders_and_lineitems(0.0006, 5);
+    let bytes = csv::write_csv(&schema, &rows);
+    let session_with = |builder: recache::ReCacheBuilder| {
+        let mut session = builder.build();
+        session.register_csv_bytes("lineitem", bytes.clone(), schema.clone());
+        session
+    };
+    let session = session_with(
+        ReCache::builder()
+            .layout_policy(LayoutPolicy::Auto)
+            .admission(Admission::eager_only()),
+    );
+    let reference = session_with(ReCache::builder().no_caching());
+
+    // One wide entry first, so the rest hit it by subsumption. Then
+    // full-width queries (all 16 leaves) alternate with 1–2-leaf ones.
+    let every_leaf: Vec<String> = schema
+        .fields()
+        .iter()
+        .map(|f| format!("max({})", f.name))
+        .collect();
+    let mut queries = vec!["SELECT count(*) FROM lineitem WHERE l_quantity >= 0".to_owned()];
+    for i in 0..40 {
+        let (lo, hi) = (i % 20, i % 20 + 25);
+        queries.push(match i % 3 {
+            0 => format!(
+                "SELECT {} FROM lineitem WHERE l_quantity BETWEEN {lo} AND {hi}",
+                every_leaf.join(", ")
+            ),
+            1 => format!("SELECT sum(l_quantity) FROM lineitem WHERE l_quantity >= {lo}"),
+            _ => format!(
+                "SELECT avg(l_extendedprice) FROM lineitem WHERE l_quantity BETWEEN {lo} AND {hi}"
+            ),
+        });
+    }
+    let mut hits = 0;
+    for sql in &queries {
+        let response = session.execute(&QueryRequest::sql(sql.as_str())).unwrap();
+        for t in &response.stats.tables {
+            assert_eq!(t.layout_switch, None, "{sql}");
+            hits += usize::from(t.hit.is_some());
+        }
+        let want = reference.execute(&QueryRequest::sql(sql.as_str())).unwrap();
+        assert_eq!(response.rows, want.rows, "{sql}");
+    }
+    assert!(hits >= 40, "the queries must reuse the cache: {hits} hits");
+
+    let entries = session.cache().snapshot();
+    assert!(!entries.is_empty());
+    for entry in entries {
+        assert_eq!(
+            entry.data.layout(),
+            LayoutKind::Columnar,
+            "{}",
+            entry.signature
+        );
+        assert_eq!(entry.layout_switches, 0, "{}", entry.signature);
+    }
+}

@@ -39,7 +39,7 @@ fn fault_seed() -> u64 {
         .unwrap_or(42)
 }
 
-const CHOICES: [StoreChoice; 3] = [StoreChoice::Columnar, StoreChoice::Dremel, StoreChoice::Row];
+const CHOICES: [StoreChoice; 2] = [StoreChoice::Columnar, StoreChoice::Dremel];
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -225,7 +225,6 @@ fn assert_store_eq(got: &CacheData, want: &CacheData, case: &str) {
     match (got, want) {
         (CacheData::Columnar(a), CacheData::Columnar(b)) => assert_eq!(a, b, "{case}"),
         (CacheData::Dremel(a), CacheData::Dremel(b)) => assert_eq!(a, b, "{case}"),
-        (CacheData::Row(a), CacheData::Row(b)) => assert_eq!(a, b, "{case}"),
         _ => panic!("{case}: {:?} vs {:?}", got.layout(), want.layout()),
     }
 }
@@ -323,7 +322,6 @@ fn entry_ids(data: &CacheData) -> Vec<u32> {
     let ids = match data {
         CacheData::Columnar(s) => s.source_record_ids(),
         CacheData::Dremel(s) => s.source_record_ids(),
-        CacheData::Row(s) => s.source_record_ids(),
         CacheData::Offsets(s) => Some(s.record_ids()),
     };
     ids.expect("entries carry their source ids").to_vec()
@@ -346,7 +344,6 @@ fn every_layout_policy_admits_the_post_scan_entries() {
         (LayoutPolicy::Auto, None),
         (LayoutPolicy::FixedColumnar, Some(StoreChoice::Columnar)),
         (LayoutPolicy::FixedDremel, Some(StoreChoice::Dremel)),
-        (LayoutPolicy::FixedRow, Some(StoreChoice::Row)),
     ];
     for source in sources() {
         for (policy, choice) in policies {

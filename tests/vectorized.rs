@@ -3,7 +3,7 @@
 //! Whatever the execution mode — typed batch kernels or per-row
 //! `Expr::eval_bool`, single-threaded or fanned out across the work
 //! pool — `QueryOutput.values` and `rows_aggregated` must be
-//! *bit-identical* across all four cache layouts plus raw access, on
+//! *bit-identical* across all three cache layouts plus raw access, on
 //! flat TPC-H, nested TPC-H, Yelp-style, spam-generator, NULL-heavy
 //! (JSON and CSV) and high-cardinality-string data, for record-level and
 //! element-level scans. The suite runs at `threads ∈ {1, 2, 8}`; exact
@@ -25,7 +25,7 @@ use recache::data::{csv, json, FileFormat, RawFile};
 use recache::engine::exec::{execute_with, ExecOptions};
 use recache::engine::expr::{CmpOp, Expr};
 use recache::engine::plan::{AccessPath, AggFunc, AggSpec, QueryPlan, TablePlan};
-use recache::layout::{ColumnStore, DremelStore, OffsetStore, RowStore};
+use recache::layout::{ColumnStore, DremelStore, OffsetStore};
 use recache::types::{DataType, Field, FieldPath, Schema, Value};
 use std::sync::Arc;
 
@@ -423,7 +423,6 @@ fn equivalence_suite(threads: usize) {
         ));
         let columnar = Arc::new(ColumnStore::build(&ds.schema, ds.records.iter()));
         let dremel = Arc::new(DremelStore::build(&ds.schema, ds.records.iter()));
-        let row = Arc::new(RowStore::build(&ds.schema, ds.records.iter()));
         // The dict-vs-plain axis: encoding disabled outright.
         let columnar_plain = Arc::new(ColumnStore::build_with_dict(
             &ds.schema,
@@ -452,7 +451,6 @@ fn equivalence_suite(threads: usize) {
                 ),
                 ("columnar", AccessPath::Columnar(Arc::clone(&columnar))),
                 ("dremel", AccessPath::Dremel(Arc::clone(&dremel))),
-                ("row", AccessPath::Row(Arc::clone(&row))),
                 (
                     "columnar_plain",
                     AccessPath::Columnar(Arc::clone(&columnar_plain)),
@@ -673,7 +671,6 @@ fn dict_code_range_compares_agree_with_cmp_sql_property() {
             records.iter(),
             Some(1.0),
         ));
-        let row = Arc::new(RowStore::build(&schema, records.iter()));
 
         // Literals: from the pool, mutated (absent), below-all, above-all.
         let mut literals: Vec<String> = vec![
@@ -701,7 +698,6 @@ fn dict_code_range_compares_agree_with_cmp_sql_property() {
                 for (name, access) in [
                     ("columnar", AccessPath::Columnar(Arc::clone(&columnar))),
                     ("dremel", AccessPath::Dremel(Arc::clone(&dremel))),
-                    ("row", AccessPath::Row(Arc::clone(&row))),
                 ] {
                     let plan = plan_for(access, &query);
                     let vec_out = execute_with(&plan, &vectorized(1)).unwrap();
@@ -930,13 +926,10 @@ fn satisfying_ids_from_cache_scans_are_source_record_ids() {
     columnar.set_source_record_ids(cached_ids.clone());
     let mut dremel = DremelStore::build(&schema, records.iter());
     dremel.set_source_record_ids(cached_ids.clone());
-    let mut row = RowStore::build(&schema, records.iter());
-    row.set_source_record_ids(cached_ids.clone());
 
     for (name, access) in [
         ("columnar", AccessPath::Columnar(Arc::new(columnar))),
         ("dremel", AccessPath::Dremel(Arc::new(dremel))),
-        ("row", AccessPath::Row(Arc::new(row))),
     ] {
         for options in [ROW, vectorized(1), vectorized(4)] {
             let plan = QueryPlan {

@@ -28,7 +28,9 @@ pub mod result;
 pub mod result_cache;
 pub mod session;
 
-use materialize::{materialize_with_admission, upgrade_to_eager, MaterializeResult, StoreChoice};
+use materialize::{
+    materialize_with_admission, switch_layout, upgrade_to_eager, MaterializeResult, StoreChoice,
+};
 use recache_cache::admission::{AdmissionConfig, AdmissionDecision};
 use recache_cache::eviction::EvictionKind;
 use recache_cache::layout_model::{LayoutDecision, QueryObservation};
@@ -37,7 +39,7 @@ use recache_data::{FaultPlan, FileFormat, RawFile, RetryPolicy};
 use recache_engine::exec::{self, BuildRequest, ExecOptions};
 use recache_engine::plan::{AccessPath, QueryPlan, TablePlan};
 use recache_engine::sql::{parse_query, QuerySpec};
-use recache_layout::{columnar_to_dremel, dremel_to_columnar, CacheData, LayoutKind};
+use recache_layout::{CacheData, LayoutKind};
 use recache_types::{Error, Result, Schema};
 pub use request::{CacheOutcome, QueryBody, QueryRequest, QueryResponse, QueryTelemetry};
 use resolve::{resolve, ResolvedQuery};
@@ -764,7 +766,7 @@ impl ReCache {
                                 layout,
                             });
                         });
-                        if let Some((switch, ns)) = self.maybe_switch_layout(id) {
+                        if let Some((switch, ns)) = self.maybe_switch_layout(&table.file, id) {
                             caching_ns += ns;
                             summary.layout_switch = Some(switch);
                         }
@@ -907,60 +909,45 @@ impl ReCache {
     }
 
     /// Applies the §4.2 layout model to a nested entry; returns the switch
-    /// performed and its cost in nanoseconds. The (expensive) layout
-    /// conversion runs outside any shard lock; the swap installs only if
-    /// the layout is still what the conversion started from, so racing
-    /// sessions cannot clobber each other's switches.
-    fn maybe_switch_layout(&self, id: EntryId) -> Option<((LayoutKind, LayoutKind), u64)> {
-        // Snapshot the decision inputs under the shard lock (the write
-        // side: deciding updates the layout model's cost memo); the store
-        // itself is an `Arc`, so conversion needs no further locking.
-        enum Planned {
-            DremelToColumnar(Arc<recache_layout::DremelStore>),
-            ColumnarToDremel(Arc<recache_layout::ColumnStore>),
-        }
-        let planned = self.registry.with_entry_mut(id, |entry| {
+    /// performed and its cost in nanoseconds. A switch rebuilds the entry
+    /// in the new layout from `file`'s raw records, by the ids the current
+    /// store holds ([`switch_layout`]), outside any shard lock; the swap
+    /// installs only if the layout is still the one the build replaces,
+    /// so racing sessions cannot clobber each other's switches. No map,
+    /// no ids or a failed build means no switch: the entry keeps its
+    /// layout, and the query's answer is already computed.
+    fn maybe_switch_layout(
+        &self,
+        file: &RawFile,
+        id: EntryId,
+    ) -> Option<((LayoutKind, LayoutKind), u64)> {
+        // Take the decision (the write side: deciding updates the layout
+        // model's cost memo) and an `Arc` of the store under the shard
+        // lock; the rebuild needs no further locking.
+        let (to, data) = self.registry.with_entry_mut(id, |entry| {
             let decision = entry
                 .history
                 .decide_nested(entry.data.layout(), entry.data.flattened_rows());
-            match (decision, &entry.data) {
-                (LayoutDecision::SwitchToColumnar, CacheData::Dremel(store)) => {
-                    Some(Planned::DremelToColumnar(Arc::clone(store)))
-                }
-                (LayoutDecision::SwitchToDremel, CacheData::Columnar(store)) => {
-                    Some(Planned::ColumnarToDremel(Arc::clone(store)))
-                }
-                _ => None,
-            }
+            let to = match (decision, &entry.data) {
+                (LayoutDecision::SwitchToColumnar, CacheData::Dremel(_)) => StoreChoice::Columnar,
+                (LayoutDecision::SwitchToDremel, CacheData::Columnar(_)) => StoreChoice::Dremel,
+                _ => return None,
+            };
+            Some((to, entry.data.clone()))
         })??;
-        let (from, new_data, duration) = match planned {
-            Planned::DremelToColumnar(store) => {
-                let (new_store, d) = dremel_to_columnar(&store);
-                (
-                    LayoutKind::Dremel,
-                    CacheData::Columnar(Arc::new(new_store)),
-                    d,
-                )
-            }
-            Planned::ColumnarToDremel(store) => {
-                let (new_store, d) = columnar_to_dremel(&store);
-                (
-                    LayoutKind::Columnar,
-                    CacheData::Dremel(Arc::new(new_store)),
-                    d,
-                )
-            }
-        };
-        let ns = duration.as_nanos() as u64;
-        let to = new_data.layout();
-        if !self.registry.replace_data_if(id, Some(from), new_data, ns) {
+        let (new_data, ns) = switch_layout(file, to, &data)?;
+        let switch = (data.layout(), new_data.layout());
+        if !self
+            .registry
+            .replace_data_if(id, Some(switch.0), new_data, ns)
+        {
             // Evicted, or another session switched first: discard.
             return None;
         }
         self.registry.with_entry_mut(id, |entry| {
             entry.history.reset_window();
         });
-        Some(((from, to), ns))
+        Some((switch, ns))
     }
 
     /// Replaces a lazy entry's offsets with an eager store. Guarded the

@@ -16,7 +16,8 @@
 //! aborts and only the offsets are kept (lazy). Otherwise the rest of the
 //! records go into the same builder. A lazy entry that gets reused is
 //! upgraded to an eager store by the same builder when its by-id scan did
-//! not build one.
+//! not build one, and a §4.2 layout switch rebuilds an eager entry in the
+//! new layout the same way, by the record ids it holds.
 //!
 //! The builder reads the raw records in place, with no `Value` tree in
 //! between: a Dremel entry is shredded from each nested JSON record's
@@ -117,10 +118,44 @@ pub fn upgrade_to_eager(
     choice: StoreChoice,
     store: &OffsetStore,
 ) -> Result<(CacheData, u64)> {
+    let ids = store.record_ids();
+    build_by_id(file, choice, ids, |builder| {
+        file.append_records(ids, builder)
+    })
+}
+
+/// Rebuilds a cached entry in the layout `to` from the raw records it
+/// holds (§4.2 layout switch): the cache is a by-product of the file, so
+/// a switch is the same by-id build an upgrade is. The records are read
+/// through the file's current positional map with no fault gate, so a
+/// switch draws no injected faults. Returns the new store and the build
+/// time, or `None` — no switch — when the file has no map, the store
+/// records no source ids, or a record fails to build.
+pub fn switch_layout(
+    file: &RawFile,
+    to: StoreChoice,
+    data: &CacheData,
+) -> Option<(CacheData, u64)> {
+    let map = file.posmap()?;
+    let ids = data.source_record_ids()?;
+    build_by_id(file, to, ids, |builder| {
+        file.append_records_with(&map, ids, builder)
+    })
+    .ok()
+}
+
+/// The eager store of the records `ids` in layout `choice`, filled by
+/// `append`, and its build time.
+fn build_by_id(
+    file: &RawFile,
+    choice: StoreChoice,
+    ids: &[u32],
+    append: impl FnOnce(&mut EntryBuilder) -> Result<()>,
+) -> Result<(CacheData, u64)> {
     let t0 = Instant::now();
     let mut builder = EntryBuilder::new(file.schema(), choice);
-    file.append_records(store.record_ids(), &mut builder)?;
-    let data = builder.finish(file.schema(), store.record_ids().to_vec());
+    append(&mut builder)?;
+    let data = builder.finish(file.schema(), ids.to_vec());
     Ok((data, t0.elapsed().as_nanos() as u64))
 }
 
@@ -445,7 +480,7 @@ mod tests {
         }
     }
 
-    /// Whole-store equality: data, validity, levels, chunk index, shapes,
+    /// Whole-store equality: data, validity, levels, chunk index, masks,
     /// dictionaries and source ids, not just the records read back.
     fn assert_store_eq(got: &CacheData, want: &CacheData, case: &str) {
         match (got, want) {
@@ -460,9 +495,10 @@ mod tests {
     }
 
     /// Every materialization path — eager, sample-then-lazy plus its
-    /// upgrade, sample-then-eager and a direct upgrade — builds the store
-    /// `fresh_store` builds, in every layout, for satisfying ids given in
-    /// reverse and spanning several 256-record chunks.
+    /// upgrade, sample-then-eager, a direct upgrade and a layout switch
+    /// from the other layout — builds the store `fresh_store` builds, in
+    /// every layout, for satisfying ids given in reverse and spanning
+    /// several 256-record chunks.
     fn assert_every_path_equals_fresh_builds(file: &RawFile, fresh: &[Value]) {
         let n = fresh.len() as u32;
         assert!(n > 600, "{n} records");
@@ -514,6 +550,13 @@ mod tests {
                 let offsets = OffsetStore::build(reversed.clone(), ids.len());
                 let (data, _) = upgrade_to_eager(file, choice, &offsets).unwrap();
                 assert_store_eq(&data, &want, &format!("{case}, upgrade"));
+                let from = match choice {
+                    StoreChoice::Columnar => StoreChoice::Dremel,
+                    StoreChoice::Dremel => StoreChoice::Columnar,
+                };
+                let current = fresh_store(file.schema(), fresh, ids, from);
+                let (data, _) = switch_layout(file, choice, &current).expect("switches");
+                assert_store_eq(&data, &want, &format!("{case}, switch"));
             }
         }
     }
@@ -676,6 +719,26 @@ mod tests {
     fn appended_typed_csv_parts_equal_a_serial_build() {
         let (file, fresh) = typed_csv_file();
         assert_appended_parts_equal_a_serial_build(&file, fresh.len());
+    }
+
+    /// A switch keeps the entry's source ids; with no positional map, or
+    /// a store without ids, there is none.
+    #[test]
+    fn switch_keeps_source_ids_and_needs_a_map() {
+        let (file, fresh) = nested_json_file();
+        let ids = [3, 9, 40];
+        let dremel = fresh_store(file.schema(), &fresh, &ids, StoreChoice::Dremel);
+        let (columnar, ns) = switch_layout(&file, StoreChoice::Columnar, &dremel).unwrap();
+        assert!(ns > 0);
+        assert_eq!(columnar.source_record_ids(), Some(&ids[..]));
+        let (back, _) = switch_layout(&file, StoreChoice::Dremel, &columnar).unwrap();
+        assert_store_eq(&back, &dremel, "round trip");
+
+        let records: Vec<&Value> = ids.iter().map(|&id| &fresh[id as usize]).collect();
+        let anonymous = CacheData::Dremel(Arc::new(DremelStore::build(file.schema(), records)));
+        assert!(switch_layout(&file, StoreChoice::Columnar, &anonymous).is_none());
+        file.reset_scan_state();
+        assert!(switch_layout(&file, StoreChoice::Columnar, &dremel).is_none());
     }
 
     #[test]

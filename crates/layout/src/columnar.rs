@@ -1,10 +1,10 @@
 //! Relational columnar cache layout: flattened rows in typed columns.
 //!
 //! Nested records are flattened (lists exploded, parent fields duplicated
-//! per element — §4 of the paper) and stored column-wise. A record-start
-//! bitmap lets record-level queries skip duplicate rows, and per-record
-//! [`crate::shape`] metadata keeps the flattening reversible so the layout
-//! selector can switch a cached item back to the Dremel layout.
+//! per element — §4 of the paper) and stored column-wise. Per-row masks
+//! of list positions let record-level queries skip duplicate rows. The
+//! flattening is not reversed: a switch back to the Dremel layout
+//! rebuilds the entry from the raw records.
 //!
 //! Scan cost shape: near-zero compute (`C ≈ 0` — the property the paper's
 //! Eq. 4 relies on), data-access cost proportional to the flattened row
@@ -12,7 +12,7 @@
 
 use crate::batch::{ColumnBatch, ScratchColumn, SelectionVector, BATCH_ROWS};
 use crate::column::Column;
-use crate::shape::{self, ShapeCursor};
+use crate::shape;
 use crate::ScanCost;
 use recache_types::{list_dim_ranges, Schema, Value};
 use std::time::Instant;
@@ -67,8 +67,7 @@ impl FlatColumnBuilder {
     }
 
     /// Seals the store, dictionary-encoding as [`ColumnStore::build`]
-    /// does: one row per record, so every mask is 0 and every shape
-    /// empty.
+    /// does: one row per record, so every mask is 0.
     pub fn finish(self) -> ColumnStore {
         let mut columns: Vec<Column> = self
             .columns
@@ -84,8 +83,6 @@ impl FlatColumnBuilder {
             columns,
             masks: vec![0; records],
             record_rows: (0..=records as u32).collect(),
-            shape_lens: Vec::new(),
-            shape_offsets: vec![0; records + 1],
             source_ids: None,
         }
     }
@@ -103,9 +100,6 @@ pub struct ColumnStore {
     masks: Vec<u64>,
     /// First flattened row of each record, plus a final total-rows entry.
     record_rows: Vec<u32>,
-    /// Concatenated per-record shapes with offsets (`record_count + 1`).
-    shape_lens: Vec<u32>,
-    shape_offsets: Vec<u32>,
     /// Source-file record id of each cached record (`None` ⇒ identity,
     /// e.g. stores built directly from full files or in tests). Scans
     /// emit these ids so downstream offset caches never see store-local
@@ -160,8 +154,6 @@ impl ColumnStore {
             columns,
             masks: index.masks,
             record_rows: index.record_rows,
-            shape_lens: index.shape_lens,
-            shape_offsets: index.shape_offsets,
             source_ids: None,
         }
     }
@@ -218,13 +210,11 @@ impl ColumnStore {
         self.record_rows.len() - 1
     }
 
-    /// Heap footprint: columns + masks + shape/row metadata.
+    /// Heap footprint: columns + masks + record boundaries.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(Column::byte_size).sum::<usize>()
             + self.masks.len() * 8
             + self.record_rows.len() * 4
-            + self.shape_lens.len() * 4
-            + self.shape_offsets.len() * 4
     }
 
     /// Scans the store, emitting the source record id and projected row.
@@ -410,32 +400,9 @@ impl ColumnStore {
         cost
     }
 
-    /// Reads one value (for tests and conversions).
+    /// Reads one value.
     pub fn value(&self, row: usize, leaf: usize) -> Value {
         self.columns[leaf].get(row)
-    }
-
-    /// Rebuilds the original nested records (exact up to empty-list/null
-    /// equivalences) using the stored shapes.
-    pub fn to_records(&self) -> Vec<Value> {
-        let n_leaves = self.columns.len();
-        let mut out = Vec::with_capacity(self.record_count());
-        for rec in 0..self.record_count() {
-            let row_lo = self.record_rows[rec] as usize;
-            let row_hi = self.record_rows[rec + 1] as usize;
-            let rows: Vec<Vec<Value>> = (row_lo..row_hi)
-                .map(|row| {
-                    (0..n_leaves)
-                        .map(|leaf| self.columns[leaf].get(row))
-                        .collect()
-                })
-                .collect();
-            let shape_lo = self.shape_offsets[rec] as usize;
-            let shape_hi = self.shape_offsets[rec + 1] as usize;
-            let mut cursor = ShapeCursor::new(&self.shape_lens[shape_lo..shape_hi]);
-            out.push(shape::rebuild(self.schema.fields(), &rows, &mut cursor));
-        }
-        out
     }
 }
 
@@ -659,14 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn to_records_round_trips_flattened_view() {
-        let rs = records();
-        let store = ColumnStore::build(&schema(), rs.iter());
-        let rebuilt = store.to_records();
-        assert_eq!(rebuilt, rs);
-    }
-
-    #[test]
     fn empty_store() {
         let store = ColumnStore::build(&schema(), std::iter::empty());
         assert_eq!(store.row_count(), 0);
@@ -677,7 +636,9 @@ mod tests {
         let mut batches = 0;
         store.scan_batches(&[0], false, false, &mut |_, _| batches += 1);
         assert_eq!(batches, 0);
-        assert!(store.to_records().is_empty());
+        let mut records = 0;
+        store.scan(&[0, 1, 2], true, &mut |_, _| records += 1);
+        assert_eq!(records, 0);
     }
 
     #[test]
@@ -709,10 +670,8 @@ mod tests {
         let store = ColumnStore::build(&schema, std::iter::once(&record));
         assert_eq!(store.row_count(), 1);
         assert_eq!(store.value(0, 1), Value::Null);
-        let rebuilt = store.to_records();
-        assert_eq!(
-            recache_types::flatten_record(&schema, &rebuilt[0]),
-            recache_types::flatten_record(&schema, &record)
-        );
+        let mut rows = Vec::new();
+        store.scan(&[0, 1, 2], false, &mut |_, row| rows.push(row.to_vec()));
+        assert_eq!(rows, recache_types::flatten_record(&schema, &record));
     }
 }

@@ -523,7 +523,9 @@ impl DremelStore {
     }
 
     /// Reassembles the original nested records (exact up to empty-list /
-    /// null equivalences). Used by layout transformation.
+    /// null equivalences). Tests are its only callers: they check stores
+    /// against the records they were built from. A layout switch rebuilds
+    /// from the raw file instead.
     pub fn to_records(&self) -> Vec<Value> {
         let n_leaves = self.columns.len();
         let accessed = vec![true; n_leaves];
@@ -1574,12 +1576,12 @@ mod randomized_tests {
 #[cfg(test)]
 mod builder_oracle_tests {
     use super::*;
-    use crate::shape::{self, ShapeCursor};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The recursive `Value` shredder the builder replaced, with its
-    /// second shape pass for the row count, kept as the oracle.
+    /// The recursive `Value` shredder the builder replaced, counting rows
+    /// with the reference flattener rather than the builder's walk, kept
+    /// as the oracle.
     fn oracle_build(schema: &Schema, records: &[Value]) -> DremelStore {
         let leaves = schema.leaves();
         let mut columns: Vec<DremelColumn> = leaves
@@ -1593,7 +1595,6 @@ mod builder_oracle_tests {
             .collect();
         let mut chunk_starts: Vec<Vec<u32>> = vec![Vec::new(); columns.len()];
         let mut flattened_rows = 0usize;
-        let mut shape_buf = Vec::new();
         for (record_count, record) in records.iter().enumerate() {
             if record_count.is_multiple_of(CHUNK_RECORDS) {
                 for (leaf, col) in columns.iter().enumerate() {
@@ -1601,10 +1602,7 @@ mod builder_oracle_tests {
                 }
             }
             shred_struct(schema.fields(), record, 0, 0, 0, 0, &mut columns);
-            shape_buf.clear();
-            shape::capture(schema.fields(), record, &mut shape_buf);
-            let mut cursor = ShapeCursor::new(&shape_buf);
-            flattened_rows += shape::row_count(schema.fields(), &mut cursor);
+            flattened_rows += recache_types::flatten_record(schema, record).len();
         }
         for col in &mut columns {
             col.data

@@ -5,8 +5,7 @@
 //!
 //! * [`ColumnStore`] — *relational columnar*: records flattened into rows
 //!   (lists exploded, parents duplicated), one typed column per leaf, plus
-//!   a record-start bitmap and per-record nesting *shapes* that make the
-//!   flattening losslessly reversible,
+//!   per-row list-position masks and record boundaries,
 //! * [`DremelStore`] — *nested columnar* (Dremel/Parquet): column striping
 //!   with definition/repetition levels; record assembly decodes levels
 //!   (the compute cost the paper measures as `C`), while non-repeated
@@ -18,12 +17,16 @@
 //! Scans are two-phase per batch — decode/navigate (compute cost `C`) and
 //! value gathering (data-access cost `D`) — and report measured
 //! [`ScanCost`]s, which feed ReCache's layout-selection cost model.
+//!
+//! Stores are built from records and never converted into one another:
+//! every eager store tags its records' source-file ids, and a layout
+//! switch rebuilds the entry from the raw file by those ids (see
+//! `recache_core::materialize::switch_layout`).
 
 pub mod batch;
 pub mod bitmap;
 pub mod column;
 pub mod columnar;
-pub mod convert;
 pub mod dremel;
 pub mod offsets;
 pub mod shape;
@@ -34,10 +37,8 @@ pub use batch::{
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, DICT_MAX_RATIO, DICT_MIN_ROWS};
 pub use columnar::{ColumnStore, FlatColumnBuilder};
-pub use convert::{columnar_to_dremel, dremel_to_columnar};
 pub use dremel::{DremelBuilder, DremelStore, FieldSet, Holds, ShredInput, CHUNK_RECORDS};
 pub use offsets::OffsetStore;
-pub use shape::ShapeCursor;
 
 use recache_types::Value;
 
@@ -127,6 +128,16 @@ impl CacheData {
             CacheData::Columnar(s) => s.record_count(),
             CacheData::Dremel(s) => s.record_count(),
             CacheData::Offsets(s) => s.record_count(),
+        }
+    }
+
+    /// Source-file ids of the cached records, ascending, when the store
+    /// records them (every store the cache builds does).
+    pub fn source_record_ids(&self) -> Option<&[u32]> {
+        match self {
+            CacheData::Columnar(s) => s.source_record_ids(),
+            CacheData::Dremel(s) => s.source_record_ids(),
+            CacheData::Offsets(s) => Some(s.record_ids()),
         }
     }
 

@@ -5,17 +5,24 @@
 //! A persistent fault on the append after the admission sample fails
 //! the build with a typed error and admits nothing; once the fault
 //! clears, the retried entry equals a fault-free build. Batched CSV
-//! scans answer over invalid UTF-8 as the row path does.
+//! scans answer over invalid UTF-8 as the row path does. A layout
+//! switch rebuilds the entry from the raw file by its record ids into
+//! the store a fresh build makes, draws no injected faults, and does not
+//! happen while the file has no positional map.
 //!
 //! The CI `chaos` job runs this suite under `RECACHE_FAULT_SEED`.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use recache::data::gen::tpch;
 use recache::data::{csv, json, FaultKind, FaultPlan, FaultSite, FileFormat, RawFile};
+use recache::layout::LayoutKind;
 use recache::layout::{CacheData, ColumnStore, DremelBuilder, DremelStore, OffsetStore};
-use recache::materialize::{materialize_with_admission, upgrade_to_eager, StoreChoice};
+use recache::materialize::{
+    materialize_with_admission, switch_layout, upgrade_to_eager, StoreChoice,
+};
 use recache::types::{flatten_record, DataType, Error, Field, Schema, Value};
-use recache::{Admission, QueryRequest, ReCache};
+use recache::workload::{spa_workload, Domains, PoolPhase, SpaConfig};
+use recache::{Admission, LayoutPolicy, QueryRequest, ReCache};
 use std::sync::Arc;
 
 /// Fault seed: CI sweeps it via `RECACHE_FAULT_SEED`; any value must
@@ -480,5 +487,188 @@ fn random_schemas_shred_through_the_tape_like_the_parsed_values() {
     assert!(
         taped > 500 && errors > 50,
         "{taped} taped records, {errors} errors"
+    );
+}
+
+/// The layout a switch from `choice` goes to.
+fn other(choice: StoreChoice) -> StoreChoice {
+    match choice {
+        StoreChoice::Columnar => StoreChoice::Dremel,
+        StoreChoice::Dremel => StoreChoice::Columnar,
+    }
+}
+
+/// Switching a fresh build of `ids` in either layout gives the fresh
+/// build of the other, at 100 %, 30 % and 5 % of `ids`.
+fn assert_switches_equal_fresh_builds(file: &RawFile, ids: &[u32], case: &str) {
+    let subsets: [Vec<u32>; 3] = [
+        ids.to_vec(),
+        ids.iter().copied().filter(|i| i % 10 < 3).collect(),
+        ids.iter().copied().filter(|i| i % 20 == 0).collect(),
+    ];
+    for ids in &subsets {
+        for from in [StoreChoice::Columnar, StoreChoice::Dremel] {
+            let to = other(from);
+            let case = format!("{case}: {from:?} -> {to:?} over {} ids", ids.len());
+            let current = value_built(file, ids, from);
+            let (switched, _) = switch_layout(file, to, &current).expect(&case);
+            assert_same_store(&switched, &value_built(file, ids, to), &case);
+        }
+    }
+}
+
+/// A switch equals a fresh build of the new layout, over the nested
+/// source and over seeded random schemas with hostile records (the
+/// entry holds only the records that parse).
+#[test]
+fn switches_equal_fresh_builds() {
+    let (name, format, schema, bytes) = sources()[1].clone();
+    let file = mapped_file(format, &schema, &bytes);
+    let ids: Vec<u32> = (0..file.record_count().unwrap() as u32).collect();
+    assert_switches_equal_fresh_builds(&file, &ids, name);
+
+    let mut rng = StdRng::seed_from_u64(fault_seed() ^ 0x5A17);
+    // Wide schemas (every third case) are left out: their records
+    // flatten to rows multiplied across dozens of lists.
+    for case in (0..45usize).filter(|case| !case.is_multiple_of(3)) {
+        let schema = random_tape_schema(&mut rng, case);
+        let lines: Vec<Vec<u8>> = (0..rng.random_range(1..40))
+            .map(|_| {
+                let damage = if rng.random_bool(0.3) { 0.02 } else { 0.0 };
+                let mut line = Vec::new();
+                random_object(&mut rng, schema.fields(), damage, &mut line);
+                line
+            })
+            .collect();
+        let ids: Vec<u32> = (0..lines.len() as u32)
+            .filter(|&i| json::parse_record(&lines[i as usize], &schema, None).is_ok())
+            .collect();
+        let file = RawFile::from_bytes(lines.join(&b'\n'), FileFormat::Json, schema);
+        let nothing = vec![false; file.leaves().len()];
+        file.scan_projected(&nothing, &mut |_, _| {}).unwrap();
+        assert_switches_equal_fresh_builds(&file, &ids, &format!("case {case}"));
+    }
+}
+
+/// A switch reads the raw records through no fault gate: under a plan
+/// that fails every chunk and every row scan it still succeeds, and it
+/// leaves the row-scan ordinals where they were, so a seeded fault
+/// sequence does not move.
+#[test]
+fn a_switch_draws_no_faults() {
+    for (name, format, schema, bytes) in sources() {
+        let file = mapped_file(format, &schema, &bytes);
+        let ids: Vec<u32> = (0..file.record_count().unwrap() as u32)
+            .step_by(3)
+            .collect();
+        for from in [StoreChoice::Columnar, StoreChoice::Dremel] {
+            let case = format!("{name} {from:?}");
+            let current = value_built(&file, &ids, from);
+            let want = value_built(&file, &ids, other(from));
+            file.set_fault_plan(Some(FaultPlan::new(fault_seed()).persistent(1.0)));
+            let (switched, _) = switch_layout(&file, other(from), &current).expect(&case);
+            assert_same_store(&switched, &want, &case);
+            file.set_fault_plan(None);
+        }
+        // Row-scan gate 0 passes and gate 1 fails: a switch in between
+        // takes neither.
+        let current = value_built(&file, &ids, StoreChoice::Dremel);
+        file.set_fault_plan(Some(plan_failing_row_scan(1, 0)));
+        switch_layout(&file, StoreChoice::Columnar, &current).expect(name);
+        assert!(file.read_records(&ids[..1]).is_ok(), "{name}: gate 0 moved");
+        assert!(
+            file.read_records(&ids[..1]).is_err(),
+            "{name}: gate 1 passed"
+        );
+        // The plan the switches ran under fails a gated read.
+        file.set_fault_plan(Some(FaultPlan::new(fault_seed()).persistent(1.0)));
+        assert!(
+            file.read_records(&ids[..1]).is_err(),
+            "{name}: a gate passed"
+        );
+        file.set_fault_plan(None);
+    }
+}
+
+/// With the positional map dropped (`reset_scan_state`), a switch the
+/// layout model has decided on does not happen: the entry keeps its
+/// layout and bytes, and every answer equals the uncached session's.
+/// Once the file is mapped again, the switch goes through, and the new
+/// store equals a fresh build.
+#[test]
+fn a_switch_without_a_positional_map_keeps_the_entry() {
+    let (name, _, schema, bytes) = sources()[1].clone();
+    let session = |builder: recache::ReCacheBuilder| {
+        let mut session = builder.result_cache_enabled(false).build();
+        session.register_json_bytes(name, bytes.clone(), schema.clone());
+        session
+    };
+    let cached = session(
+        ReCache::builder()
+            .layout_policy(LayoutPolicy::Auto)
+            .admission(Admission::eager_only()),
+    );
+    let reference = session(ReCache::builder().no_caching());
+    let run = |session: &ReCache, spec: &recache::sql::QuerySpec| {
+        session.execute(&QueryRequest::spec(spec.clone())).unwrap()
+    };
+    let whole = recache::sql::parse_query(&format!("SELECT count(*) FROM {name}")).unwrap();
+    run(&cached, &whole);
+    let entries = cached.cache().snapshot();
+    assert_eq!(entries.len(), 1);
+    let (id, bytes_before) = (entries[0].id, entries[0].data.byte_size());
+    assert_eq!(entries[0].data.layout(), LayoutKind::Dremel);
+
+    let records = tpch::gen_order_lineitems(SF, 7);
+    let domains = Domains::compute(&schema, records.iter());
+    let specs = spa_workload(
+        name,
+        &domains,
+        &[(PoolPhase::AllAttrs, 60)],
+        &SpaConfig::default(),
+        3,
+    );
+    let source = cached.source(name).unwrap();
+    for spec in &specs {
+        source.reset_scan_state();
+        let response = run(&cached, spec);
+        assert_eq!(response.rows, run(&reference, spec).rows, "{spec:?}");
+        assert!(response
+            .stats
+            .tables
+            .iter()
+            .all(|t| t.layout_switch.is_none()));
+        let entry = cached.cache().with_entry(id, |e| e.data.clone()).unwrap();
+        assert_eq!(entry.layout(), LayoutKind::Dremel);
+        assert_eq!(entry.byte_size(), bytes_before);
+    }
+    let due = cached.cache().with_entry_mut(id, |e| {
+        e.history
+            .decide_nested(e.data.layout(), e.data.flattened_rows())
+    });
+    assert_eq!(
+        due,
+        Some(recache::cache::layout_model::LayoutDecision::SwitchToColumnar),
+        "the phase makes the switch due"
+    );
+
+    source
+        .scan_projected(&vec![false; source.leaves().len()], &mut |_, _| {})
+        .unwrap();
+    let response = run(&cached, &specs[0]);
+    assert_eq!(response.rows, run(&reference, &specs[0]).rows);
+    let switched: Vec<_> = response
+        .stats
+        .tables
+        .iter()
+        .filter_map(|t| t.layout_switch)
+        .collect();
+    assert_eq!(switched, [(LayoutKind::Dremel, LayoutKind::Columnar)]);
+    let entry = cached.cache().with_entry(id, |e| e.data.clone()).unwrap();
+    let ids = entry.source_record_ids().unwrap().to_vec();
+    assert_same_store(
+        &entry,
+        &value_built(source, &ids, StoreChoice::Columnar),
+        name,
     );
 }

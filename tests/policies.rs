@@ -7,7 +7,7 @@ mod common;
 use common::tpch_session;
 use recache::data::gen::tpch;
 use recache::data::{csv, json};
-use recache::layout::{CacheData, LayoutKind};
+use recache::layout::{CacheData, ColumnStore, DremelStore, LayoutKind};
 use recache::types::Value;
 use recache::workload::{
     spa_workload, tpch_spj_workload, Domains, PoolPhase, SpaConfig, SpjConfig, WorkloadOracle,
@@ -97,20 +97,68 @@ fn admission_threshold_controls_eager_fraction() {
     );
 }
 
+/// Checks every layout switch `response` reports: the entry's new store
+/// equals a fresh build of the new layout over the raw records it holds,
+/// and the answer equals the uncached session's. Returns the switches.
+fn checked_switches(
+    session: &ReCache,
+    reference: &ReCache,
+    request: &QueryRequest,
+) -> Vec<(LayoutKind, LayoutKind)> {
+    let response = session.execute(request).unwrap();
+    assert_eq!(response.rows, reference.execute(request).unwrap().rows);
+    let mut switches = Vec::new();
+    for t in &response.stats.tables {
+        let Some(switch) = t.layout_switch else {
+            continue;
+        };
+        let id = t
+            .hit
+            .and_then(|hit| hit.entry())
+            .expect("switches follow hits");
+        let data = session.cache().with_entry(id, |e| e.data.clone()).unwrap();
+        let ids = data.source_record_ids().unwrap().to_vec();
+        let file = session.source(&t.name).unwrap();
+        let records = file.read_records(&ids).unwrap();
+        match &data {
+            CacheData::Columnar(store) => {
+                let mut fresh = ColumnStore::build(file.schema(), &records);
+                fresh.set_source_record_ids(ids);
+                assert_eq!(**store, fresh, "switched columnar store");
+            }
+            CacheData::Dremel(store) => {
+                let mut fresh = DremelStore::build(file.schema(), &records);
+                fresh.set_source_record_ids(ids);
+                assert_eq!(**store, fresh, "switched Dremel store");
+            }
+            CacheData::Offsets(_) => panic!("a switch to offsets"),
+        }
+        assert_eq!(data.layout(), switch.1);
+        switches.push(switch);
+    }
+    switches
+}
+
 #[test]
 fn auto_layout_switches_on_phase_change() {
-    let mut session = ReCache::builder()
-        .layout_policy(LayoutPolicy::Auto)
-        .admission(Admission::eager_only())
-        .build();
     let records = tpch::gen_order_lineitems(0.0006, 3);
     let schema = tpch::order_lineitems_schema();
     let domains = Domains::compute(&schema, records.iter());
-    session.register_json_bytes(
-        "orderLineitems",
-        json::write_json(&schema, &records),
-        schema,
+    let new_session = |builder: recache::ReCacheBuilder| {
+        let mut session = builder.build();
+        session.register_json_bytes(
+            "orderLineitems",
+            json::write_json(&schema, &records),
+            schema.clone(),
+        );
+        session
+    };
+    let session = new_session(
+        ReCache::builder()
+            .layout_policy(LayoutPolicy::Auto)
+            .admission(Admission::eager_only()),
     );
+    let reference = new_session(ReCache::builder().no_caching());
     session
         .execute(&QueryRequest::sql("SELECT count(*) FROM orderLineitems"))
         .unwrap();
@@ -128,13 +176,11 @@ fn auto_layout_switches_on_phase_change() {
     );
     let mut switched_to_columnar = false;
     for spec in &specs {
-        let r = session.execute(&QueryRequest::spec(spec.clone())).unwrap();
-        for t in &r.stats.tables {
-            if let Some((from, to)) = t.layout_switch {
-                assert_eq!(from, LayoutKind::Dremel);
-                assert_eq!(to, LayoutKind::Columnar);
-                switched_to_columnar = true;
-            }
+        for (from, to) in checked_switches(&session, &reference, &QueryRequest::spec(spec.clone()))
+        {
+            assert_eq!(from, LayoutKind::Dremel);
+            assert_eq!(to, LayoutKind::Columnar);
+            switched_to_columnar = true;
         }
     }
     assert!(switched_to_columnar, "expected a Dremel -> columnar switch");
@@ -153,11 +199,8 @@ fn auto_layout_switches_on_phase_change() {
     );
     let mut switched_back = false;
     for spec in &specs {
-        let r = session.execute(&QueryRequest::spec(spec.clone())).unwrap();
-        for t in &r.stats.tables {
-            if let Some((_, to)) = t.layout_switch {
-                switched_back |= to == LayoutKind::Dremel;
-            }
+        for (_, to) in checked_switches(&session, &reference, &QueryRequest::spec(spec.clone())) {
+            switched_back |= to == LayoutKind::Dremel;
         }
     }
     assert!(switched_back, "expected a columnar -> Dremel switch");

@@ -741,6 +741,39 @@ mod tests {
         assert!(switch_layout(&file, StoreChoice::Columnar, &dremel).is_none());
     }
 
+    /// Switching a nested entry from Dremel to columnar and back keeps
+    /// what an element-level scan of every leaf reads, row for row and
+    /// with the same source ids, and the record and flattened-row counts.
+    #[test]
+    fn dremel_columnar_switch_round_trip_preserves_scans() {
+        let (file, fresh) = nested_json_file();
+        let ids: Vec<u32> = (0..fresh.len() as u32).filter(|i| i % 4 != 3).collect();
+        let projection: Vec<usize> = (0..file.leaves().len()).collect();
+        let scan = |data: &CacheData| {
+            let mut rows = Vec::new();
+            let mut emit = |id: usize, row: &[Value]| rows.push((id, row.to_vec()));
+            match data {
+                CacheData::Columnar(store) => store.scan(&projection, false, &mut emit),
+                CacheData::Dremel(store) => store.scan(&projection, false, &mut emit),
+                other => panic!("not a store: {:?}", other.layout()),
+            };
+            rows
+        };
+        let dremel = fresh_store(file.schema(), &fresh, &ids, StoreChoice::Dremel);
+        let want = scan(&dremel);
+        assert!(want.len() > ids.len(), "element-level rows");
+
+        let (columnar, _) = switch_layout(&file, StoreChoice::Columnar, &dremel).unwrap();
+        assert_eq!(scan(&columnar), want, "to columnar");
+        let (back, _) = switch_layout(&file, StoreChoice::Dremel, &columnar).unwrap();
+        assert_eq!(scan(&back), want, "back to Dremel");
+        let (CacheData::Dremel(a), CacheData::Dremel(b)) = (&back, &dremel) else {
+            panic!("expected Dremel stores");
+        };
+        assert_eq!(a.record_count(), b.record_count());
+        assert_eq!(a.flattened_rows(), b.flattened_rows());
+    }
+
     #[test]
     fn empty_satisfying_set_yields_empty_store() {
         let file = csv_file(10);

@@ -12,9 +12,9 @@
 //!   §5.2 (sampled caching-overhead extrapolation against a threshold),
 //! * [`layout_model`] — the automatic layout selector of §4.2 (Eqs. 1–5)
 //!   for nested items (flat items stay columnar),
-//! * [`registry`] — the cache itself: exact-match signatures, R-tree
-//!   range-predicate subsumption (§3.3), stat upkeep and eviction
-//!   driving.
+//! * [`registry`] — the cache itself: exact-match signatures,
+//!   range-predicate subsumption over per-leaf interval lists (§3.3),
+//!   stat upkeep and eviction driving.
 
 pub mod admission;
 pub mod eviction;

@@ -1,4 +1,5 @@
-//! The cache registry: exact-match + R-tree range subsumption (§3.2–3.3),
+//! The cache registry: exact-match + range subsumption over per-leaf
+//! interval lists (§3.2–3.3),
 //! statistics upkeep, and capacity enforcement through an eviction policy.
 //!
 //! # Concurrency
@@ -31,7 +32,7 @@
 //! `unwrap_or_else(|e| e.into_inner())` instead of propagating the
 //! panic. Poisoning only records that *some* holder panicked — it says
 //! nothing about whether the guarded data is torn. Here it never is:
-//! shard critical sections mutate `HashMap`/`RTree` structures through
+//! shard critical sections mutate `HashMap`/`Vec` structures through
 //! single panic-safe calls, and the one cross-structure invariant
 //! (an entry's bytes are in `total_bytes` iff the entry is visible in
 //! its shard) has no panic point between its two halves — both updates
@@ -46,7 +47,6 @@ use crate::layout_model::LayoutHistory;
 use crate::stats::{AtomicRegistryCounters, EntryStats};
 use recache_data::FileFormat;
 use recache_layout::{CacheData, LayoutKind};
-use recache_rtree::{RTree, Rect};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -160,14 +160,20 @@ impl MatchResult {
     }
 }
 
+/// One subsumable entry's range clause on a leaf: `(lo, hi, entry)`.
+type Interval = (f64, f64, EntryId);
+
 /// Entries and indexes of one lock stripe.
 #[derive(Default)]
 struct Shard {
     entries: HashMap<EntryId, CacheEntry>,
     /// (source, signature) → entry, for exact matches.
     by_signature: HashMap<(String, String), EntryId>,
-    /// (source, leaf) → interval index over cached range clauses.
-    rtrees: HashMap<(String, usize), RTree<1, EntryId>>,
+    /// (source, leaf) → `(lo, hi, id)` of every subsumable entry's range
+    /// clause on that leaf, in admission order. Lookups scan the whole
+    /// list: caches here hold tens to a few hundred entries, too few for
+    /// a tree (the paper's §3.3 R-tree) to beat a flat scan.
+    intervals: HashMap<(String, usize), Vec<Interval>>,
     /// Entries with no range predicate (whole-source caches), per source.
     unconstrained: HashMap<String, Vec<EntryId>>,
 }
@@ -493,6 +499,12 @@ impl CacheRegistry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Exact match first; otherwise the covering subsumable entry with the
+    /// fewest `flattened_rows`. Candidates are visited shard by shard in
+    /// ascending order and, within a shard, per query leaf in admission
+    /// order, then whole-source entries; among covering entries with equal
+    /// `flattened_rows` the first visited wins, so which of them is picked
+    /// follows that order (the answer is the same whichever it is).
     fn lookup_inner(&self, source: &str, signature: &str, ranges: &[LeafRange]) -> MatchResult {
         // 1. Exact signature match: only the home shard can hold it.
         let exact_key = (source.to_owned(), signature.to_owned());
@@ -506,7 +518,7 @@ impl CacheRegistry {
         }
         // 2. Subsumption: candidates live anywhere, so walk the shards
         //    (one read lock at a time, ascending order), gathering ids
-        //    from the per-leaf interval indexes and whole-source lists,
+        //    from the per-leaf interval lists and whole-source lists,
         //    then verify each candidate's full predicate is weaker.
         //    Owned index keys are built once, outside the shard walk —
         //    this sits on the measured-lookup hot path.
@@ -519,9 +531,12 @@ impl CacheRegistry {
             let shard = lock.read().unwrap_or_else(|e| e.into_inner());
             let mut candidates: Vec<EntryId> = Vec::new();
             for (qr, key) in ranges.iter().zip(&range_keys) {
-                if let Some(tree) = shard.rtrees.get(key) {
-                    let query = Rect::new([qr.lo], [qr.hi]);
-                    tree.covering(&query, &mut |_, id| candidates.push(*id));
+                if let Some(list) = shard.intervals.get(key) {
+                    candidates.extend(
+                        list.iter()
+                            .filter(|&&(lo, hi, _)| lo <= qr.lo && hi >= qr.hi)
+                            .map(|&(_, _, id)| id),
+                    );
                 }
             }
             // 3. Whole-source caches subsume everything on the source.
@@ -647,10 +662,10 @@ impl CacheRegistry {
                     } else {
                         for r in &entry.ranges {
                             shard
-                                .rtrees
+                                .intervals
                                 .entry((source.to_owned(), r.leaf))
                                 .or_default()
-                                .insert(Rect::new([r.lo], [r.hi]), id);
+                                .push((r.lo, r.hi, id));
                         }
                     }
                 }
@@ -762,8 +777,9 @@ impl CacheRegistry {
                     }
                 } else {
                     for r in &entry.ranges {
-                        if let Some(tree) = shard.rtrees.get_mut(&(entry.source.clone(), r.leaf)) {
-                            tree.remove(&Rect::new([r.lo], [r.hi]), &id);
+                        let key = (entry.source.clone(), r.leaf);
+                        if let Some(list) = shard.intervals.get_mut(&key) {
+                            list.retain(|&(_, _, x)| x != id);
                         }
                     }
                 }
@@ -1261,6 +1277,150 @@ mod tests {
     fn registry_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CacheRegistry>();
+    }
+
+    /// SplitMix64: a dependency-free seeded generator for the randomized
+    /// lookup test.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// 0–3 clauses on distinct leaves of 0..4. Bounds come from a small
+    /// grid with both infinities, so point, duplicate and nested intervals
+    /// are common.
+    fn random_ranges(rng: &mut SplitMix) -> Vec<LeafRange> {
+        const GRID: [f64; 8] = [
+            f64::NEG_INFINITY,
+            0.0,
+            1.0,
+            2.0,
+            3.0,
+            5.0,
+            8.0,
+            f64::INFINITY,
+        ];
+        let mut leaves = vec![0, 1, 2, 3];
+        let mut out = Vec::new();
+        for _ in 0..rng.below(4) {
+            let leaf = leaves.swap_remove(rng.below(leaves.len()));
+            let a = GRID[rng.below(GRID.len())];
+            let b = if rng.chance(20) {
+                a
+            } else {
+                GRID[rng.below(GRID.len())]
+            };
+            out.push(LeafRange {
+                leaf,
+                lo: a.min(b),
+                hi: a.max(b),
+            });
+        }
+        out
+    }
+
+    /// What `lookup` must return, computed from `snapshot()` alone.
+    fn brute_force_ok(
+        snapshot: &[EntrySnapshot],
+        source: &str,
+        signature: &str,
+        ranges: &[LeafRange],
+        got: MatchResult,
+    ) -> bool {
+        if snapshot
+            .iter()
+            .any(|e| e.source == source && e.signature == signature)
+        {
+            return snapshot.iter().any(|e| {
+                got == MatchResult::Exact(e.id) && e.source == source && e.signature == signature
+            });
+        }
+        let covering: Vec<&EntrySnapshot> = snapshot
+            .iter()
+            .filter(|e| {
+                e.source == source
+                    && e.subsumable
+                    && e.ranges
+                        .iter()
+                        .all(|er| ranges.iter().any(|qr| er.covers(qr)))
+            })
+            .collect();
+        let Some(min_rows) = covering.iter().map(|e| e.data.flattened_rows()).min() else {
+            return got == MatchResult::Miss;
+        };
+        covering
+            .iter()
+            .any(|e| got == MatchResult::Subsuming(e.id) && e.data.flattened_rows() == min_rows)
+    }
+
+    #[test]
+    fn lookup_matches_brute_force_over_snapshot() {
+        for seed in [1u64, 42, 43, 2024] {
+            let mut rng = SplitMix(seed);
+            let reg = CacheRegistry::with_shards(Box::new(Lru), Some(4_000), 4);
+            let sources = ["a", "b"];
+            for step in 0..800 {
+                reg.tick();
+                let source = sources[rng.below(2)];
+                let roll = rng.below(100);
+                if roll < 55 {
+                    let rs = random_ranges(&mut rng);
+                    // Non-subsumable entries stand for predicates with
+                    // clauses beyond the ranges: their own signature.
+                    let subsumable = !rng.chance(15);
+                    let mut sig = range_signature(&rs);
+                    if !subsumable {
+                        sig.push_str("|or");
+                    }
+                    let ids = (0..1 + rng.below(100) as u32).collect();
+                    let rows = 1 + rng.below(4);
+                    let data =
+                        CacheData::Offsets(std::sync::Arc::new(OffsetStore::build(ids, rows)));
+                    reg.admit(source, FileFormat::Csv, sig, rs, subsumable, data, 10, 5, 1);
+                } else if roll < 70 {
+                    let resident = reg.snapshot();
+                    if !resident.is_empty() {
+                        reg.remove(resident[rng.below(resident.len())].id);
+                    }
+                }
+                let snapshot = reg.snapshot();
+                for _ in 0..4 {
+                    let source = sources[rng.below(2)];
+                    // About a third of the probes replay a resident entry's predicate
+                    // (exact hits, non-subsumable ones included).
+                    let (sig, rs) = if !snapshot.is_empty() && rng.chance(30) {
+                        let e = &snapshot[rng.below(snapshot.len())];
+                        (e.signature.clone(), e.ranges.clone())
+                    } else {
+                        let rs = random_ranges(&mut rng);
+                        (range_signature(&rs), rs)
+                    };
+                    let (got, _) = reg.lookup(source, &sig, &rs);
+                    assert!(
+                        brute_force_ok(&snapshot, source, &sig, &rs, got),
+                        "seed {seed} step {step}: lookup({source}, {sig}) = {got:?}"
+                    );
+                }
+            }
+            let c = reg.counters();
+            assert!(c.evictions > 0 && c.removals > 0, "seed {seed}: {c:?}");
+            assert!(c.hits_subsuming > 0 && c.hits_exact > 0 && c.misses > 0);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! query ──parse──► QuerySpec ──resolve──► plan
-//!                                   │ cache lookup (exact / R-tree subsumption)
+//!                                   │ cache lookup (exact / interval subsumption)
 //!                                   │   miss + same scan in flight elsewhere:
 //!                                   │   wait, then reuse (single-flight)
 //!                                   ▼
@@ -88,9 +88,8 @@ impl Default for ReCacheBuilder {
             admission: AdmissionConfig::default(),
             layout: LayoutPolicy::Auto,
             caching: true,
-            // Off unless `RECACHE_RESULT_CACHE_ENABLED` opts the process
-            // in (the server front end enables serving sessions itself).
-            result_cache: result_cache::ResultCacheConfig::from_env(),
+            // Off: the server front end enables serving sessions itself.
+            result_cache: result_cache::ResultCacheConfig::default(),
         }
     }
 }
@@ -139,16 +138,15 @@ impl ReCacheBuilder {
     }
 
     /// Enables/disables the semantic result cache for this session
-    /// (default: off, unless `RECACHE_RESULT_CACHE_ENABLED` says
-    /// otherwise). Per-request [`QueryRequest::result_cache`] overrides.
+    /// (default: off). Per-request [`QueryRequest::result_cache`]
+    /// overrides.
     pub fn result_cache_enabled(mut self, enabled: bool) -> Self {
         self.result_cache.enabled = enabled;
         self
     }
 
-    /// Byte budget for the result cache (default 64 MiB, or
-    /// `RECACHE_RESULT_CACHE_BYTES`) — separate from the data cache's
-    /// capacity.
+    /// Byte budget for the result cache (default 64 MiB) — separate from
+    /// the data cache's capacity.
     pub fn result_cache_capacity_bytes(mut self, bytes: usize) -> Self {
         self.result_cache.capacity_bytes = bytes;
         self

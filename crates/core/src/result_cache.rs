@@ -22,7 +22,7 @@
 //! # Budget and eviction
 //!
 //! Result bytes are charged against their own budget
-//! (`RECACHE_RESULT_CACHE_BYTES`), separate from the data-cache
+//! ([`ResultCacheConfig::capacity_bytes`]), separate from the data-cache
 //! capacity: results are tiny next to cached stores, and letting them
 //! compete in one budget would let a flood of distinct queries evict
 //! resident data. Over budget, the least-recently-used entry goes first.
@@ -43,7 +43,8 @@ use std::sync::Mutex;
 /// Default result-cache byte budget (64 MiB).
 pub const DEFAULT_RESULT_CACHE_BYTES: usize = 64 << 20;
 
-/// Result-cache configuration, settable from the environment.
+/// Result-cache configuration (set through `ReCacheBuilder`; the server
+/// reads its own from the environment in `ServerConfig::from_env`).
 #[derive(Debug, Clone, Copy)]
 pub struct ResultCacheConfig {
     /// Whether `ReCache::execute` consults the result cache by default
@@ -64,36 +65,6 @@ impl Default for ResultCacheConfig {
             enabled: false,
             capacity_bytes: DEFAULT_RESULT_CACHE_BYTES,
         }
-    }
-}
-
-impl ResultCacheConfig {
-    /// Reads `RECACHE_RESULT_CACHE_ENABLED` (`1`/`true`/`0`/`false`) and
-    /// `RECACHE_RESULT_CACHE_BYTES` over the defaults.
-    pub fn from_env() -> Self {
-        let mut config = ResultCacheConfig::default();
-        if let Some(enabled) = env_bool("RECACHE_RESULT_CACHE_ENABLED") {
-            config.enabled = enabled;
-        }
-        if let Ok(raw) = std::env::var("RECACHE_RESULT_CACHE_BYTES") {
-            if let Ok(bytes) = raw.trim().parse::<usize>() {
-                config.capacity_bytes = bytes;
-            }
-        }
-        config
-    }
-}
-
-fn env_bool(key: &str) -> Option<bool> {
-    match std::env::var(key)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
     }
 }
 
@@ -179,7 +150,7 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Builds a cache from `config` (see [`ResultCacheConfig::from_env`]).
+    /// Builds a cache from `config`.
     pub fn new(config: ResultCacheConfig) -> Self {
         ResultCache {
             enabled: AtomicBool::new(config.enabled),

@@ -16,7 +16,6 @@
 //! * [`engine`] — query plans and the (vectorized, parallel) executor.
 //! * [`cache`] — admission, eviction and layout-selection policies.
 //! * [`workload`] — the paper's evaluation workload generators.
-//! * [`rtree`] — the balanced R-tree behind predicate subsumption.
 //!
 //! ## Quickstart
 //!
@@ -51,6 +50,5 @@ pub use recache_core::*;
 pub use recache_data as data;
 pub use recache_engine as engine;
 pub use recache_layout as layout;
-pub use recache_rtree as rtree;
 pub use recache_types as types;
 pub use recache_workload as workload;

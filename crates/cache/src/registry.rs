@@ -443,6 +443,21 @@ impl CacheRegistry {
         out
     }
 
+    /// Every id held by the subsumption indexes (per-leaf interval lists
+    /// and whole-source lists), sorted, one per index slot: an entry with
+    /// `k` range clauses appears `k` times.
+    #[cfg(test)]
+    pub(crate) fn indexed_ids(&self) -> Vec<EntryId> {
+        let mut out = Vec::new();
+        for lock in self.shards.iter() {
+            let shard = lock.read().unwrap_or_else(|e| e.into_inner());
+            out.extend(shard.intervals.values().flatten().map(|&(_, _, id)| id));
+            out.extend(shard.unconstrained.values().flatten().copied());
+        }
+        out.sort_unstable();
+        out
+    }
+
     /// True when a cached item from this source is resident *and has been
     /// reused* (the admission controller's working-set heuristic). Mere
     /// residency is not enough: treating every touched file as hot would

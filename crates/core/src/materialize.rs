@@ -21,11 +21,10 @@
 //!
 //! The builder reads the raw records in place, with no `Value` tree in
 //! between: a Dremel entry is shredded from each nested JSON record's
-//! structure tape, and a flat columnar entry parses each CSV field from
-//! its span straight into its column (a CSV Dremel entry and a flat JSON
-//! columnar one go one parsed record at a time). Only the columnar
-//! layout of a nested source keeps every record as a `Value` and builds
-//! the store from them at the end.
+//! structure tape, a nested columnar entry takes the rows of flattening
+//! that tape, and a flat columnar entry parses each CSV field from its
+//! span straight into its column (a CSV Dremel entry and a flat JSON
+//! columnar one go one parsed record at a time).
 
 use recache_cache::admission::{decide, estimate_overhead, AdmissionConfig, AdmissionDecision};
 use recache_data::{EntryBuilder, RawFile};
@@ -100,7 +99,7 @@ pub fn materialize_with_admission(
         }
         AdmissionDecision::Eager => {
             file.append_records(&record_ids[sample_n..], &mut builder)?;
-            builder.finish(file.schema(), record_ids)
+            builder.finish(record_ids)
         }
     };
     Ok(MaterializeResult {
@@ -155,7 +154,7 @@ fn build_by_id(
     let t0 = Instant::now();
     let mut builder = EntryBuilder::new(file.schema(), choice);
     append(&mut builder)?;
-    let data = builder.finish(file.schema(), ids.to_vec());
+    let data = builder.finish(ids.to_vec());
     Ok((data, t0.elapsed().as_nanos() as u64))
 }
 
@@ -683,7 +682,7 @@ mod tests {
                     file.append_records_with(&map, ids, &mut builder).unwrap();
                     builder
                 };
-                let serial = build(ids).finish(file.schema(), ids.to_vec());
+                let serial = build(ids).finish(ids.to_vec());
                 for cuts in cut_sets {
                     let mut bounds = vec![0];
                     bounds.extend(cuts.iter().map(|&cut| cut.min(ids.len())));
@@ -696,7 +695,7 @@ mod tests {
                         file.format(),
                         ids.len()
                     );
-                    let data = merged.finish(file.schema(), ids.to_vec());
+                    let data = merged.finish(ids.to_vec());
                     assert_store_eq(&data, &serial, &case);
                 }
             }

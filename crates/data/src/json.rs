@@ -1173,17 +1173,20 @@ impl<'s> TapeScan<'s> {
     }
 
     /// Appends the rows of record `record` of a JSON map, read from its
-    /// tape when the map holds one; returns how many there were.
+    /// tape when the map holds one; returns how many there were. With
+    /// `masks`, also appends each row's list-position mask (as
+    /// [`Flattener::new`] gives it, when every leaf is projected).
     pub fn push_mapped(
         &mut self,
         bytes: &[u8],
         map: &PositionalMap,
         record: usize,
         cols: &mut [ScratchColumn],
+        masks: Option<&mut Vec<u64>>,
     ) -> Result<usize> {
         let (start, end) = map.record_span(record);
         let line = &bytes[start..trim_newline(bytes, start, end)];
-        self.push_record(line, map.json_tape(record), cols)
+        self.push_record(line, map.json_tape(record), cols, masks)
     }
 
     /// First scans: builds the tape of the record `line` onto `tape` (as
@@ -1202,9 +1205,9 @@ impl<'s> TapeScan<'s> {
             .shape
             .get_or_insert_with(|| StructShape::of(schema.fields()));
         if build_tape(line, shape, tape) {
-            self.push_record(line, Some(&tape[root..]), cols)
+            self.push_record(line, Some(&tape[root..]), cols, None)
         } else {
-            self.push_record(line, None, cols)
+            self.push_record(line, None, cols, None)
         }
     }
 
@@ -1213,6 +1216,7 @@ impl<'s> TapeScan<'s> {
         line: &[u8],
         words: Option<&[u32]>,
         cols: &mut [ScratchColumn],
+        masks: Option<&mut Vec<u64>>,
     ) -> Result<usize> {
         let Some(words) = words else {
             let record = parse_record(line, self.schema, Some(&self.projection))?;
@@ -1222,6 +1226,9 @@ impl<'s> TapeScan<'s> {
                 for (&column, &value) in self.columns.iter().zip(row) {
                     cols[column].push(value);
                 }
+            }
+            if let Some(masks) = masks {
+                masks.extend(rows.iter().map(|(_, mask)| mask));
             }
             return Ok(rows.len());
         };
@@ -1248,6 +1255,9 @@ impl<'s> TapeScan<'s> {
                     _ => cols[column].push_null(),
                 }
             }
+        }
+        if let Some(masks) = masks {
+            masks.extend(self.rows.iter().map(|(_, mask)| mask));
         }
         Ok(self.rows.len())
     }
@@ -2361,7 +2371,10 @@ mod tests {
                     assert_eq!(taped, valued, "{case}: stores");
                     let mut scan = TapeScan::new(&schema, schema.leaves(), &[0]);
                     let mut cols = vec![ScratchColumn::new(scalar)];
-                    assert_eq!(scan.push_mapped(&bytes, &map, 0, &mut cols).unwrap(), 1);
+                    assert_eq!(
+                        scan.push_mapped(&bytes, &map, 0, &mut cols, None).unwrap(),
+                        1
+                    );
                     assert_eq!(cols[0].as_batch_column().value(0), want, "{case}: pick");
                 }
             }

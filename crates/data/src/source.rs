@@ -367,9 +367,11 @@ impl RawFile {
     /// no fault gate: a batched scan builds its entry this way from the
     /// records of a chunk whose own gate already admitted them. Nested
     /// JSON records shred straight from their structure tapes into a
-    /// Dremel builder; CSV fields parse from their spans straight into a
-    /// flat columnar builder; every other pairing goes one parsed record
-    /// at a time. The store and any error equal building from
+    /// Dremel builder, and flatten from them into a columnar one (a
+    /// [`json::TapeScan`] over every leaf, which parses a record the map
+    /// holds no tape for); CSV fields parse from their spans straight
+    /// into a columnar builder; every other pairing goes one parsed
+    /// record at a time. The store and any error equal building from
     /// [`RawFile::read_records`]' records.
     pub fn append_records_with(
         &self,
@@ -385,16 +387,28 @@ impl RawFile {
                 }
                 Ok(())
             }
-            (EntryBuilder::Flat(builder), FileFormat::Csv) => {
+            (EntryBuilder::Columnar(builder), FileFormat::Csv) => {
                 for &id in record_ids {
                     csv::push_record_at(bytes, map, id as usize, builder)?;
+                }
+                Ok(())
+            }
+            (EntryBuilder::Columnar(builder), FileFormat::Json) if self.nested => {
+                let leaves = self.leaves();
+                let all: Vec<usize> = (0..leaves.len()).collect();
+                let mut scan = json::TapeScan::new(schema, leaves, &all);
+                for &id in record_ids {
+                    builder.push_rows(|cols, masks| {
+                        scan.push_mapped(bytes, map, id as usize, cols, Some(masks))
+                            .map(drop)
+                    })?;
                 }
                 Ok(())
             }
             (EntryBuilder::Dremel(builder), _) => {
                 self.read_records_with(map, record_ids, &mut |record| builder.push_record(&record))
             }
-            (EntryBuilder::Flat(builder), _) => {
+            (EntryBuilder::Columnar(builder), _) => {
                 self.read_records_with(map, record_ids, &mut |record| {
                     let fields: &[Value] = match &record {
                         Value::Struct(fields) => fields,
@@ -405,10 +419,6 @@ impl RawFile {
                         Ok::<(), Infallible>(())
                     });
                 })
-            }
-            (EntryBuilder::Records(records), _) => {
-                records.reserve(record_ids.len());
-                self.read_records_with(map, record_ids, &mut |record| records.push(record))
             }
         }
     }
@@ -817,7 +827,7 @@ impl RawFile {
                             });
                             let mut rows = 0;
                             for record in records.iter() {
-                                let n = tapes.push_mapped(&self.bytes, map, record, cols)?;
+                                let n = tapes.push_mapped(&self.bytes, map, record, cols, None)?;
                                 rows += note_rows(record, n);
                             }
                             Some(rows)

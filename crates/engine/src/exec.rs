@@ -936,9 +936,9 @@ impl TaskBuild {
     /// Seals the merged entry, returning it with the time charged to it:
     /// `grid_ns` (the scan's wall time) times this build's share of the
     /// tasks' summed `busy_ns`, plus the merge and seal.
-    fn seal(mut self, file: &RawFile, grid_ns: u64, busy_ns: u64) -> (Result<CacheData>, u64) {
+    fn seal(mut self, grid_ns: u64, busy_ns: u64) -> (Result<CacheData>, u64) {
         let t0 = Instant::now();
-        let built = self.builder.map(|b| b.finish(file.schema(), self.ids));
+        let built = self.builder.map(|b| b.finish(self.ids));
         self.seal_ns += t0.elapsed().as_nanos() as u64;
         let share = (self.append_ns as f64 / busy_ns.max(1) as f64).min(1.0);
         (built, (grid_ns as f64 * share) as u64 + self.seal_ns)
@@ -1004,10 +1004,10 @@ fn scan_batched(
     for next in tasks {
         sink.merge(next);
     }
-    let built = match (sink.build.take(), build) {
-        (Some(part), Some((_, file))) => Some(part.seal(file, grid_ns, scan.busy_ns)),
-        _ => None,
-    };
+    let built = sink
+        .build
+        .take()
+        .map(|part| part.seal(grid_ns, scan.busy_ns));
     // The build ran inside the pass; what the pass charges to the scan
     // is the rest.
     let build_ns = built.as_ref().map_or(0, |(_, ns)| *ns);

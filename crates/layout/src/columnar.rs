@@ -6,6 +6,12 @@
 //! flattening is not reversed: a switch back to the Dremel layout
 //! rebuilds the entry from the raw records.
 //!
+//! Cache entries are built by [`FlatColumnBuilder`] from the raw records
+//! in place — CSV fields from their spans, JSON records by flattening
+//! their structure tapes (in `recache-data`) — so a Dremel → columnar
+//! switch reads no `Value`. [`ColumnStore::build`] flattens parsed
+//! records instead; the builder's stores equal its.
+//!
 //! Scan cost shape: near-zero compute (`C ≈ 0` — the property the paper's
 //! Eq. 4 relies on), data-access cost proportional to the flattened row
 //! count `R` regardless of how many rows the query semantically needs.
@@ -17,42 +23,64 @@ use crate::ScanCost;
 use recache_types::{list_dim_ranges, Schema, Value};
 use std::time::Instant;
 
-/// An incremental builder of the [`ColumnStore`] of a flat schema (every
-/// field a scalar): each record is one row, appended field by field with
-/// typed pushes into one column per field — no `Value` in between. The
-/// store equals [`ColumnStore::build`] over the same records.
+/// An incremental [`ColumnStore`] builder: records are appended one at
+/// a time as their flattened rows, written with typed pushes into one
+/// column per leaf — no `Value` in between. A record of a flat schema
+/// is one row, appended field by field ([`FlatColumnBuilder::push_record`]);
+/// a nested record is whatever rows a flattening walk writes, each with
+/// its list-position mask ([`FlatColumnBuilder::push_rows`]). The store
+/// equals [`ColumnStore::build`] over the same records.
 #[derive(Debug)]
 pub struct FlatColumnBuilder {
     schema: Schema,
     columns: Vec<ScratchColumn>,
-    records: usize,
+    /// As [`ColumnStore`]'s fields of the same names.
+    masks: Vec<u64>,
+    record_rows: Vec<u32>,
 }
 
 impl FlatColumnBuilder {
-    /// A builder for `schema`, or `None` when a field is not a scalar.
-    pub fn new(schema: &Schema) -> Option<Self> {
-        shape::is_flat(schema).then(|| FlatColumnBuilder {
+    pub fn new(schema: &Schema) -> Self {
+        FlatColumnBuilder {
             schema: schema.clone(),
             columns: schema
                 .leaves()
                 .iter()
                 .map(|l| ScratchColumn::new(l.scalar_type))
                 .collect(),
-            records: 0,
-        })
+            masks: Vec::new(),
+            record_rows: vec![0],
+        }
     }
 
-    /// Appends one record: `field(i, column)` appends field `i` to its
-    /// column, for every field in order. On error the record is partly
-    /// written, and the builder must be dropped.
+    /// Appends one record of a flat schema as one row: `field(i, column)`
+    /// appends field `i` to its column, for every field in order. On
+    /// error the record is partly written, and the builder must be
+    /// dropped.
     pub fn push_record<E>(
         &mut self,
         mut field: impl FnMut(usize, &mut ScratchColumn) -> Result<(), E>,
     ) -> Result<(), E> {
-        for (i, col) in self.columns.iter_mut().enumerate() {
-            field(i, col)?;
-        }
-        self.records += 1;
+        debug_assert!(shape::is_flat(&self.schema));
+        self.push_rows(|columns, masks| {
+            for (i, col) in columns.iter_mut().enumerate() {
+                field(i, col)?;
+            }
+            masks.push(0);
+            Ok(())
+        })
+    }
+
+    /// Appends one record as the rows `rows` writes: one entry per leaf
+    /// column (in leaf order) and one mask per row (as
+    /// [`recache_types::Flattener::new`] gives it). On error the record
+    /// is partly written, and the builder must be dropped.
+    pub fn push_rows<E>(
+        &mut self,
+        rows: impl FnOnce(&mut [ScratchColumn], &mut Vec<u64>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        rows(&mut self.columns, &mut self.masks)?;
+        self.record_rows.push(self.masks.len() as u32);
         Ok(())
     }
 
@@ -63,11 +91,14 @@ impl FlatColumnBuilder {
         for (col, more) in self.columns.iter_mut().zip(other.columns) {
             col.append(more);
         }
-        self.records += other.records;
+        let base = self.masks.len() as u32;
+        self.masks.extend(other.masks);
+        self.record_rows
+            .extend(other.record_rows[1..].iter().map(|&r| base + r));
     }
 
     /// Seals the store, dictionary-encoding as [`ColumnStore::build`]
-    /// does: one row per record, so every mask is 0.
+    /// does.
     pub fn finish(self) -> ColumnStore {
         let mut columns: Vec<Column> = self
             .columns
@@ -77,12 +108,11 @@ impl FlatColumnBuilder {
         for col in &mut columns {
             col.maybe_dict_encode(crate::column::DICT_MAX_RATIO, crate::column::DICT_MIN_ROWS);
         }
-        let records = self.records;
         ColumnStore {
             schema: self.schema,
             columns,
-            masks: vec![0; records],
-            record_rows: (0..=records as u32).collect(),
+            masks: self.masks,
+            record_rows: self.record_rows,
             source_ids: None,
         }
     }

@@ -19,17 +19,21 @@
 //! differently; leaves are read and pushed as their own type, and the
 //! same walk counts the record's flattened rows.
 //!
-//! Scans are two-phase: assembly produces *placeholder* rows holding
-//! column entry indexes (compute phase), then values are gathered
-//! (data-access phase), so the two costs are measured separately as the
-//! cost model requires.
+//! Scans are two-phase. Assembly (compute phase) walks the projected
+//! leaves' levels into a reusable node arena — a struct node holds its
+//! field slots, a list node its element range, a leaf node a column
+//! entry index — which [`Flattener`] reads as one more [`FlatInput`],
+//! so each flattened row comes out as entry indexes. The gather (data
+//! phase) then copies those entries, typed, straight into the scan's
+//! output. No `Value` is built on either phase, and the two costs are
+//! measured separately as the cost model requires.
 
 use crate::batch::{BatchScratch, ColumnBatch, SelectionVector, BATCH_ROWS};
 use crate::bitmap::Bitmap;
 use crate::column::ColumnData;
 use crate::shape::leaf_count;
 use crate::ScanCost;
-use recache_types::{DataType, Field, FlatRows, Flattener, ScalarType, Schema, Value};
+use recache_types::{DataType, FlatInput, FlatRows, Flattener, ScalarType, Schema, Value};
 use std::borrow::Cow;
 use std::convert::Infallible;
 use std::ops::Range;
@@ -232,35 +236,6 @@ impl DremelStore {
         cost
     }
 
-    /// Assembles records `[rec, chunk_end)` through the level streams
-    /// into flattened *placeholder* index rows (each cell the column
-    /// entry index to gather, `Null` where nothing was projected), plus —
-    /// when `want_ids` — the source record id of every row. One shared
-    /// helper behind both the row-at-a-time and vectorized assembled
-    /// scans, so the chunked assembly loop cannot drift between them.
-    fn assemble_chunk(
-        &self,
-        accessed: &[bool],
-        cursors: &mut [usize],
-        rec: usize,
-        chunk_end: usize,
-        want_ids: bool,
-    ) -> (Vec<Vec<Value>>, Vec<u32>) {
-        let placeholders: Vec<Value> = (rec..chunk_end)
-            .map(|_| assemble_struct(self, self.schema.fields(), 0, 0, 0, accessed, cursors))
-            .collect();
-        let flattener = Flattener::projected(&self.schema, accessed);
-        let mut flat = FlatRows::new();
-        let mut row_recs: Vec<u32> = Vec::new();
-        for (r, placeholder) in (rec..chunk_end).zip(&placeholders) {
-            flattener.flatten_into(placeholder, &mut flat);
-            if want_ids {
-                row_recs.resize(flat.len(), self.source_id(r));
-            }
-        }
-        (flat.to_rows(), row_recs)
-    }
-
     /// Per-leaf cursor positions at the start of record `start_rec`,
     /// which must sit on a [`CHUNK_RECORDS`] boundary — an O(leaves)
     /// lookup into the `chunk_starts` index captured at build time.
@@ -286,31 +261,27 @@ impl DremelStore {
         projection: &[usize],
         emit: &mut dyn FnMut(usize, &[Value]),
     ) -> ScanCost {
-        let n_leaves = self.columns.len();
-        let mut accessed = vec![false; n_leaves];
-        for &leaf in projection {
-            accessed[leaf] = true;
-        }
-        let order = projection_order(projection);
+        let mut assembly = Assembly::new(self, projection);
         let mut cost = ScanCost::default();
-        let mut cursors = vec![0usize; n_leaves];
+        let mut cursors = vec![0usize; self.columns.len()];
+        let mut row_recs: Vec<u32> = Vec::new();
         let mut buf: Vec<Value> = vec![Value::Null; projection.len()];
         let mut rec = 0usize;
         while rec < self.record_count {
             let chunk_end = (rec + CHUNK_RECORDS).min(self.record_count);
-            // Phase C: assemble placeholder records and flatten them into
-            // index rows (level decoding, branching, replication).
+            // Phase C: assemble the records and flatten them into rows of
+            // entry indexes (level decoding, branching, replication).
             let t0 = Instant::now();
-            let (index_rows, row_recs) =
-                self.assemble_chunk(&accessed, &mut cursors, rec, chunk_end, true);
+            row_recs.clear();
+            assembly.chunk(self, &mut cursors, rec..chunk_end, Some(&mut row_recs));
             let compute = t0.elapsed();
             // Phase D: gather actual values by entry index.
             let t1 = Instant::now();
-            for (row, &rid) in index_rows.iter().zip(&row_recs) {
-                for (j, &leaf) in projection.iter().enumerate() {
-                    buf[j] = match &row[order[j]] {
-                        Value::Int(idx) => self.columns[leaf].value(*idx as usize),
-                        _ => Value::Null,
+            for ((row, _), &rid) in assembly.rows.iter().zip(&row_recs) {
+                for ((slot, &leaf), &at) in buf.iter_mut().zip(projection).zip(&assembly.order) {
+                    *slot = match row[at] {
+                        NULL => Value::Null,
+                        entry => self.columns[leaf].value(entry as usize),
                     };
                 }
                 emit(rid as usize, &buf);
@@ -319,8 +290,8 @@ impl DremelStore {
             cost.add(&ScanCost {
                 data_ns: data.as_nanos() as u64,
                 compute_ns: compute.as_nanos() as u64,
-                rows: index_rows.len(),
-                rows_visited: index_rows.len(),
+                rows: assembly.rows.len(),
+                rows_visited: assembly.rows.len(),
             });
             rec = chunk_end;
         }
@@ -462,12 +433,6 @@ impl DremelStore {
         chunk_hi: usize,
         on_batch: &mut dyn FnMut(&ColumnBatch<'_>, &mut SelectionVector),
     ) -> ScanCost {
-        let n_leaves = self.columns.len();
-        let mut accessed = vec![false; n_leaves];
-        for &leaf in projection {
-            accessed[leaf] = true;
-        }
-        let order = projection_order(projection);
         let leaves = self.schema.leaves();
         let mut scratch =
             BatchScratch::for_projection(projection.iter().map(|&l| leaves[l].scalar_type));
@@ -479,34 +444,35 @@ impl DremelStore {
         if rec >= total {
             return cost;
         }
+        let mut assembly = Assembly::new(self, projection);
         let mut cursors = self.cursors_at(rec);
         let mut selection = SelectionVector::new();
         while rec < total {
             let chunk_end = (rec + CHUNK_RECORDS).min(total);
-            // Phase C: record assembly through the level streams.
+            // Phase C: record assembly through the level streams, and the
+            // flattening of the assembled records into entry indexes.
             let t0 = Instant::now();
-            let (index_rows, row_recs) =
-                self.assemble_chunk(&accessed, &mut cursors, rec, chunk_end, want_record_ids);
+            scratch.clear();
+            let ids = want_record_ids.then_some(&mut scratch.record_ids);
+            assembly.chunk(self, &mut cursors, rec..chunk_end, ids);
             let compute = t0.elapsed();
             // Phase D: typed gather of the referenced column entries.
             let t1 = Instant::now();
-            scratch.clear();
-            scratch.record_ids.extend_from_slice(&row_recs);
-            for row in &index_rows {
-                for (j, &leaf) in projection.iter().enumerate() {
-                    match &row[order[j]] {
-                        Value::Int(idx) => {
-                            let col = &self.columns[leaf];
-                            scratch.cols[j].push_from(&col.data, &col.valid, *idx as usize);
-                        }
-                        _ => scratch.cols[j].push(&Value::Null),
+            for ((out, &leaf), &at) in scratch.cols.iter_mut().zip(projection).zip(&assembly.order)
+            {
+                let col = &self.columns[leaf];
+                for (row, _) in assembly.rows.iter() {
+                    match row[at] {
+                        NULL => out.push_null(),
+                        entry => out.push_from(&col.data, &col.valid, entry as usize),
                     }
                 }
             }
             let data = t1.elapsed();
-            selection.fill_identity(index_rows.len());
+            let rows = assembly.rows.len();
+            selection.fill_identity(rows);
             let batch = ColumnBatch {
-                len: index_rows.len(),
+                len: rows,
                 columns: scratch.columns(),
                 record_ids: &scratch.record_ids,
             };
@@ -514,8 +480,8 @@ impl DremelStore {
             cost.add(&ScanCost {
                 data_ns: data.as_nanos() as u64,
                 compute_ns: compute.as_nanos() as u64,
-                rows: index_rows.len(),
-                rows_visited: index_rows.len(),
+                rows,
+                rows_visited: rows,
             });
             rec = chunk_end;
         }
@@ -527,22 +493,49 @@ impl DremelStore {
     /// against the records they were built from. A layout switch rebuilds
     /// from the raw file instead.
     pub fn to_records(&self) -> Vec<Value> {
-        let n_leaves = self.columns.len();
-        let accessed = vec![true; n_leaves];
-        let mut cursors = vec![0usize; n_leaves];
-        let mut out = Vec::with_capacity(self.record_count);
-        for _ in 0..self.record_count {
-            let placeholder =
-                assemble_struct(self, self.schema.fields(), 0, 0, 0, &accessed, &mut cursors);
-            let mut leaf = 0usize;
-            out.push(materialize(
-                self,
-                &DataType::Struct(self.schema.fields().to_vec()),
-                &placeholder,
-                &mut leaf,
-            ));
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        let mut assembly = Assembly::new(self, &all);
+        let mut cursors = vec![0usize; all.len()];
+        let root = DataType::Struct(self.schema.fields().to_vec());
+        (0..self.record_count)
+            .map(|_| {
+                let node = assembly.record(self, &mut cursors);
+                self.node_value(&assembly.arena, &root, 0, node)
+            })
+            .collect()
+    }
+
+    /// The value of the arena node `node` of type `ty`, whose first leaf
+    /// is `leaf`.
+    fn node_value(&self, arena: &Arena, ty: &DataType, leaf: usize, node: u32) -> Value {
+        if node == NULL {
+            return Value::Null;
         }
-        out
+        match ty {
+            DataType::Struct(fields) => {
+                let mut leaf = leaf;
+                let slots = &arena.slots[node as usize..];
+                Value::Struct(
+                    fields
+                        .iter()
+                        .zip(slots)
+                        .map(|(field, &slot)| {
+                            let value = self.node_value(arena, &field.data_type, leaf, slot);
+                            leaf += leaf_count(&field.data_type);
+                            value
+                        })
+                        .collect(),
+                )
+            }
+            DataType::List(inner) => Value::List(
+                arena
+                    .elements(node)
+                    .iter()
+                    .map(|&elem| self.node_value(arena, inner, leaf, elem))
+                    .collect(),
+            ),
+            _ => self.columns[leaf].value(node as usize),
+        }
     }
 }
 
@@ -555,6 +548,251 @@ fn projection_order(projection: &[usize]) -> Vec<usize> {
         .iter()
         .map(|l| sorted.binary_search(l).expect("projection leaf"))
         .collect()
+}
+
+/// No arena node: a null or absent value (see [`Arena`]).
+const NULL: u32 = u32::MAX;
+
+/// The projected part of a schema node, compiled for assembly: which
+/// level stream decides it, and what it holds.
+#[derive(Debug)]
+struct Asm {
+    /// The first projected leaf beneath: its definition levels tell
+    /// whether the node is null, its repetition levels where a list ends.
+    probe: usize,
+    /// A nullable struct field.
+    nullable: bool,
+    /// The projected leaves beneath, whose cursors a null node advances
+    /// by one entry each (the one null entry each was shredded with).
+    leaves: Vec<usize>,
+    kind: AsmKind,
+}
+
+#[derive(Debug)]
+enum AsmKind {
+    Leaf,
+    List(Box<Asm>),
+    /// A struct of `width` fields, with `(field index, node)` of each
+    /// field that holds a projected leaf.
+    Struct {
+        width: usize,
+        kids: Vec<(usize, Asm)>,
+    },
+}
+
+impl Asm {
+    /// The node of type `ty` whose first leaf is `*leaf`, advancing
+    /// `*leaf` past its leaves; `None` when no leaf beneath is accessed.
+    fn of(ty: &DataType, nullable: bool, accessed: &[bool], leaf: &mut usize) -> Option<Asm> {
+        let start = *leaf;
+        let kind = match ty {
+            DataType::Struct(fields) => AsmKind::Struct {
+                width: fields.len(),
+                kids: fields
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(idx, f)| {
+                        Some((idx, Asm::of(&f.data_type, f.nullable, accessed, leaf)?))
+                    })
+                    .collect(),
+            },
+            DataType::List(inner) => {
+                AsmKind::List(Box::new(Asm::of(inner, false, accessed, leaf)?))
+            }
+            _ => {
+                *leaf += 1;
+                AsmKind::Leaf
+            }
+        };
+        let leaves: Vec<usize> = (start..*leaf).filter(|&l| accessed[l]).collect();
+        Some(Asm {
+            probe: *leaves.first()?,
+            nullable,
+            leaves,
+            kind,
+        })
+    }
+
+    /// Assembles the node whose entries sit at `cursors` into `arena`,
+    /// advancing the cursors past them, and returns its arena node. `d`
+    /// is the definition level the parent reached, `depth` the number of
+    /// list ancestors. These are the shredding rules of
+    /// [`DremelBuilder`] read backwards: a level below the one the node
+    /// defines marks it null, and a list continues while the next entry
+    /// repeats at its own depth.
+    fn assemble(
+        &self,
+        columns: &[DremelColumn],
+        cursors: &mut [usize],
+        arena: &mut Arena,
+        mut d: u16,
+        depth: u16,
+    ) -> u32 {
+        let probe = &columns[self.probe];
+        if self.nullable {
+            if probe.def[cursors[self.probe]] < d + 1 {
+                return self.skip(cursors);
+            }
+            d += 1;
+        }
+        match &self.kind {
+            AsmKind::Leaf => {
+                let entry = cursors[self.probe];
+                cursors[self.probe] += 1;
+                entry as u32
+            }
+            AsmKind::List(elem) => {
+                if probe.def[cursors[self.probe]] < d + 1 {
+                    return self.skip(cursors);
+                }
+                let (base, depth) = (arena.pending.len(), depth + 1);
+                loop {
+                    let node = elem.assemble(columns, cursors, arena, d + 1, depth);
+                    arena.pending.push(node);
+                    if probe.rep.get(cursors[self.probe]) != Some(&depth) {
+                        break;
+                    }
+                }
+                arena.push_list(base)
+            }
+            AsmKind::Struct { width, kids } => {
+                let base = arena.slots.len();
+                arena.slots.resize(base + width, NULL);
+                for (idx, kid) in kids {
+                    arena.slots[base + idx] = kid.assemble(columns, cursors, arena, d, depth);
+                }
+                base as u32
+            }
+        }
+    }
+
+    /// A null node: consumes the one entry each projected leaf beneath
+    /// holds for it.
+    fn skip(&self, cursors: &mut [usize]) -> u32 {
+        for &leaf in &self.leaves {
+            cursors[leaf] += 1;
+        }
+        NULL
+    }
+}
+
+/// One assembled record, as [`Flattener`] reads it: a struct node is the
+/// index of its first field slot in `slots` (one slot per field, in
+/// order), a list node the index of its element range in `lists`, a leaf
+/// node its column entry index, and [`NULL`] an absent value.
+#[derive(Debug, Default)]
+struct Arena {
+    slots: Vec<u32>,
+    lists: Vec<(u32, u32)>,
+    elems: Vec<u32>,
+    /// The elements of the lists being assembled, innermost last.
+    pending: Vec<u32>,
+}
+
+impl Arena {
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.lists.clear();
+        self.elems.clear();
+    }
+
+    /// Closes the list whose elements are `pending[base..]`.
+    fn push_list(&mut self, base: usize) -> u32 {
+        let start = self.elems.len() as u32;
+        self.elems.extend(self.pending.drain(base..));
+        self.lists.push((start, self.elems.len() as u32));
+        self.lists.len() as u32 - 1
+    }
+
+    fn elements(&self, list: u32) -> &[u32] {
+        let (start, end) = self.lists[list as usize];
+        &self.elems[start as usize..end as usize]
+    }
+}
+
+impl FlatInput for Arena {
+    type Node = u32;
+
+    fn null(&self) -> u32 {
+        NULL
+    }
+
+    fn field(&self, node: u32, idx: usize) -> u32 {
+        match node {
+            NULL => NULL,
+            base => self.slots[base as usize + idx],
+        }
+    }
+
+    fn elements(&self, node: u32, visit: impl FnMut(u32)) -> bool {
+        if node == NULL {
+            return false;
+        }
+        self.elements(node).iter().copied().for_each(visit);
+        true
+    }
+}
+
+/// An assembled scan of one projection: the compiled assembly and
+/// flattening, and the buffers every record reuses.
+struct Assembly {
+    /// `None` when nothing is projected.
+    root: Option<Asm>,
+    flattener: Flattener,
+    /// Per projection slot, its leaf's position in a flattened row.
+    order: Vec<usize>,
+    arena: Arena,
+    /// The flattened rows of the last chunk, each cell a column entry
+    /// index or [`NULL`].
+    rows: FlatRows<u32>,
+}
+
+impl Assembly {
+    fn new(store: &DremelStore, projection: &[usize]) -> Self {
+        let mut accessed = vec![false; store.columns.len()];
+        for &leaf in projection {
+            accessed[leaf] = true;
+        }
+        let root = DataType::Struct(store.schema.fields().to_vec());
+        Assembly {
+            root: Asm::of(&root, false, &accessed, &mut 0),
+            flattener: Flattener::projected(&store.schema, &accessed),
+            order: projection_order(projection),
+            arena: Arena::default(),
+            rows: FlatRows::new(),
+        }
+    }
+
+    /// Assembles the record at `cursors` into the cleared arena; returns
+    /// its root node.
+    fn record(&mut self, store: &DremelStore, cursors: &mut [usize]) -> u32 {
+        self.arena.clear();
+        match &self.root {
+            Some(root) => root.assemble(&store.columns, cursors, &mut self.arena, 0, 0),
+            None => NULL,
+        }
+    }
+
+    /// Replaces `rows` with the flattened rows of the records `recs`,
+    /// whose entries start at `cursors`; with `record_ids`, appends the
+    /// source record id of every row to it.
+    fn chunk(
+        &mut self,
+        store: &DremelStore,
+        cursors: &mut [usize],
+        recs: Range<usize>,
+        mut record_ids: Option<&mut Vec<u32>>,
+    ) {
+        self.rows.clear();
+        for rec in recs {
+            let root = self.record(store, cursors);
+            self.flattener
+                .flatten_from(&self.arena, root, &mut self.rows);
+            if let Some(ids) = record_ids.as_deref_mut() {
+                ids.resize(self.rows.len(), store.source_id(rec));
+            }
+        }
+    }
 }
 
 /// An incremental [`DremelStore`] builder: records are shredded one at a
@@ -1037,177 +1275,16 @@ fn emit_nulls(columns: &mut [DremelColumn], plan: &Plan, r: u16, d: u16) {
     }
 }
 
-/// First projected leaf in `[leaf, leaf + width)`, if any.
-fn probe_leaf(accessed: &[bool], leaf: usize, width: usize) -> Option<usize> {
-    (leaf..leaf + width).find(|&l| accessed[l])
-}
-
-/// Consumes exactly one entry from every projected leaf in the subtree
-/// (mirrors `emit_nulls`).
-fn consume_nulls(accessed: &[bool], leaf: usize, width: usize, cursors: &mut [usize]) {
-    for l in leaf..leaf + width {
-        if accessed[l] {
-            cursors[l] += 1;
-        }
-    }
-}
-
-/// Assembles one struct level into a placeholder value: scalar leaves
-/// become `Value::Int(entry_index)`; unprojected subtrees become `Null`.
-fn assemble_struct(
-    store: &DremelStore,
-    fields: &[Field],
-    mut leaf: usize,
-    d: u16,
-    list_depth: u16,
-    accessed: &[bool],
-    cursors: &mut [usize],
-) -> Value {
-    let mut children = Vec::with_capacity(fields.len());
-    for field in fields {
-        let width = leaf_count(&field.data_type);
-        children.push(assemble_field(
-            store, field, leaf, d, list_depth, accessed, cursors,
-        ));
-        leaf += width;
-    }
-    Value::Struct(children)
-}
-
-fn assemble_field(
-    store: &DremelStore,
-    field: &Field,
-    leaf: usize,
-    d: u16,
-    list_depth: u16,
-    accessed: &[bool],
-    cursors: &mut [usize],
-) -> Value {
-    let width = leaf_count(&field.data_type);
-    let Some(probe) = probe_leaf(accessed, leaf, width) else {
-        return Value::Null;
-    };
-    let mut d = d;
-    if field.nullable {
-        let col = &store.columns[probe];
-        if col.def[cursors[probe]] < d + 1 {
-            consume_nulls(accessed, leaf, width, cursors);
-            return Value::Null;
-        }
-        d += 1;
-    }
-    assemble_type(
-        store,
-        &field.data_type,
-        leaf,
-        d,
-        list_depth,
-        accessed,
-        cursors,
-    )
-}
-
-fn assemble_type(
-    store: &DremelStore,
-    ty: &DataType,
-    leaf: usize,
-    d: u16,
-    list_depth: u16,
-    accessed: &[bool],
-    cursors: &mut [usize],
-) -> Value {
-    match ty {
-        DataType::List(inner) => {
-            let width = leaf_count(inner);
-            let probe = probe_leaf(accessed, leaf, width).expect("caller checked projection");
-            let col = &store.columns[probe];
-            if col.def[cursors[probe]] < d + 1 {
-                consume_nulls(accessed, leaf, width, cursors);
-                return Value::Null;
-            }
-            let child_depth = list_depth + 1;
-            let mut items = Vec::new();
-            loop {
-                items.push(assemble_type(
-                    store,
-                    inner,
-                    leaf,
-                    d + 1,
-                    child_depth,
-                    accessed,
-                    cursors,
-                ));
-                let col = &store.columns[probe];
-                let next = cursors[probe];
-                if next >= col.len() || col.rep[next] != child_depth {
-                    break;
-                }
-            }
-            Value::List(items)
-        }
-        DataType::Struct(fields) => {
-            assemble_struct(store, fields, leaf, d, list_depth, accessed, cursors)
-        }
-        _ => {
-            let idx = cursors[leaf];
-            cursors[leaf] += 1;
-            Value::Int(idx as i64)
-        }
-    }
-}
-
-/// Replaces placeholder entry indexes with actual column values.
-fn materialize(store: &DremelStore, ty: &DataType, placeholder: &Value, leaf: &mut usize) -> Value {
-    match ty {
-        DataType::Struct(fields) => {
-            let children: &[Value] = match placeholder {
-                Value::Struct(c) => c,
-                _ => &[],
-            };
-            let mut out = Vec::with_capacity(fields.len());
-            for (i, field) in fields.iter().enumerate() {
-                out.push(materialize(
-                    store,
-                    &field.data_type,
-                    children.get(i).unwrap_or(&Value::Null),
-                    leaf,
-                ));
-            }
-            Value::Struct(out)
-        }
-        DataType::List(inner) => {
-            let start = *leaf;
-            match placeholder {
-                Value::List(items) => {
-                    let mut out = Vec::with_capacity(items.len());
-                    for item in items {
-                        let mut l = start;
-                        out.push(materialize(store, inner, item, &mut l));
-                        *leaf = l;
-                    }
-                    Value::List(out)
-                }
-                _ => {
-                    *leaf = start + leaf_count(inner);
-                    Value::Null
-                }
-            }
-        }
-        _ => {
-            let l = *leaf;
-            *leaf += 1;
-            match placeholder {
-                Value::Int(idx) => store.columns[l].value(*idx as usize),
-                _ => Value::Null,
-            }
-        }
-    }
-}
+/// Seeded random schemas and records, shared with the flattening tests
+/// of `recache-types`.
+#[cfg(test)]
+#[path = "../../types/src/testgen.rs"]
+mod testgen;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recache_types::{flatten_record, flatten_record_projected};
+    use recache_types::{flatten_record, flatten_record_projected, Field};
 
     fn order_schema() -> Schema {
         Schema::new(vec![
@@ -1490,6 +1567,112 @@ mod tests {
         store.scan(&[0, 1], false, &mut |_, _| n += 1);
         assert_eq!(n, 6);
     }
+
+    /// What a leaf of type `ty` stores for `value`: the column coercion.
+    fn stored(value: &Value, ty: ScalarType) -> Value {
+        let mut col = crate::column::Column::new(ty);
+        col.push(value);
+        col.get(0)
+    }
+
+    /// `(source id, row)` of every selected row of a batched scan.
+    fn batch_rows<'r>(
+        rows: &'r mut Vec<(u32, Vec<Value>)>,
+    ) -> impl FnMut(&ColumnBatch<'_>, &mut SelectionVector) + 'r {
+        |batch, sel| {
+            for &i in sel.as_slice() {
+                let i = i as usize;
+                let row = batch.columns.iter().map(|c| c.value(i)).collect();
+                rows.push((batch.record_ids[i], row));
+            }
+        }
+    }
+
+    /// Over 300 random schemas, each with random projections in random
+    /// order: record- and element-level batched scans of chunk-aligned
+    /// ranges, and the row path over the whole store, give the projected
+    /// flattening of the input records, row for row, with source ids.
+    #[test]
+    fn assembled_scans_equal_the_projected_flattening_of_random_records() {
+        use super::testgen::{random_record, random_schema, Rng};
+        let mut rng = Rng::new(0xA5E7);
+        let mut multi_row_records = 0;
+        for case in 0..300 {
+            let schema = random_schema(&mut rng);
+            let leaves = schema.leaves();
+            let n = rng.below(3 * CHUNK_RECORDS as u64) as usize;
+            let records: Vec<Value> = (0..n).map(|_| random_record(&mut rng, &schema)).collect();
+            let mut store = DremelStore::build(&schema, &records);
+            let ids: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+            store.set_source_record_ids(ids.clone());
+            for _ in 0..3 {
+                let mut projection: Vec<usize> =
+                    (0..leaves.len()).filter(|_| rng.chance(60)).collect();
+                for i in (1..projection.len()).rev() {
+                    projection.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                let mut accessed = vec![false; leaves.len()];
+                projection.iter().for_each(|&leaf| accessed[leaf] = true);
+                let order = projection_order(&projection);
+                // Per record, its expected rows in projection order.
+                let expected: Vec<Vec<(u32, Vec<Value>)>> = records
+                    .iter()
+                    .zip(&ids)
+                    .map(|(record, &id)| {
+                        let rows = flatten_record_projected(&schema, record, &accessed);
+                        multi_row_records += usize::from(rows.len() > 1);
+                        rows.iter()
+                            .map(|row| {
+                                let row = projection
+                                    .iter()
+                                    .zip(&order)
+                                    .map(|(&leaf, &at)| stored(&row[at], leaves[leaf].scalar_type))
+                                    .collect();
+                                (id, row)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let ctx = format!("case {case}: projection {projection:?} of {schema:?}");
+                for record_level in [false, true] {
+                    let short = record_level && projection.iter().all(|&l| leaves[l].max_rep == 0);
+                    let per_chunk = if short { BATCH_ROWS } else { CHUNK_RECORDS };
+                    let chunks = store.batch_chunks(&projection, record_level);
+                    let lo = rng.below(chunks as u64 + 1) as usize;
+                    let hi = lo + rng.below((chunks - lo) as u64 + 1) as usize;
+                    let mut got = Vec::new();
+                    store.scan_batches_range(
+                        &projection,
+                        record_level,
+                        true,
+                        lo,
+                        hi,
+                        &mut batch_rows(&mut got),
+                    );
+                    let window = (lo * per_chunk).min(n)..(hi * per_chunk).min(n);
+                    let want: Vec<_> = expected[window].concat();
+                    assert_eq!(
+                        got, want,
+                        "{ctx}: batches {lo}..{hi}, record_level {record_level}"
+                    );
+
+                    let mut got = Vec::new();
+                    store.scan(&projection, record_level, &mut |id, row| {
+                        got.push((id as u32, row.to_vec()))
+                    });
+                    assert_eq!(
+                        got,
+                        expected.concat(),
+                        "{ctx}: rows, record_level {record_level}"
+                    );
+                }
+            }
+        }
+        assert!(
+            multi_row_records > 10_000,
+            "the generator must produce multi-row records: {multi_row_records}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1497,7 +1680,7 @@ mod randomized_tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use recache_types::flatten_record;
+    use recache_types::{flatten_record, Field};
 
     fn random_records(rng: &mut StdRng, max_records: usize) -> Vec<Value> {
         (0..rng.random_range(1..max_records))
@@ -1578,6 +1761,7 @@ mod builder_oracle_tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use recache_types::Field;
 
     /// The recursive `Value` shredder the builder replaced, counting rows
     /// with the reference flattener rather than the builder's walk, kept

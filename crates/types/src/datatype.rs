@@ -386,7 +386,7 @@ mod tests {
 
     #[test]
     fn cached_leaves_match_a_fresh_walk_on_random_schemas() {
-        use crate::flatten::property_tests::{random_schema, Rng};
+        use crate::testgen::{random_schema, Rng};
         let mut rng = Rng::new(0x1EAF);
         for case in 0..300 {
             let schema = random_schema(&mut rng);

@@ -16,11 +16,18 @@
 //!   relational rows: the semantics the relational-columnar cache layout
 //!   stores and the Dremel layout reconstructs.
 
+// The shared test generator (`testgen.rs`) names this crate by its
+// package name, as the other crates that include it do.
+#[cfg(test)]
+extern crate self as recache_types;
+
 pub mod ctl;
 pub mod datatype;
 pub mod error;
 pub mod flatten;
 pub mod path;
+#[cfg(test)]
+mod testgen;
 pub mod value;
 
 pub use ctl::{CancelToken, ScanCtl};

@@ -8,13 +8,19 @@
 //! scans answer over invalid UTF-8 as the row path does. A layout
 //! switch rebuilds the entry from the raw file by its record ids into
 //! the store a fresh build makes, draws no injected faults, and does not
-//! happen while the file has no positional map.
+//! happen while the file has no positional map. A nested columnar entry
+//! is the store of flattening `read_records`' values on every build
+//! path, including for a record the map holds no structure tape for.
 //!
 //! The CI `chaos` job runs this suite under `RECACHE_FAULT_SEED`.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use recache::data::gen::tpch;
-use recache::data::{csv, json, FaultKind, FaultPlan, FaultSite, FileFormat, RawFile};
+use recache::data::{
+    csv, json, FaultKind, FaultPlan, FaultSite, FileFormat, PositionalMap, RawFile,
+};
+use recache::engine::exec::{self, BuildRequest, ExecOptions};
+use recache::engine::plan::{AccessPath, AggFunc, AggSpec, QueryPlan, TablePlan};
 use recache::layout::LayoutKind;
 use recache::layout::{CacheData, ColumnStore, DremelBuilder, DremelStore, OffsetStore};
 use recache::materialize::{
@@ -671,4 +677,142 @@ fn a_switch_without_a_positional_map_keeps_the_entry() {
         &value_built(source, &ids, StoreChoice::Columnar),
         name,
     );
+}
+
+/// `map` without record `untaped`'s structure tape: readers parse that
+/// record from its bytes.
+fn without_tape(map: &PositionalMap, untaped: usize) -> PositionalMap {
+    let mut starts = vec![0u64];
+    let mut words = Vec::new();
+    for record in 0..map.record_count() {
+        if record != untaped {
+            words.extend_from_slice(map.json_tape(record).unwrap_or_default());
+        }
+        starts.push(words.len() as u64);
+    }
+    PositionalMap::with_json_tape(map.record_offsets().to_vec(), starts, words)
+}
+
+/// The columnar entry of `ids` — built after a scan, inside the pass of
+/// a scan over their lazy entry, by an upgrade of that entry and by a
+/// switch from their Dremel entry — is `ColumnStore::build` over
+/// `read_records(ids)`. So is the in-pass build through a map that holds
+/// no tape for one of the records, and that map holds none for it.
+fn assert_columnar_builds_equal_value_built(file: &Arc<RawFile>, ids: &[u32], case: &str) {
+    let choice = StoreChoice::Columnar;
+    let want = value_built(file, ids, choice);
+    let admission = Admission::eager_only();
+    let post = materialize_with_admission(file, choice, &admission, ids.to_vec(), 0, 0, false);
+    assert_same_store(
+        &post.expect(case).data,
+        &want,
+        &format!("{case}: post-scan"),
+    );
+    let lazy = Arc::new(OffsetStore::build(ids.to_vec(), ids.len()));
+    let (upgraded, _) = upgrade_to_eager(file, choice, &lazy).expect(case);
+    assert_same_store(&upgraded, &want, &format!("{case}: upgrade"));
+    let dremel = value_built(file, ids, StoreChoice::Dremel);
+    let (switched, _) = switch_layout(file, choice, &dremel).expect(case);
+    assert_same_store(&switched, &want, &format!("{case}: switch"));
+
+    let plan = QueryPlan {
+        tables: vec![TablePlan {
+            name: "t".into(),
+            access: AccessPath::Offsets {
+                file: Arc::clone(file),
+                store: lazy,
+            },
+            accessed: Vec::new(),
+            predicate: None,
+            record_level: true,
+            collect_satisfying: false,
+        }],
+        joins: Vec::new(),
+        aggregates: vec![AggSpec {
+            table: 0,
+            slot: None,
+            func: AggFunc::Count,
+        }],
+    };
+    let map = file.posmap().expect("a mapped file");
+    let untaped = ids[ids.len() / 2] as usize;
+    let maps = [Arc::clone(&map), Arc::new(without_tape(&map, untaped))];
+    assert!(maps[1].json_tape(untaped).is_none(), "{case}");
+    for (map, threads) in maps.into_iter().zip([2, 1]) {
+        let request = BuildRequest { choice, map };
+        let options = ExecOptions::with_threads(threads);
+        let mut out = exec::execute_building(&plan, &options, Some(&request)).expect(case);
+        let built = out.stats.tables[0].built.take().expect("the pass builds");
+        let case = format!("{case}: in-pass at {threads} threads");
+        assert_same_store(&built.expect(&case), &want, &case);
+    }
+}
+
+/// Nested columnar entries equal the stores of flattening the parsed
+/// records on every build path, over the nested source (also as a
+/// `FixedColumnar` session admits them) and over 30 seeded schemas with
+/// hostile records (the entry holds only the records that parse).
+#[test]
+fn nested_columnar_builds_equal_value_built_stores() {
+    let (name, format, schema, bytes) = sources()[1].clone();
+    let file = Arc::new(mapped_file(format, &schema, &bytes));
+    let ids: Vec<u32> = (0..file.record_count().unwrap() as u32)
+        .step_by(3)
+        .collect();
+    assert_columnar_builds_equal_value_built(&file, &ids, name);
+
+    let mut session = ReCache::builder()
+        .layout_policy(LayoutPolicy::FixedColumnar)
+        .admission(Admission::eager_only())
+        .result_cache_enabled(false)
+        .build();
+    session.register_json_bytes(name, bytes, schema.clone());
+    let domains = Domains::compute(&schema, tpch::gen_order_lineitems(SF, 7).iter());
+    let specs = spa_workload(
+        name,
+        &domains,
+        &[(PoolPhase::AllAttrs, 20)],
+        &SpaConfig::default(),
+        5,
+    );
+    let mut in_pass = 0;
+    for spec in &specs {
+        let response = session.execute(&QueryRequest::spec(spec.clone())).unwrap();
+        in_pass += usize::from(response.stats.exec.tables.iter().any(|t| t.build_ns > 0));
+    }
+    assert!(in_pass > 0, "some entry is built inside its scan");
+    let source = session.source(name).unwrap();
+    let entries = session.cache().snapshot();
+    assert!(entries.len() > 1, "{} entries", entries.len());
+    for entry in &entries {
+        assert_eq!(entry.data.layout(), LayoutKind::Columnar);
+        let ids = entry.data.source_record_ids().unwrap();
+        let want = value_built(source, ids, StoreChoice::Columnar);
+        assert_same_store(&entry.data, &want, &format!("{name}: session entry"));
+    }
+
+    let mut rng = StdRng::seed_from_u64(fault_seed() ^ 0xC01A);
+    // Wide schemas (every third case) are left out: their records
+    // flatten to rows multiplied across dozens of lists.
+    for case in (0..45usize).filter(|case| !case.is_multiple_of(3)) {
+        let schema = random_tape_schema(&mut rng, case);
+        let lines: Vec<Vec<u8>> = (0..rng.random_range(2..40))
+            .map(|_| {
+                let damage = if rng.random_bool(0.3) { 0.02 } else { 0.0 };
+                let mut line = Vec::new();
+                random_object(&mut rng, schema.fields(), damage, &mut line);
+                line
+            })
+            .collect();
+        let ids: Vec<u32> = (0..lines.len() as u32)
+            .filter(|&i| json::parse_record(&lines[i as usize], &schema, None).is_ok())
+            .collect();
+        if ids.is_empty() {
+            continue;
+        }
+        let file = RawFile::from_bytes(lines.join(&b'\n'), FileFormat::Json, schema);
+        let nothing = vec![false; file.leaves().len()];
+        file.scan_projected(&nothing, &mut |_, _| {}).unwrap();
+        assert_columnar_builds_equal_value_built(&Arc::new(file), &ids, &format!("case {case}"));
+    }
 }

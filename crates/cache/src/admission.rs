@@ -48,9 +48,12 @@ impl AdmissionConfig {
         }
     }
 
+    /// The paper's reactive rule at `threshold`, whatever the default's
+    /// `force` is.
     pub fn with_threshold(threshold: f64) -> Self {
         AdmissionConfig {
             threshold,
+            force: None,
             ..Default::default()
         }
     }
@@ -171,6 +174,23 @@ mod tests {
         assert_eq!(
             decide(&AdmissionConfig::lazy_only(), 0.0, true),
             AdmissionDecision::Lazy
+        );
+    }
+
+    #[test]
+    fn constructors_name_their_policy() {
+        // `with_threshold` is the reactive rule; the two baselines force
+        // their decision.
+        let reactive = AdmissionConfig::with_threshold(0.10);
+        assert_eq!(reactive.force, None);
+        assert_eq!(reactive.threshold, 0.10);
+        assert_eq!(
+            AdmissionConfig::eager_only().force,
+            Some(AdmissionDecision::Eager)
+        );
+        assert_eq!(
+            AdmissionConfig::lazy_only().force,
+            Some(AdmissionDecision::Lazy)
         );
     }
 

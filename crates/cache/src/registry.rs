@@ -286,16 +286,6 @@ impl CacheRegistry {
         self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one subsumption-coalesced admission: a session whose
-    /// predicate was covered by a concurrent leader's in-flight ranges
-    /// waited for that leader's admitted entry and filtered from cache
-    /// instead of re-scanning raw.
-    pub fn note_coalesced_subsumed(&self) {
-        self.counters
-            .coalesced_subsumed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one query that surfaced a non-retryable scan failure.
     pub fn note_failed_scan(&self) {
         self.counters.failed_scans.fetch_add(1, Ordering::Relaxed);

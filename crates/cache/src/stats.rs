@@ -104,9 +104,11 @@ pub struct RegistryCounters {
     /// Result entries dropped because a pinned `(source, signature)`
     /// data-cache entry was evicted/removed, or a source changed.
     pub result_invalidations: u64,
-    /// Followers whose predicate was *subsumed* by a concurrent leader's
-    /// in-flight scan and who waited for the leader's admitted entry
-    /// instead of re-scanning raw (distinct from exact-key `coalesced`).
+    /// Always 0: in-flight scans coalesce only on an exact
+    /// `(source, signature)` key (`coalesced`), so no follower waits for a
+    /// different, covering in-flight scan. The field stays because the
+    /// benchmark harness (`ledger/`) and the server's stats frame read
+    /// it; ROADMAP item B removes it with `shared_scans`.
     pub coalesced_subsumed: u64,
     /// Always 0: every raw pass runs one query's plan, so no pass is
     /// shared. The field stays only because the benchmark harness
@@ -141,7 +143,6 @@ pub struct AtomicRegistryCounters {
     pub result_misses: AtomicU64,
     pub result_evictions: AtomicU64,
     pub result_invalidations: AtomicU64,
-    pub coalesced_subsumed: AtomicU64,
 }
 
 impl AtomicRegistryCounters {
@@ -164,7 +165,7 @@ impl AtomicRegistryCounters {
             result_misses: self.result_misses.load(Ordering::Relaxed),
             result_evictions: self.result_evictions.load(Ordering::Relaxed),
             result_invalidations: self.result_invalidations.load(Ordering::Relaxed),
-            coalesced_subsumed: self.coalesced_subsumed.load(Ordering::Relaxed),
+            coalesced_subsumed: 0,
             shared_scans: 0,
             shared_scan_participants: 0,
         }

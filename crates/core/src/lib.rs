@@ -42,12 +42,12 @@ use recache_engine::sql::{parse_query, QuerySpec};
 use recache_layout::{CacheData, LayoutKind};
 use recache_types::{Error, Result, Schema};
 pub use request::{CacheOutcome, QueryBody, QueryRequest, QueryResponse, QueryTelemetry};
-use resolve::{resolve, ResolvedQuery};
+use resolve::{resolve, ResolvedQuery, ResolvedTable};
 pub use result::{QueryResult, QueryStats, TableSummary};
 pub use result_cache::{ResultCache, ResultCacheConfig};
 pub use session::{AdmissionGate, AdmissionPermit, AdmissionStats, Scheduler, StreamLease};
-use session::{Begin, FlightGuard, FlightKey, FlightOutcome, Inflight};
-use std::collections::{HashMap, HashSet};
+use session::{Begin, FlightGuard, FlightOutcome, Inflight};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -446,209 +446,32 @@ impl ReCache {
         let resolved = resolve(spec, &self.sources)?;
         let n_tables = resolved.tables.len();
 
-        // Cache lookups per table.
-        struct TableRoute {
-            hit: Option<(EntryId, MatchResult)>,
-            lookup_ns: u64,
-            was_offsets: bool,
-            /// Served by waiting on another session's in-flight scan.
-            coalesced: bool,
-        }
-        // Process lookups in sorted-key order: single-flight leadership
-        // is then always acquired in a globally consistent order, so a
-        // query leading one key and waiting on another cannot deadlock
-        // against a query doing the reverse.
+        // Route tables in sorted-key order: single-flight leadership is
+        // then always acquired in a globally consistent order, so a query
+        // leading one key and waiting on another cannot deadlock against
+        // a query doing the reverse.
+        let key = |i: usize| {
+            let t = &resolved.tables[i];
+            (t.name.as_str(), t.signature.as_str())
+        };
         let mut order: Vec<usize> = (0..n_tables).collect();
-        let keys: Vec<FlightKey> = resolved
-            .tables
-            .iter()
-            .map(|t| (t.name.clone(), t.signature.clone()))
-            .collect();
-        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        order.sort_by_key(|&i| key(i));
         let mut routes: Vec<Option<TableRoute>> = (0..n_tables).map(|_| None).collect();
         let mut accesses: Vec<Option<AccessPath>> = (0..n_tables).map(|_| None).collect();
-        // Leadership guards live at most until after this query's
-        // admissions (waiters wake to a cache that already holds the new
-        // entry), and are completed eagerly per table the moment that
+        // Per-table leadership guards. They live until this query's
+        // admissions are decided (waiters wake to a cache that already
+        // holds the new entry), and each completes eagerly the moment its
         // table's admission is decided — followers don't sleep through
         // the rest of a multi-table leader's query.
-        let mut flights: Vec<FlightGuard<'_>> = Vec::new();
-        let mut flight_of_table: Vec<Option<usize>> = vec![None; n_tables];
-        let mut held: HashSet<FlightKey> = HashSet::new();
+        let mut flights: Vec<Option<FlightGuard<'_>>> = (0..n_tables).map(|_| None).collect();
         for &i in &order {
-            let table = &resolved.tables[i];
-            let (route, access) = if self.caching {
-                let mut lookup_ns_total = 0u64;
-                let mut waited = false;
-                let mut waited_subsumed = false;
-                let mut saw_leader_failure = false;
-                let mut failovers = 0u32;
-                // Bound on re-elections after failed leaders: past it, a
-                // waiter stops queueing behind dying leaders and runs its
-                // own concurrent raw scan. Bounded and stampede-free —
-                // each `begin` race promotes exactly one new leader, the
-                // rest re-queue behind the new flight.
-                const MAX_LEADER_FAILOVERS: u32 = 2;
-                // The retry loop probes the cache repeatedly for ONE
-                // logical access; only the final outcome is counted
-                // (below), so coalescing cannot skew hit/miss rates.
-                let outcome = loop {
-                    let (m, lookup_ns) = self.registry.lookup_uncounted(
-                        &table.name,
-                        &table.signature,
-                        &table.ranges,
-                    );
-                    lookup_ns_total += lookup_ns;
-                    if let Some(id) = m.entry() {
-                        // The entry can be evicted between lookup and
-                        // access; a vanished hit degrades to a miss.
-                        if let Some((was_offsets, access)) = self.registry.with_entry(id, |e| {
-                            (
-                                matches!(e.data, CacheData::Offsets(_)),
-                                access_path_for(&e.data, &table.file),
-                            )
-                        }) {
-                            if waited_subsumed {
-                                // This query's narrower predicate was
-                                // covered by a concurrent leader's wider
-                                // in-flight scan: the admitted entry is
-                                // filtered from cache instead of redoing
-                                // the raw pass.
-                                self.registry.note_coalesced_subsumed();
-                            } else if waited {
-                                // Coalesced admission: this session waited
-                                // for another's in-flight scan and reuses
-                                // its entry (C-phase cost paid once).
-                                self.registry.note_coalesced();
-                            }
-                            break (
-                                TableRoute {
-                                    hit: Some((id, m)),
-                                    lookup_ns: lookup_ns_total,
-                                    was_offsets,
-                                    coalesced: waited,
-                                },
-                                access,
-                            );
-                        }
-                    }
-                    let miss = TableRoute {
-                        hit: None,
-                        lookup_ns: lookup_ns_total,
-                        was_offsets: false,
-                        coalesced: false,
-                    };
-                    let raw = AccessPath::Raw(Arc::clone(&table.file));
-                    // One leadership per key per query (a self-join on
-                    // the same predicate must not wait on itself).
-                    if held.contains(&keys[i]) {
-                        break (miss, raw);
-                    }
-                    // Leaders of subsumable scans register their admitted
-                    // ranges so narrower concurrent queries can wait for
-                    // the covering entry. Only single-table queries take
-                    // the subsumed-wait shortcut: they hold no other
-                    // leaderships, so the wait graph stays acyclic.
-                    match self.inflight.begin(
-                        keys[i].clone(),
-                        &table.ranges,
-                        table.subsumable,
-                        n_tables == 1,
-                    ) {
-                        Begin::Leader(guard) => {
-                            if saw_leader_failure {
-                                // Won the re-election after watching the
-                                // previous leader die: this session now
-                                // redoes the scan on behalf of the rest.
-                                self.registry.note_leader_failover();
-                            }
-                            flight_of_table[i] = Some(flights.len());
-                            flights.push(guard);
-                            held.insert(keys[i].clone());
-                            break (miss, raw);
-                        }
-                        Begin::Wait(flight) => {
-                            // Duplicate in-flight scan: wait for the
-                            // leading session's admission, then re-look
-                            // up and reuse instead of redoing D + C work.
-                            let outcome = match flight.wait(options.cancel.as_deref()) {
-                                Ok(outcome) => outcome,
-                                Err(err) => {
-                                    // Cancelled/timed out while waiting;
-                                    // guards already held drop → Failed,
-                                    // promoting one of *their* waiters.
-                                    self.registry.note_timeout();
-                                    return Err(err);
-                                }
-                            };
-                            match outcome {
-                                FlightOutcome::Admitted => waited = true,
-                                // A leader that admitted nothing leaves
-                                // nothing to reuse — scan raw concurrently
-                                // rather than queueing as the next serial
-                                // leader.
-                                FlightOutcome::NotAdmitted => break (miss, raw),
-                                FlightOutcome::Failed => {
-                                    saw_leader_failure = true;
-                                    failovers += 1;
-                                    if failovers > MAX_LEADER_FAILOVERS {
-                                        break (miss, raw);
-                                    }
-                                    // Loop: re-probe the cache, then race
-                                    // for the vacated leadership slot.
-                                }
-                            }
-                        }
-                        Begin::WaitSubsumed(flight) => {
-                            // A concurrent leader's wider scan covers this
-                            // predicate: wait for its admission, then the
-                            // re-probe serves this query by subsumption
-                            // from the new entry — no raw pass at all.
-                            let outcome = match flight.wait(options.cancel.as_deref()) {
-                                Ok(outcome) => outcome,
-                                Err(err) => {
-                                    self.registry.note_timeout();
-                                    return Err(err);
-                                }
-                            };
-                            match outcome {
-                                FlightOutcome::Admitted => {
-                                    waited = true;
-                                    waited_subsumed = true;
-                                }
-                                // The covering leader admitted nothing:
-                                // scan raw concurrently rather than
-                                // gambling on another covering flight.
-                                FlightOutcome::NotAdmitted => break (miss, raw),
-                                FlightOutcome::Failed => {
-                                    saw_leader_failure = true;
-                                    failovers += 1;
-                                    if failovers > MAX_LEADER_FAILOVERS {
-                                        break (miss, raw);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                };
-                self.registry.count_lookup(match &outcome.0.hit {
-                    Some((_, m)) => m,
-                    None => &MatchResult::Miss,
-                });
-                outcome
-            } else {
-                (
-                    TableRoute {
-                        hit: None,
-                        lookup_ns: 0,
-                        was_offsets: false,
-                        coalesced: false,
-                    },
-                    AccessPath::Raw(Arc::clone(&table.file)),
-                )
-            };
+            // One leadership per key per query (a self-join on the same
+            // predicate must not wait on itself).
+            let held = (0..n_tables).any(|j| flights[j].is_some() && key(j) == key(i));
+            let (route, access, flight) = self.route_table(&resolved.tables[i], held, options)?;
             routes[i] = Some(route);
             accesses[i] = Some(access);
+            flights[i] = flight;
         }
         let routes: Vec<TableRoute> = routes.into_iter().map(|r| r.expect("route set")).collect();
         let mut table_plans: Vec<TablePlan> = Vec::with_capacity(n_tables);
@@ -850,8 +673,8 @@ impl ReCache {
                     // This table's admission is decided: release
                     // single-flight waiters now (remaining guards still
                     // complete on drop along error paths).
-                    if let Some(idx) = flight_of_table[i] {
-                        flights[idx].complete_now(if admitted {
+                    if let Some(flight) = &flights[i] {
+                        flight.complete_now(if admitted {
                             FlightOutcome::Admitted
                         } else {
                             FlightOutcome::NotAdmitted
@@ -877,6 +700,110 @@ impl ReCache {
                 exec: output.stats,
             },
         })
+    }
+
+    /// Routes one table of a query: looks it up in the cache and, on a
+    /// miss, leads the table's single flight or waits on another
+    /// session's, re-electing a leader (bounded) when the one it waited
+    /// on fails. Returns the route, the access path and the flight guard
+    /// this query now leads, if any. `held` says this query already leads
+    /// the table's `(source, signature)` key through another table.
+    fn route_table(
+        &self,
+        table: &ResolvedTable,
+        held: bool,
+        options: &ExecOptions,
+    ) -> Result<(TableRoute, AccessPath, Option<FlightGuard<'_>>)> {
+        let raw = || AccessPath::Raw(Arc::clone(&table.file));
+        if !self.caching {
+            return Ok((TableRoute::miss(0), raw(), None));
+        }
+        // Bound on re-elections after failed leaders: past it, a waiter
+        // stops queueing behind dying leaders and runs its own concurrent
+        // raw scan. Bounded and stampede-free — each `begin` race promotes
+        // exactly one new leader, the rest re-queue behind the new flight.
+        const MAX_LEADER_FAILOVERS: u32 = 2;
+        let mut lookup_ns_total = 0u64;
+        let mut waited = false;
+        let mut failovers = 0u32;
+        // The loop probes the cache repeatedly for ONE logical access;
+        // only the final outcome is counted (below), so coalescing cannot
+        // skew hit/miss rates.
+        let routed = loop {
+            let (m, lookup_ns) =
+                self.registry
+                    .lookup_uncounted(&table.name, &table.signature, &table.ranges);
+            lookup_ns_total += lookup_ns;
+            if let Some(id) = m.entry() {
+                // The entry can be evicted between lookup and access; a
+                // vanished hit degrades to a miss.
+                if let Some((was_offsets, access)) = self.registry.with_entry(id, |e| {
+                    (
+                        matches!(e.data, CacheData::Offsets(_)),
+                        access_path_for(&e.data, &table.file),
+                    )
+                }) {
+                    if waited {
+                        // Coalesced admission: this session waited for
+                        // another's in-flight scan and reuses its entry
+                        // (C-phase cost paid once).
+                        self.registry.note_coalesced();
+                    }
+                    let hit = TableRoute {
+                        hit: Some((id, m)),
+                        lookup_ns: lookup_ns_total,
+                        was_offsets,
+                        coalesced: waited,
+                    };
+                    break (hit, access, None);
+                }
+            }
+            let miss = TableRoute::miss(lookup_ns_total);
+            if held {
+                break (miss, raw(), None);
+            }
+            let key = (table.name.clone(), table.signature.clone());
+            let flight = match self.inflight.begin(key) {
+                Begin::Leader(guard) => {
+                    if failovers > 0 {
+                        // Won the re-election after watching the previous
+                        // leader die: this session now redoes the scan on
+                        // behalf of the rest.
+                        self.registry.note_leader_failover();
+                    }
+                    break (miss, raw(), Some(guard));
+                }
+                Begin::Wait(flight) => flight,
+            };
+            // Duplicate in-flight scan: wait for the leading session's
+            // admission, then re-look up and reuse instead of redoing
+            // D + C work. A cancelled or timed-out wait returns the error;
+            // the guards the query already leads then drop → `Failed`,
+            // promoting one of *their* waiters.
+            let outcome = flight.wait(options.cancel.as_deref()).inspect_err(|_| {
+                self.registry.note_timeout();
+            })?;
+            match outcome {
+                FlightOutcome::Admitted => waited = true,
+                // A leader that admitted nothing leaves nothing to reuse —
+                // scan raw concurrently rather than queueing as the next
+                // serial leader.
+                FlightOutcome::NotAdmitted => break (miss, raw(), None),
+                FlightOutcome::Failed => {
+                    failovers += 1;
+                    if failovers > MAX_LEADER_FAILOVERS {
+                        break (miss, raw(), None);
+                    }
+                    // Loop: re-probe the cache, then race for the vacated
+                    // leadership slot.
+                }
+            }
+        };
+        self.registry.count_lookup(match &routed.0.hit {
+            Some((_, m)) => m,
+            None => &MatchResult::Miss,
+        });
+        Ok(routed)
     }
 
     /// Whether a miss on `source` is admitted eagerly whatever its sample
@@ -951,7 +878,7 @@ impl ReCache {
     /// Replaces a lazy entry's offsets with an eager store. Guarded the
     /// same way as layout switches: only the first concurrent upgrader
     /// installs, later ones drop their redundant build.
-    fn upgrade_entry(&self, table: &resolve::ResolvedTable, id: EntryId) -> Result<u64> {
+    fn upgrade_entry(&self, table: &ResolvedTable, id: EntryId) -> Result<u64> {
         let store = match self.registry.with_entry(id, |entry| match &entry.data {
             CacheData::Offsets(store) => Some(Arc::clone(store)),
             _ => None,
@@ -964,6 +891,28 @@ impl ReCache {
         self.registry
             .replace_data_if(id, Some(LayoutKind::Offsets), data, ns);
         Ok(ns)
+    }
+}
+
+/// How one table of a query is served, decided by
+/// [`ReCache::route_table`].
+struct TableRoute {
+    /// The resident entry serving the table; `None` scans raw.
+    hit: Option<(EntryId, MatchResult)>,
+    lookup_ns: u64,
+    was_offsets: bool,
+    /// Served by waiting on another session's in-flight scan.
+    coalesced: bool,
+}
+
+impl TableRoute {
+    fn miss(lookup_ns: u64) -> Self {
+        TableRoute {
+            hit: None,
+            lookup_ns,
+            was_offsets: false,
+            coalesced: false,
+        }
     }
 }
 

@@ -228,7 +228,7 @@ mod tests {
         // Caching cost dominates a nearly-free query: overhead ~100%,
         // far above the 10% threshold -> lazy.
         let file = csv_file(2000);
-        let config = AdmissionConfig::default();
+        let config = AdmissionConfig::with_threshold(0.10);
         let result = materialize_with_admission(
             &file,
             StoreChoice::Columnar,
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn huge_to1_stays_eager() {
         let file = csv_file(200);
-        let config = AdmissionConfig::default();
+        let config = AdmissionConfig::with_threshold(0.10);
         let result = materialize_with_admission(
             &file,
             StoreChoice::Dremel,
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn working_set_goes_eager_despite_overhead() {
         let file = csv_file(500);
-        let config = AdmissionConfig::default();
+        let config = AdmissionConfig::with_threshold(0.10);
         let result = materialize_with_admission(
             &file,
             StoreChoice::Columnar,

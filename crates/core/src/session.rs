@@ -21,13 +21,9 @@
 //!   of redoing the raw scan and the cache-build (D + C) work, then
 //!   reuses the admitted entry. Keys are acquired in sorted order within
 //!   a query, so leader/follower waits cannot deadlock across
-//!   multi-table queries. Since PR 10 the table also registers each
-//!   subsumable leader's conjunctive ranges, so a follower whose
-//!   predicate is *covered* by an in-flight scan waits for the leader's
-//!   admitted entry and filters from cache instead of re-scanning raw
-//!   (subsumption coalescing — restricted to single-table followers,
-//!   which hold no leaderships of their own, so the wait graph stays
-//!   acyclic).
+//!   multi-table queries. Only exact keys coalesce: a query whose
+//!   predicate an in-flight scan would cover, but under a different
+//!   signature, scans on its own.
 //! * [`AdmissionGate`] — bounded admission with shed-on-overload for
 //!   serving layers: at most `max_running` queries execute while at most
 //!   `max_queued` wait their turn; anything beyond that is *shed* with a
@@ -37,7 +33,6 @@
 //!   queues or OOM.
 
 use crate::{QueryRequest, QueryResponse, QueryResult, ReCache};
-use recache_cache::registry::LeafRange;
 use recache_engine::exec::{ExecOptions, Repricer};
 use recache_engine::sql::QuerySpec;
 use recache_types::{CancelToken, Error, Result};
@@ -191,94 +186,29 @@ pub(crate) enum Begin<'a> {
     /// Another session is already scanning this key; wait on the flight,
     /// then re-look-up.
     Wait(Arc<Flight>),
-    /// Another session is scanning a *wider* predicate over the same
-    /// source whose admitted ranges will cover this query (subsumption
-    /// coalescing); wait on that flight, then re-look-up and filter from
-    /// the subsuming entry instead of re-scanning raw.
-    WaitSubsumed(Arc<Flight>),
 }
 
-/// One subsumable leader's registered conjunctive ranges: any follower
-/// whose own ranges are all covered can wait for this leader's admission
-/// instead of scanning raw. An empty range list is a whole-source scan
-/// and covers everything over that source.
-struct RangeReg {
-    ranges: Vec<LeafRange>,
-    flight: Arc<Flight>,
-}
-
-#[derive(Default)]
-struct InflightState {
-    /// Exact-key single-flight index.
-    map: HashMap<FlightKey, Arc<Flight>>,
-    /// Per-source range registrations of subsumable in-flight leaders.
-    /// Entries live exactly as long as their flight is indexed in `map`
-    /// (both are de-indexed by the same `complete`, under one lock).
-    ranges: HashMap<String, Vec<RangeReg>>,
-}
-
-/// The table of in-flight cacheable scans.
+/// The table of in-flight cacheable scans: exact-key single-flight.
 #[derive(Default)]
 pub(crate) struct Inflight {
-    state: Mutex<InflightState>,
+    map: Mutex<HashMap<FlightKey, Arc<Flight>>>,
 }
 
 impl Inflight {
-    /// Claims leadership of `key`, or returns an existing flight to wait
-    /// on — the exact key's, or (when `try_subsumed`) any same-source
-    /// leader whose registered ranges cover `query_ranges`.
+    /// Claims leadership of `key`, or returns its existing flight to wait
+    /// on.
     ///
-    /// `register` indexes the new leader's `query_ranges` for subsumption
-    /// matching; callers pass it only for subsumable predicates (whose
-    /// ranges fully describe the scan, mirroring the registry's resident
-    /// `MatchResult::Subsuming` containment rule). `try_subsumed` must
-    /// only be passed by *single-table* queries: they hold no other
-    /// leaderships, so a subsumed wait can never close a cycle in the
-    /// leader/follower wait graph.
-    ///
-    /// The state lock recovers from poisoning: every critical section on
-    /// it is a handful of `HashMap`/`Vec` inserts/removes, each panic-safe
-    /// on its own, so a panicking holder cannot leave the table
+    /// The map lock recovers from poisoning: every critical section on
+    /// it is one `HashMap` lookup, insert or remove, each panic-safe on
+    /// its own, so a panicking holder cannot leave the table
     /// mid-mutation.
-    pub(crate) fn begin(
-        &self,
-        key: FlightKey,
-        query_ranges: &[LeafRange],
-        register: bool,
-        try_subsumed: bool,
-    ) -> Begin<'_> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(flight) = state.map.get(&key) {
+    pub(crate) fn begin(&self, key: FlightKey) -> Begin<'_> {
+        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(flight) = map.get(&key) {
             return Begin::Wait(Arc::clone(flight));
         }
-        if try_subsumed {
-            if let Some(regs) = state.ranges.get(&key.0) {
-                // Same containment rule as the registry's resident-entry
-                // lookup: every registered (wider) range must cover some
-                // query range on its leaf. First match wins — in-flight
-                // leaders carry no cost estimate to rank by.
-                let covered = regs.iter().find(|reg| {
-                    reg.ranges
-                        .iter()
-                        .all(|lr| query_ranges.iter().any(|qr| lr.covers(qr)))
-                });
-                if let Some(reg) = covered {
-                    return Begin::WaitSubsumed(Arc::clone(&reg.flight));
-                }
-            }
-        }
         let flight = Arc::new(Flight::new());
-        state.map.insert(key.clone(), Arc::clone(&flight));
-        if register {
-            state
-                .ranges
-                .entry(key.0.clone())
-                .or_default()
-                .push(RangeReg {
-                    ranges: query_ranges.to_vec(),
-                    flight: Arc::clone(&flight),
-                });
-        }
+        map.insert(key.clone(), Arc::clone(&flight));
         Begin::Leader(FlightGuard {
             inflight: self,
             key,
@@ -294,20 +224,12 @@ impl Inflight {
         // its waiters would sleep forever when its own completion later
         // finds the map empty and skipped publishing.
         {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            if state
-                .map
+            let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+            if map
                 .get(key)
                 .is_some_and(|current| std::ptr::eq(current.as_ref(), flight))
             {
-                state.map.remove(key);
-            }
-            // De-index any range registration by the same identity rule.
-            if let Some(regs) = state.ranges.get_mut(&key.0) {
-                regs.retain(|reg| !std::ptr::eq(reg.flight.as_ref(), flight));
-                if regs.is_empty() {
-                    state.ranges.remove(&key.0);
-                }
+                map.remove(key);
             }
         }
         let code = match outcome {
@@ -783,14 +705,14 @@ mod tests {
     fn single_flight_follower_waits_for_leader() {
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
-        let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(guard) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
         let released = AtomicBool::new(false);
         let barrier = Barrier::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+                let Begin::Wait(flight) = inflight.begin(key.clone()) else {
                     panic!("second begin must wait");
                 };
                 barrier.wait();
@@ -815,20 +737,17 @@ mod tests {
             drop(guard);
         });
         // Key is free again: next begin leads.
-        assert!(matches!(
-            inflight.begin(key, &[], false, false),
-            Begin::Leader(_)
-        ));
+        assert!(matches!(inflight.begin(key), Begin::Leader(_)));
     }
 
     #[test]
     fn abandoned_flight_reports_failure() {
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
-        let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(guard) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait(flight) = inflight.begin(key.clone()) else {
             panic!("second begin must wait");
         };
         drop(guard); // leader died without deciding the admission
@@ -837,20 +756,17 @@ mod tests {
             FlightOutcome::Failed,
             "waiters must learn the leader died so one can promote"
         );
-        assert!(matches!(
-            inflight.begin(key, &[], false, false),
-            Begin::Leader(_)
-        ));
+        assert!(matches!(inflight.begin(key), Begin::Leader(_)));
     }
 
     #[test]
     fn leader_without_admission_reports_not_admitted() {
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
-        let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(guard) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait(flight) = inflight.begin(key.clone()) else {
             panic!("second begin must wait");
         };
         guard.complete_now(FlightOutcome::NotAdmitted);
@@ -869,34 +785,31 @@ mod tests {
         // the already-published outcome.
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
-        let Begin::Leader(first) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(first) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
         first.complete_now(FlightOutcome::Admitted);
-        let Begin::Leader(second) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(second) = inflight.begin(key.clone()) else {
             panic!("completed key must be claimable again");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait(flight) = inflight.begin(key.clone()) else {
             panic!("third begin must wait on the second leader");
         };
         drop(first); // stale drop while the successor is in flight
         second.complete_now(FlightOutcome::Admitted);
         drop(second);
         assert_eq!(flight.wait(None).unwrap(), FlightOutcome::Admitted);
-        assert!(matches!(
-            inflight.begin(key, &[], false, false),
-            Begin::Leader(_)
-        ));
+        assert!(matches!(inflight.begin(key), Begin::Leader(_)));
     }
 
     #[test]
     fn panicking_leader_wakes_followers_with_failed_outcome() {
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
-        let Begin::Leader(guard) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(guard) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait(flight) = inflight.begin(key.clone()) else {
             panic!("second begin must wait");
         };
         // The leader panics mid-scan; unwinding drops the guard, which
@@ -908,20 +821,17 @@ mod tests {
         assert!(result.is_err());
         assert_eq!(flight.wait(None).unwrap(), FlightOutcome::Failed);
         // The key is free again: a follower can claim leadership.
-        assert!(matches!(
-            inflight.begin(key, &[], false, false),
-            Begin::Leader(_)
-        ));
+        assert!(matches!(inflight.begin(key), Begin::Leader(_)));
     }
 
     #[test]
     fn cancelled_or_expired_follower_stops_waiting() {
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
-        let Begin::Leader(_guard) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Leader(_guard) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone(), &[], false, false) else {
+        let Begin::Wait(flight) = inflight.begin(key.clone()) else {
             panic!("second begin must wait");
         };
         let token = CancelToken::new();
@@ -937,118 +847,50 @@ mod tests {
         let inflight = Inflight::default();
         let key = ("t".to_owned(), "sig".to_owned());
         {
-            let _guard = match inflight.begin(key.clone(), &[], false, false) {
+            let _guard = match inflight.begin(key.clone()) {
                 Begin::Leader(g) => g,
                 _ => panic!("must lead"),
             };
         } // dropped without any explicit complete
-        assert!(matches!(
-            inflight.begin(key, &[], false, false),
-            Begin::Leader(_)
-        ));
-    }
-
-    fn range(leaf: usize, lo: f64, hi: f64) -> LeafRange {
-        LeafRange { leaf, lo, hi }
+        assert!(matches!(inflight.begin(key), Begin::Leader(_)));
     }
 
     #[test]
-    fn subsumed_follower_waits_on_covering_leader() {
+    fn same_source_keys_are_independent_flights() {
+        // Two signatures over one source each lead their own flight, even
+        // when one predicate would cover the other: only exact keys wait.
         let inflight = Inflight::default();
-        let wide = [range(0, 0.0, 100.0)];
-        let narrow = [range(0, 10.0, 20.0)];
-        let wide_key = ("t".to_owned(), "wide".to_owned());
-        let narrow_key = ("t".to_owned(), "narrow".to_owned());
-        let Begin::Leader(guard) = inflight.begin(wide_key, &wide, true, true) else {
-            panic!("first begin must lead");
+        let wide = ("t".to_owned(), "wide".to_owned());
+        let narrow = ("t".to_owned(), "narrow".to_owned());
+        let Begin::Leader(wide_guard) = inflight.begin(wide.clone()) else {
+            panic!("first key must lead");
         };
-        // A narrower predicate over the same source, different signature:
-        // subsumed wait instead of leading its own scan.
-        let Begin::WaitSubsumed(flight) = inflight.begin(narrow_key.clone(), &narrow, true, true)
-        else {
-            panic!("covered follower must wait subsumed");
+        let Begin::Leader(narrow_guard) = inflight.begin(narrow.clone()) else {
+            panic!("a second signature over the same source must lead too");
         };
-        // A predicate on a different leaf is NOT covered: it leads.
-        let other_key = ("t".to_owned(), "other".to_owned());
-        let Begin::Leader(other) = inflight.begin(other_key, &[range(1, 0.0, 1.0)], true, true)
-        else {
-            panic!("uncovered predicate must lead its own flight");
+        let Begin::Wait(narrow_flight) = inflight.begin(narrow.clone()) else {
+            panic!("a duplicate of the second key must wait");
         };
-        drop(other);
-        // A follower that opts out of subsumption (multi-table) leads.
+        wide_guard.complete_now(FlightOutcome::Admitted);
+        drop(wide_guard);
+        // The narrow waiter is still pending: a cancelled token surfaces
+        // only while the flight has not completed.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
         assert!(matches!(
-            inflight.begin(("t".to_owned(), "n2".to_owned()), &narrow, false, false),
-            Begin::Leader(_)
+            narrow_flight.wait(Some(&cancelled)),
+            Err(Error::Cancelled)
         ));
-        guard.complete_now(FlightOutcome::Admitted);
-        assert_eq!(flight.wait(None).unwrap(), FlightOutcome::Admitted);
-        // Completion deregistered the leader's ranges: the same narrow
-        // predicate now leads.
-        assert!(matches!(
-            inflight.begin(narrow_key, &narrow, true, true),
-            Begin::Leader(_)
-        ));
-    }
-
-    #[test]
-    fn whole_source_leader_subsumes_any_predicate() {
-        let inflight = Inflight::default();
-        // Empty range list = unconstrained whole-source scan: it covers
-        // every same-source follower, including range-free ones.
-        let Begin::Leader(_guard) =
-            inflight.begin(("t".to_owned(), "all".to_owned()), &[], true, true)
-        else {
-            panic!("must lead");
-        };
-        assert!(matches!(
-            inflight.begin(
-                ("t".to_owned(), "q".to_owned()),
-                &[range(2, 5.0, 6.0)],
-                true,
-                true
-            ),
-            Begin::WaitSubsumed(_)
-        ));
-        assert!(matches!(
-            inflight.begin(("t".to_owned(), "norange".to_owned()), &[], true, true),
-            Begin::WaitSubsumed(_)
-        ));
-        // Different source: unaffected.
-        assert!(matches!(
-            inflight.begin(("u".to_owned(), "q".to_owned()), &[], true, true),
-            Begin::Leader(_)
-        ));
-    }
-
-    #[test]
-    fn abandoned_subsuming_leader_fails_subsumed_waiters() {
-        let inflight = Inflight::default();
-        let wide = [range(0, 0.0, 100.0)];
-        let Begin::Leader(guard) =
-            inflight.begin(("t".to_owned(), "wide".to_owned()), &wide, true, true)
-        else {
-            panic!("must lead");
-        };
-        let Begin::WaitSubsumed(flight) = inflight.begin(
-            ("t".to_owned(), "narrow".to_owned()),
-            &[range(0, 1.0, 2.0)],
-            true,
-            true,
-        ) else {
-            panic!("must wait subsumed");
-        };
-        drop(guard); // leader died without deciding the admission
-        assert_eq!(flight.wait(None).unwrap(), FlightOutcome::Failed);
-        // Its registration is gone with it.
-        assert!(matches!(
-            inflight.begin(
-                ("t".to_owned(), "narrow".to_owned()),
-                &[range(0, 1.0, 2.0)],
-                true,
-                true
-            ),
-            Begin::Leader(_)
-        ));
+        // The wide key is free again, the narrow one still in flight.
+        assert!(matches!(inflight.begin(wide), Begin::Leader(_)));
+        assert!(matches!(inflight.begin(narrow.clone()), Begin::Wait(_)));
+        narrow_guard.complete_now(FlightOutcome::NotAdmitted);
+        assert_eq!(
+            narrow_flight.wait(None).unwrap(),
+            FlightOutcome::NotAdmitted
+        );
+        drop(narrow_guard);
+        assert!(matches!(inflight.begin(narrow), Begin::Leader(_)));
     }
 
     #[test]

@@ -24,7 +24,6 @@ use recache::{QueryRequest, ReCache, Scheduler};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 /// Shared TPC-H fixture with a default-policy session.
 fn tpch_session(sf: f64, seed: u64) -> (ReCache, HashMap<String, Domains>) {
@@ -320,88 +319,11 @@ fn seeded_interleaving_same_seed_same_admitted_set() {
     assert_eq!(first, admitted(42, 1));
 }
 
-/// Subsumption coalescing: a follower whose predicate is *contained* in
-/// a different in-flight query's admitted range waits for that leader
-/// and filters its answer from the leader's cache entry — one raw pass
-/// serves the whole subsumed group.
-#[test]
-fn subsumed_inflight_scans_reuse_the_leaders_single_raw_pass() {
-    let broad = "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity >= 5";
-    let narrows = [
-        "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity >= 20",
-        "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity >= 30",
-        "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_quantity >= 40",
-    ];
-    let k = 1 + narrows.len();
-    let expected: Vec<Vec<Value>> = {
-        let (baseline, _) = common::tpch_session(ReCache::builder(), 0.0008, 11);
-        std::iter::once(broad)
-            .chain(narrows.iter().copied())
-            .map(|q| {
-                baseline
-                    .execute(&QueryRequest::sql(q))
-                    .unwrap()
-                    .rows
-                    .clone()
-            })
-            .collect()
-    };
-    let mut subsumed_seen = false;
-    // The subsumption window is the broad leader's raw scan; a barrier
-    // start plus a nudge for the narrow queries makes overlap all but
-    // certain, and a few retries absorb scheduler flukes.
-    for _attempt in 0..20 {
-        let (session, _) = common::tpch_session(ReCache::builder(), 0.0008, 11);
-        let session = &session;
-        let expected = &expected;
-        let barrier = Barrier::new(k);
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                barrier.wait();
-                let result = session.execute(&QueryRequest::sql(broad)).unwrap();
-                assert_eq!(result.rows, expected[0]);
-            });
-            for (i, q) in narrows.iter().enumerate() {
-                scope.spawn(move || {
-                    barrier.wait();
-                    // Let the broad leader register its range first.
-                    std::thread::sleep(Duration::from_millis(1));
-                    let result = session.execute(&QueryRequest::sql(*q)).unwrap();
-                    assert_eq!(result.rows, expected[i + 1], "narrow query {i}");
-                });
-            }
-        });
-        let counters = session.cache().counters();
-        if counters.coalesced_subsumed >= 1 {
-            subsumed_seen = true;
-            // Every subsumed follower skipped its own raw scan: strictly
-            // fewer admissions (= raw passes here) than queries.
-            assert!(
-                counters.admissions < k as u64,
-                "subsumed followers must not re-scan raw: {} admissions for {k} queries",
-                counters.admissions
-            );
-            let snapshot = session.cache().snapshot();
-            assert_eq!(
-                counters.admissions,
-                snapshot.len() as u64 + counters.evictions + counters.removals,
-                "counters must reconcile at quiescence"
-            );
-            break;
-        }
-    }
-    assert!(
-        subsumed_seen,
-        "no run coalesced a subsumed scan: narrow queries never overlapped the broad leader"
-    );
-}
-
 /// The full overlap matrix: subsumed, partially-overlapping, and
 /// disjoint predicate groups over one source, replayed across concurrent
 /// sessions — per-query results must match a serial replay and the
 /// registry counters must reconcile at quiescence whatever mix of
-/// single-flight, subsumption, and solo scans the timing produced.
+/// single-flight and solo scans the timing produced.
 #[test]
 fn overlap_matrix_replay_matches_serial_and_reconciles_counters() {
     let sessions = sessions_knob();

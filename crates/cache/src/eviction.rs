@@ -88,7 +88,7 @@ impl EvictionKind {
 
 /// An eviction policy: told about admissions/accesses/removals, asked to
 /// pick victims when the cache exceeds its capacity.
-pub trait EvictionPolicy: Send {
+pub trait EvictionPolicy: Send + Sync {
     fn name(&self) -> &'static str;
     fn on_admit(&mut self, _id: EntryId, _stats: &EntryStats) {}
     fn on_access(&mut self, _id: EntryId, _stats: &EntryStats) {}

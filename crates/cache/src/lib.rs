@@ -98,6 +98,8 @@ mod randomized_tests {
             let intervals = random_intervals(&mut rng, 120);
             let reg = CacheRegistry::new(Box::new(Lru), None);
             let ids = admit_all(&reg, &intervals);
+            reg.check_invariants()
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
             // Random windows, plus an admitted interval's own bounds and a
             // point at its low bound (closed bounds must cover).
             let (lo, hi) = intervals[rng.random_range(0..intervals.len())];
@@ -140,7 +142,8 @@ mod randomized_tests {
             let resident: Vec<EntryId> = reg.snapshot().iter().map(|e| e.id).collect();
             assert_eq!(resident, kept, "case {case}");
             // No stale interval survives a removal.
-            assert_eq!(reg.indexed_ids(), kept, "case {case}");
+            reg.check_invariants()
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
             for &i in &removed {
                 let (lo, hi) = intervals[i];
                 let (got, _) = reg.lookup("s", &format!("e{i}"), &range(lo, hi));

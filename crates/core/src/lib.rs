@@ -18,8 +18,9 @@
 //! ```
 //!
 //! A [`ReCache`] session is `Send + Sync`: queries run through `&self`,
-//! the registry is sharded and lock-striped, and the [`Scheduler`] admits
-//! several query streams concurrently with per-session thread budgets.
+//! the registry sits behind one reader-writer lock, and the
+//! [`Scheduler`] admits several query streams concurrently with
+//! per-session thread budgets.
 
 pub mod materialize;
 pub mod request;
@@ -344,13 +345,11 @@ impl ReCache {
             .iter()
             .map(|t| {
                 if self.caching {
-                    let (m, _) = self
-                        .registry
-                        .lookup_uncounted(&t.name, &t.signature, &t.ranges);
-                    if let Some(id) = m.entry() {
-                        if let Some(bytes) = self.registry.with_entry(id, |e| e.data.byte_size()) {
-                            return bytes as u64;
-                        }
+                    let (_, data, _) =
+                        self.registry
+                            .lookup_uncounted(&t.name, &t.signature, &t.ranges);
+                    if let Some(data) = data {
+                        return data.byte_size() as u64;
                     }
                 }
                 t.file.byte_len() as u64
@@ -730,33 +729,24 @@ impl ReCache {
         // only the final outcome is counted (below), so coalescing cannot
         // skew hit/miss rates.
         let routed = loop {
-            let (m, lookup_ns) =
+            let (m, data, lookup_ns) =
                 self.registry
                     .lookup_uncounted(&table.name, &table.signature, &table.ranges);
             lookup_ns_total += lookup_ns;
-            if let Some(id) = m.entry() {
-                // The entry can be evicted between lookup and access; a
-                // vanished hit degrades to a miss.
-                if let Some((was_offsets, access)) = self.registry.with_entry(id, |e| {
-                    (
-                        matches!(e.data, CacheData::Offsets(_)),
-                        access_path_for(&e.data, &table.file),
-                    )
-                }) {
-                    if waited {
-                        // Coalesced admission: this session waited for
-                        // another's in-flight scan and reuses its entry
-                        // (C-phase cost paid once).
-                        self.registry.note_coalesced();
-                    }
-                    let hit = TableRoute {
-                        hit: Some((id, m)),
-                        lookup_ns: lookup_ns_total,
-                        was_offsets,
-                        coalesced: waited,
-                    };
-                    break (hit, access, None);
+            if let (Some(id), Some(data)) = (m.entry(), data) {
+                if waited {
+                    // Coalesced admission: this session waited for
+                    // another's in-flight scan and reuses its entry
+                    // (C-phase cost paid once).
+                    self.registry.note_coalesced();
                 }
+                let hit = TableRoute {
+                    hit: Some((id, m)),
+                    lookup_ns: lookup_ns_total,
+                    was_offsets: matches!(data, CacheData::Offsets(_)),
+                    coalesced: waited,
+                };
+                break (hit, access_path_for(&data, &table.file), None);
             }
             let miss = TableRoute::miss(lookup_ns_total);
             if held {
@@ -836,7 +826,7 @@ impl ReCache {
     /// Applies the §4.2 layout model to a nested entry; returns the switch
     /// performed and its cost in nanoseconds. A switch rebuilds the entry
     /// in the new layout from `file`'s raw records, by the ids the current
-    /// store holds ([`switch_layout`]), outside any shard lock; the swap
+    /// store holds ([`switch_layout`]), outside the registry lock; the swap
     /// installs only if the layout is still the one the build replaces,
     /// so racing sessions cannot clobber each other's switches. No map,
     /// no ids or a failed build means no switch: the entry keeps its
@@ -847,7 +837,7 @@ impl ReCache {
         id: EntryId,
     ) -> Option<((LayoutKind, LayoutKind), u64)> {
         // Take the decision (the write side: deciding updates the layout
-        // model's cost memo) and an `Arc` of the store under the shard
+        // model's cost memo) and an `Arc` of the store under the registry
         // lock; the rebuild needs no further locking.
         let (to, data) = self.registry.with_entry_mut(id, |entry| {
             let decision = entry

@@ -32,7 +32,7 @@
 //! One mutex guards the whole cache. It is a *leaf* lock: every method
 //! acquires it last and never calls back into the registry or session,
 //! which is what makes firing invalidation from inside registry
-//! eviction (policy mutex held) deadlock-free.
+//! eviction and removal (registry lock held) deadlock-free.
 
 use recache_engine::sql::{PredClause, QuerySpec};
 use recache_types::Value;

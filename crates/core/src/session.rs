@@ -701,6 +701,16 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
+    /// Followers per flight: `RECACHE_SESSIONS - 1` when that is set (the
+    /// CI concurrency matrix), else 1.
+    fn followers() -> usize {
+        std::env::var("RECACHE_SESSIONS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 2)
+            .map_or(1, |n| n - 1)
+    }
+
     #[test]
     fn single_flight_follower_waits_for_leader() {
         let inflight = Inflight::default();
@@ -709,26 +719,29 @@ mod tests {
             panic!("first begin must lead");
         };
         let released = AtomicBool::new(false);
-        let barrier = Barrier::new(2);
+        let followers = followers();
+        let barrier = Barrier::new(followers + 1);
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let Begin::Wait(flight) = inflight.begin(key.clone()) else {
-                    panic!("second begin must wait");
-                };
-                barrier.wait();
-                let outcome = flight.wait(None).unwrap();
-                assert!(
-                    released.load(Ordering::Acquire),
-                    "wait returned before the leader completed"
-                );
-                assert_eq!(
-                    outcome,
-                    FlightOutcome::Admitted,
-                    "leader completed with an admission"
-                );
-            });
+            for _ in 0..followers {
+                scope.spawn(|| {
+                    let Begin::Wait(flight) = inflight.begin(key.clone()) else {
+                        panic!("a later begin must wait");
+                    };
+                    barrier.wait();
+                    let outcome = flight.wait(None).unwrap();
+                    assert!(
+                        released.load(Ordering::Acquire),
+                        "wait returned before the leader completed"
+                    );
+                    assert_eq!(
+                        outcome,
+                        FlightOutcome::Admitted,
+                        "leader completed with an admission"
+                    );
+                });
+            }
             barrier.wait();
-            // Deterministic ordering: the follower is provably inside
+            // Deterministic ordering: every follower is provably inside
             // wait() (it passed the barrier holding the flight) before
             // the leader completes.
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -809,17 +822,40 @@ mod tests {
         let Begin::Leader(guard) = inflight.begin(key.clone()) else {
             panic!("first begin must lead");
         };
-        let Begin::Wait(flight) = inflight.begin(key.clone()) else {
-            panic!("second begin must wait");
-        };
+        let followers = followers();
+        let flights: Vec<_> = (0..followers)
+            .map(|_| match inflight.begin(key.clone()) {
+                Begin::Wait(flight) => flight,
+                Begin::Leader(_) => panic!("a later begin must wait"),
+            })
+            .collect();
         // The leader panics mid-scan; unwinding drops the guard, which
-        // must publish `Failed` rather than leave the follower hanging.
+        // must publish `Failed` rather than leave the followers hanging.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _guard = guard;
             panic!("injected mid-scan panic");
         }));
         assert!(result.is_err());
-        assert_eq!(flight.wait(None).unwrap(), FlightOutcome::Failed);
+        // Every follower learns of the failure, then races to re-lead:
+        // exactly one wins, the rest wait on the new flight.
+        let leaders = AtomicUsize::new(0);
+        let barrier = Barrier::new(followers);
+        std::thread::scope(|scope| {
+            for flight in &flights {
+                scope.spawn(|| {
+                    assert_eq!(flight.wait(None).unwrap(), FlightOutcome::Failed);
+                    let begin = inflight.begin(key.clone());
+                    if matches!(begin, Begin::Leader(_)) {
+                        leaders.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // Hold the new leadership until every follower has
+                    // raced for it.
+                    barrier.wait();
+                    drop(begin);
+                });
+            }
+        });
+        assert_eq!(leaders.load(Ordering::Relaxed), 1);
         // The key is free again: a follower can claim leadership.
         assert!(matches!(inflight.begin(key), Begin::Leader(_)));
     }

@@ -165,7 +165,7 @@ fn single_flight_coalesces_duplicate_scans() {
 
 /// Mixed-format replay: the same SPA workload shape runs over the CSV
 /// `lineitem` and over a flat-JSON copy of the same rows, interleaved
-/// across concurrent sessions — so the sharded registry and the
+/// across concurrent sessions — so the shared registry and the
 /// single-flight table are exercised by both raw formats at once (flat
 /// JSON misses now take the batched tokenizer path, CSV misses the
 /// batched CSV path). Per-query results must match a serial replay, the
@@ -459,4 +459,5 @@ fn registry_races_keep_budget_and_counters_consistent() {
     // No resident entry id appears twice.
     let ids: BTreeSet<u64> = snapshot.iter().map(|e| e.id).collect();
     assert_eq!(ids.len(), snapshot.len());
+    registry.check_invariants().unwrap();
 }

@@ -31,7 +31,7 @@
 //!   accumulates so much evidence that no later phase can ever win,
 //!   which contradicts the switching behaviour Fig. 9a reports.
 
-use recache_layout::LayoutKind;
+use recache_layout::{CacheData, LayoutKind, ScanCost};
 use std::collections::VecDeque;
 
 /// Maximum observations kept since the last switch.
@@ -51,6 +51,19 @@ pub struct QueryObservation {
     pub cols: usize,
     /// Layout the item had when this query ran.
     pub layout: LayoutKind,
+}
+
+/// One store scan of a cached item, as the engine measured it: what a
+/// hit feeds the model.
+#[derive(Debug, Clone, Copy)]
+pub struct StoreScan {
+    /// The scan's measured data-access / compute split.
+    pub cost: ScanCost,
+    /// Whether the query read whole records (`ri` = record count) rather
+    /// than flattened rows.
+    pub record_level: bool,
+    /// Columns (leaves) accessed (`ci`).
+    pub cols: usize,
 }
 
 /// The layout decision for a nested cached item.
@@ -210,6 +223,33 @@ impl LayoutHistory {
             }
             _ => LayoutDecision::Stay,
         }
+    }
+
+    /// One hit's §4.2 step: observes a store scan of `data`, then applies
+    /// the cost model to it. Only the Dremel layout has a meaningful
+    /// compute component ("the relational columnar layout has negligible
+    /// computational cost"): a columnar scan's whole cost is data access,
+    /// the `R`-proportional row walk included. `ri` is the record count
+    /// for record-level queries and the flattened row count otherwise.
+    pub fn observe_scan(&mut self, scan: &StoreScan, data: &CacheData) -> LayoutDecision {
+        let layout = data.layout();
+        let (d_ns, c_ns) = if layout == LayoutKind::Dremel {
+            (scan.cost.data_ns, scan.cost.compute_ns)
+        } else {
+            (scan.cost.total_ns(), 0)
+        };
+        self.observe(QueryObservation {
+            d_ns,
+            c_ns,
+            rows: if scan.record_level {
+                data.record_count()
+            } else {
+                data.flattened_rows()
+            },
+            cols: scan.cols,
+            layout,
+        });
+        self.decide_nested(layout, data.flattened_rows())
     }
 
     /// `compute_cost_estimate` for window observation `i`, recomputed only

@@ -27,10 +27,10 @@ pub use eviction::{
     EvictView, EvictionContext, EvictionKind, EvictionPolicy, FarthestFirst, GreedyDualRecache,
     Lfu, LogOptimal, Lru, LruJsonPriority, MonetDbRecycler, VectorwiseRecycler,
 };
-pub use layout_model::{LayoutDecision, LayoutHistory, QueryObservation};
+pub use layout_model::{LayoutDecision, LayoutHistory, QueryObservation, StoreScan};
 pub use registry::{
-    CacheEntry, CacheRegistry, EntryId, EntrySnapshot, FutureOracle, InvalidationListener,
-    LeafRange, MatchResult,
+    CacheEntry, CacheRegistry, EntryId, EntrySnapshot, FutureOracle, HitOutcome,
+    InvalidationListener, LeafRange, MatchResult,
 };
 pub use stats::{EntryStats, RegistryCounters};
 

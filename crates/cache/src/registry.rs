@@ -7,10 +7,12 @@
 //! The registry is `Send + Sync` so independent sessions can admit, look
 //! up and evict concurrently. One `RwLock` guards its state: the entries,
 //! the per-source indexes, the eviction policy and the byte total. A
-//! lookup is one read-locked section; admission, reuse bookkeeping,
-//! layout swaps, removal and eviction are each one write-locked section,
-//! which also serializes capacity enforcement. The logical query clock,
-//! the id sequence and the aggregate counters are atomics.
+//! lookup is one read-locked section; admission, a hit's bookkeeping
+//! ([`CacheRegistry::record_hit`]: reuse statistics, the §4.2 observation
+//! and layout decision, a lazy entry's in-pass upgrade), a data swap,
+//! removal and eviction are each one write-locked section, which also
+//! serializes capacity enforcement. The logical query clock, the id
+//! sequence and the aggregate counters are atomics.
 //!
 //! ## Locking discipline
 //!
@@ -34,13 +36,13 @@
 //! suite) would turn a contained failure into a total outage.
 
 use crate::eviction::{EvictView, EvictionContext, EvictionPolicy};
-use crate::layout_model::LayoutHistory;
+use crate::layout_model::{LayoutDecision, LayoutHistory, StoreScan};
 use crate::stats::{AtomicRegistryCounters, EntryStats};
-use recache_data::FileFormat;
-use recache_layout::{CacheData, LayoutKind};
+use recache_data::{FileFormat, StoreChoice};
+use recache_layout::{CacheData, LayoutKind, OffsetStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 pub use crate::eviction::EntryId;
@@ -139,6 +141,15 @@ impl MatchResult {
             MatchResult::Miss => None,
         }
     }
+}
+
+/// The builds a hit leaves to its caller, to run outside the lock.
+#[derive(Debug, Default)]
+pub struct HitOutcome {
+    /// A decided layout switch: the target and the store to rebuild.
+    pub switch: Option<(StoreChoice, CacheData)>,
+    /// The offsets of an entry still lazy (no in-pass build came).
+    pub lazy: Option<Arc<OffsetStore>>,
 }
 
 /// One subsumable entry's range clause on a leaf: `(lo, hi, entry)`.
@@ -555,15 +566,44 @@ impl CacheRegistry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a reuse of `id`: scan time `s`, lookup time `l`.
-    pub fn record_reuse(&self, id: EntryId, scan_ns: u64, lookup_ns: u64) {
+    /// Settles one hit on `id` in one write-locked section: records the
+    /// reuse (scan time `s`, lookup time `l`) and tells the eviction
+    /// policy; with `scan` set (a store scan the §4.2 model prices),
+    /// observes it and takes the layout decision; and installs `built`, a
+    /// lazy entry's eager store built in the scan pass, with its build
+    /// time. An evicted entry settles nothing.
+    pub fn record_hit(
+        &self,
+        id: EntryId,
+        scan_ns: u64,
+        lookup_ns: u64,
+        scan: Option<StoreScan>,
+        built: Option<(CacheData, u64)>,
+    ) -> HitOutcome {
         let clock = self.clock();
         let mut guard = self.write();
         let st = &mut *guard;
-        if let Some(entry) = st.entries.get_mut(&id) {
-            entry.stats.record_reuse(scan_ns, lookup_ns, clock);
-            st.policy.on_access(id, &entry.stats);
+        let Some(entry) = st.entries.get_mut(&id) else {
+            return HitOutcome::default();
+        };
+        entry.stats.record_reuse(scan_ns, lookup_ns, clock);
+        st.policy.on_access(id, &entry.stats);
+        let switch = scan.and_then(|scan| {
+            let to = match entry.history.observe_scan(&scan, &entry.data) {
+                LayoutDecision::SwitchToColumnar => StoreChoice::Columnar,
+                LayoutDecision::SwitchToDremel => StoreChoice::Dremel,
+                LayoutDecision::Stay => return None,
+            };
+            Some((to, entry.data.clone()))
+        });
+        if let Some((data, build_ns)) = built {
+            self.swap_locked(st, id, Some(LayoutKind::Offsets), data, build_ns);
         }
+        let lazy = st.entries.get(&id).and_then(|entry| match &entry.data {
+            CacheData::Offsets(store) => Some(Arc::clone(store)),
+            _ => None,
+        });
+        HitOutcome { switch, lazy }
     }
 
     /// Admits a new entry (then enforces capacity, which may evict it
@@ -647,7 +687,9 @@ impl CacheRegistry {
     /// adding the transformation cost into `c`. With `expected` set, the
     /// swap only happens when the entry's layout still matches it (a
     /// concurrent switch/upgrade otherwise wins and the new data is
-    /// dropped). Returns whether the swap was installed.
+    /// dropped). A swap from one eager layout to another is a layout
+    /// switch: it restarts the entry's §4.2 window in the same section.
+    /// Returns whether the swap was installed.
     pub fn replace_data_if(
         &self,
         id: EntryId,
@@ -655,15 +697,29 @@ impl CacheRegistry {
         data: CacheData,
         extra_c_ns: u64,
     ) -> bool {
-        let new_bytes = data.byte_size();
-        let mut guard = self.write();
-        let st = &mut *guard;
+        self.swap_locked(&mut self.write(), id, expected, data, extra_c_ns)
+    }
+
+    /// [`Self::replace_data_if`] inside the caller's write-locked section.
+    fn swap_locked(
+        &self,
+        st: &mut State,
+        id: EntryId,
+        expected: Option<LayoutKind>,
+        data: CacheData,
+        extra_c_ns: u64,
+    ) -> bool {
         let Some(entry) = st.entries.get_mut(&id) else {
             return false;
         };
-        if expected.is_some_and(|kind| entry.data.layout() != kind) {
+        let from = entry.data.layout();
+        if expected.is_some_and(|kind| from != kind) {
             return false;
         }
+        if from != LayoutKind::Offsets && from != data.layout() {
+            entry.history.reset_window();
+        }
+        let new_bytes = data.byte_size();
         st.total_bytes = st.total_bytes - entry.stats.bytes + new_bytes;
         entry.data = data;
         entry.stats.bytes = new_bytes;
@@ -959,7 +1015,7 @@ mod tests {
         );
         reg.tick();
         // Touch a so b becomes the LRU victim.
-        reg.record_reuse(a, 5, 1);
+        reg.record_hit(a, 5, 1, None, None);
         let _c = reg.admit_t(
             "t",
             FileFormat::Csv,
@@ -1016,7 +1072,7 @@ mod tests {
         reg.tick();
         let (m, l) = reg.lookup_t("t", &ranges(0, 1.0, 2.0));
         assert_eq!(m, MatchResult::Subsuming(id));
-        reg.record_reuse(id, 123, l);
+        reg.record_hit(id, 123, l, None, None);
         reg.with_entry(id, |entry| {
             assert_eq!(entry.stats.n, 1);
             assert_eq!(entry.stats.s_ns, 123);
@@ -1033,7 +1089,7 @@ mod tests {
         let id = reg.admit_t("t", FileFormat::Csv, vec![], data(100), 10, 5, 1);
         // Residency alone is not enough: the entry must have been reused.
         assert!(!reg.source_in_working_set("t"));
-        reg.record_reuse(id, 5, 1);
+        reg.record_hit(id, 5, 1, None, None);
         assert!(reg.source_in_working_set("t"));
         assert!(reg.remove(id));
         assert!(!reg.remove(id), "second remove is a no-op");
@@ -1304,6 +1360,120 @@ mod tests {
         }
     }
 
+    /// A hit settles in one section: the same scans fed through
+    /// `record_hit` and through a bare `LayoutHistory` (with the §4.2
+    /// attribution written out) give the same decisions; an installed
+    /// switch restarts the window and counts once; an installed upgrade
+    /// counts nothing.
+    #[test]
+    fn record_hit_decides_as_a_bare_history() {
+        use crate::layout_model::QueryObservation;
+        use recache_data::gen::tpch;
+        use recache_layout::{ColumnStore, DremelStore, ScanCost};
+
+        let schema = tpch::order_lineitems_schema();
+        let records = tpch::gen_order_lineitems(0.0003, 42);
+        let dremel = CacheData::Dremel(Arc::new(DremelStore::build(&schema, &records)));
+        let columnar = CacheData::Columnar(Arc::new(ColumnStore::build(&schema, &records)));
+        assert!(dremel.record_count() < dremel.flattened_rows());
+        let reg = registry(None);
+        let switches = |id| reg.with_entry(id, |e| e.history.switches).unwrap();
+
+        // A lazy hit without an in-pass build reports the offsets; one
+        // with a build installs it, which is not a layout switch.
+        let id = reg.admit_t("t", FileFormat::Json, vec![], data(100), 10, 5, 1);
+        let out = reg.record_hit(id, 5, 1, None, None);
+        assert!(out.switch.is_none() && out.lazy.is_some());
+        let out = reg.record_hit(id, 5, 1, None, Some((dremel.clone(), 7)));
+        assert!(out.switch.is_none() && out.lazy.is_none());
+        reg.with_entry(id, |e| {
+            assert_eq!(e.data.layout(), LayoutKind::Dremel);
+            assert_eq!((e.stats.n, e.stats.c_ns), (2, 5 + 7));
+        })
+        .unwrap();
+        assert_eq!(switches(id), 0);
+        reg.check_invariants().unwrap();
+
+        let mut bare = LayoutHistory::new();
+        let mut rng = SplitMix(7);
+        let mut installed = 0;
+        for step in 0..900 {
+            // Phases of 150 hits, longer than the window: element-level
+            // with heavy assembly (columnar pays), then record-level with
+            // little (Dremel pays).
+            let element_level = step / 150 % 2 == 0;
+            let cost = ScanCost {
+                data_ns: 1_000 + rng.below(1_000) as u64,
+                compute_ns: if element_level {
+                    5_000 + rng.below(5_000) as u64
+                } else {
+                    rng.below(200) as u64
+                },
+                rows: 0,
+                rows_visited: 0,
+            };
+            let scan = StoreScan {
+                cost,
+                record_level: !element_level,
+                cols: 1 + rng.below(4),
+            };
+            let data = reg.with_entry(id, |e| e.data.clone()).unwrap();
+            let layout = data.layout();
+            let (d_ns, c_ns) = if layout == LayoutKind::Dremel {
+                (cost.data_ns, cost.compute_ns)
+            } else {
+                (cost.total_ns(), 0)
+            };
+            let rows = if scan.record_level {
+                data.record_count()
+            } else {
+                data.flattened_rows()
+            };
+            bare.observe(QueryObservation {
+                d_ns,
+                c_ns,
+                rows,
+                cols: scan.cols,
+                layout,
+            });
+            let expected = bare.decide_nested(layout, data.flattened_rows());
+
+            let out = reg.record_hit(id, 5, 1, Some(scan), None);
+            assert!(out.lazy.is_none());
+            let got = match &out.switch {
+                None => LayoutDecision::Stay,
+                Some((StoreChoice::Columnar, _)) => LayoutDecision::SwitchToColumnar,
+                Some((StoreChoice::Dremel, _)) => LayoutDecision::SwitchToDremel,
+            };
+            assert_eq!(got, expected, "step {step}");
+            if let Some((to, from)) = out.switch {
+                assert_eq!(from.layout(), layout);
+                let new = match to {
+                    StoreChoice::Columnar => columnar.clone(),
+                    StoreChoice::Dremel => dremel.clone(),
+                };
+                assert!(reg.replace_data_if(id, Some(layout), new.clone(), 3));
+                // A second install of the same switch loses the race.
+                assert!(!reg.replace_data_if(id, Some(layout), new, 3));
+                bare.reset_window();
+                installed += 1;
+                reg.with_entry(id, |e| assert!(e.history.window().is_empty()))
+                    .unwrap();
+            }
+            assert_eq!(switches(id), installed, "step {step}");
+            reg.check_invariants()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+        }
+        // Each of the six phases flips the layout, alternately both ways.
+        assert_eq!(installed, 6);
+        assert_eq!(reg.snapshot()[0].layout_switches, installed);
+        // An evicted entry settles nothing.
+        assert!(reg.remove(id));
+        let out = reg.record_hit(id, 5, 1, None, Some((dremel, 7)));
+        assert!(out.switch.is_none() && out.lazy.is_none());
+        reg.check_invariants().unwrap();
+    }
+
     /// Contending threads: `RECACHE_SESSIONS` when set (the CI
     /// concurrency matrix), else 4.
     fn contenders() -> u64 {
@@ -1335,7 +1505,7 @@ mod tests {
                             1,
                         );
                         reg.lookup_t("t", &ranges(leaf, 0.2, 0.8));
-                        reg.record_reuse(id, 7, 1);
+                        reg.record_hit(id, 7, 1, None, None);
                         if i % 5 == 2 {
                             // Races with eviction: at most one side wins.
                             reg.remove(id);

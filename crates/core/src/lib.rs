@@ -11,8 +11,9 @@
 //!                                   │ entries decided eager before the scan
 //!                                   │ are built inside it, per scan task
 //!            ┌── miss: materialize (reactive eager/lazy admission) ──► admit
-//!            ├── hit: update n/s/l stats, observe D/C/ri/ci, maybe switch layout
-//!            └── lazy hit: upgrade to eager
+//!            └── hit: one registry section (n/s/l stats, D/C/ri/ci + layout
+//!                decision, install a lazy entry's in-pass build), then
+//!                build + install a decided switch or a re-read upgrade
 //!                                   │
 //!                          evictions (cost-based Greedy-Dual or baseline)
 //! ```
@@ -34,13 +35,13 @@ use materialize::{
 };
 use recache_cache::admission::{AdmissionConfig, AdmissionDecision};
 use recache_cache::eviction::EvictionKind;
-use recache_cache::layout_model::{LayoutDecision, QueryObservation};
+use recache_cache::layout_model::StoreScan;
 use recache_cache::registry::{CacheRegistry, EntryId, FutureOracle, MatchResult};
 use recache_data::{FaultPlan, FileFormat, RawFile, RetryPolicy};
 use recache_engine::exec::{self, BuildRequest, ExecOptions};
 use recache_engine::plan::{AccessPath, QueryPlan, TablePlan};
 use recache_engine::sql::{parse_query, QuerySpec};
-use recache_layout::{CacheData, LayoutKind};
+use recache_layout::{CacheData, LayoutKind, OffsetStore};
 use recache_types::{Error, Result, Schema};
 pub use request::{CacheOutcome, QueryBody, QueryRequest, QueryResponse, QueryTelemetry};
 use resolve::{resolve, ResolvedQuery, ResolvedTable};
@@ -383,7 +384,7 @@ impl ReCache {
             .get_result_cache()
             .unwrap_or_else(|| self.results.is_enabled());
         if !use_results {
-            let result = self.run_spec(spec, &options)?;
+            let (result, _) = self.run_spec(spec, &options)?;
             return Ok(QueryResponse::new(
                 result,
                 options.effective_threads(),
@@ -406,7 +407,7 @@ impl ReCache {
             ));
         }
         self.registry.note_result_miss();
-        let result = self.run_spec(spec, &options)?;
+        let (result, resolved) = self.run_spec(spec, &options)?;
         // Pin the result to the per-table `(source, signature)`
         // identities it priced in; any of them departing the registry
         // invalidates it. Between this execution and the insert a
@@ -414,17 +415,15 @@ impl ReCache {
         // lives until the *next* departure or its own eviction, which is
         // still correct: sources are immutable, so the rows themselves
         // can never be stale.
-        if let Ok(resolved) = resolve(spec, &self.sources) {
-            let pins = resolved
-                .tables
-                .iter()
-                .map(|t| (t.name.clone(), t.signature.clone()))
-                .collect();
-            let evicted =
-                self.results
-                    .insert(key, result.rows.clone(), result.rows_aggregated, pins);
-            self.registry.note_result_evictions(evicted);
-        }
+        let pins = resolved
+            .tables
+            .into_iter()
+            .map(|t| (t.name, t.signature))
+            .collect();
+        let evicted = self
+            .results
+            .insert(key, result.rows.clone(), result.rows_aggregated, pins);
+        self.registry.note_result_evictions(evicted);
         Ok(QueryResponse::new(
             result,
             options.effective_threads(),
@@ -434,7 +433,12 @@ impl ReCache {
 
     /// The execution core behind [`ReCache::execute`]: one resolved
     /// spec under final options (deadline already folded into `cancel`).
-    fn run_spec(&self, spec: &QuerySpec, options: &ExecOptions) -> Result<QueryResult> {
+    /// Returns the result and the resolution it ran.
+    fn run_spec(
+        &self,
+        spec: &QuerySpec,
+        options: &ExecOptions,
+    ) -> Result<(QueryResult, ResolvedQuery)> {
         let t_run = Instant::now();
         self.queries_run.fetch_add(1, Ordering::Relaxed);
         self.registry.tick();
@@ -552,67 +556,61 @@ impl ReCache {
             };
             match route.hit {
                 Some((id, _)) => {
-                    self.registry
-                        .record_reuse(id, stats.exec_ns, route.lookup_ns);
-                    // Layout bookkeeping for store scans, only where the
-                    // §4.2 model has a choice to make: nested entries under
-                    // `Auto`. Flat entries stay columnar.
+                    // The §4.2 model prices store scans only where it has
+                    // a choice to make: nested entries under `Auto`. Flat
+                    // entries stay columnar.
                     let switchable =
                         self.layout == LayoutPolicy::Auto && table.file.schema().has_nested();
-                    if let Some(cost) = stats.cache_scan.filter(|_| switchable) {
-                        self.registry.with_entry_mut(id, |entry| {
-                            let rows_needed = if stats.record_level {
-                                entry.data.record_count()
-                            } else {
-                                entry.data.flattened_rows()
-                            };
-                            // Cost attribution follows §4.2: only the
-                            // Dremel layout has a meaningful compute
-                            // component ("the relational columnar layout
-                            // has negligible computational cost") — for
-                            // columnar scans the whole cost is data access,
-                            // including the R-proportional row walk.
-                            let layout = entry.data.layout();
-                            let (d_ns, c_ns) = if layout == LayoutKind::Dremel {
-                                (cost.data_ns, cost.compute_ns)
-                            } else {
-                                (cost.total_ns(), 0)
-                            };
-                            entry.history.observe(QueryObservation {
-                                d_ns,
-                                c_ns,
-                                rows: rows_needed,
-                                cols: stats.cols_accessed,
-                                layout,
-                            });
+                    let scan = stats
+                        .cache_scan
+                        .filter(|_| switchable)
+                        .map(|cost| StoreScan {
+                            cost,
+                            record_level: stats.record_level,
+                            cols: stats.cols_accessed,
                         });
-                        if let Some((switch, ns)) = self.maybe_switch_layout(&table.file, id) {
-                            caching_ns += ns;
-                            summary.layout_switch = Some(switch);
+                    // A reused lazy entry upgrades to eager: with the store
+                    // its by-id scan built, installed with the hit's
+                    // bookkeeping, or else by re-reading its records. Either
+                    // may fail (e.g. injected faults, a damaged record); the
+                    // query's answer is already computed, so a failed
+                    // upgrade is counted and skipped — the entry simply
+                    // stays lazy.
+                    let (in_pass, mut failed) = match built {
+                        Some(Ok(data)) => (Some((data, stats.build_ns)), false),
+                        Some(Err(_)) => (None, true),
+                        None => (None, false),
+                    };
+                    let hit =
+                        self.registry
+                            .record_hit(id, stats.exec_ns, route.lookup_ns, scan, in_pass);
+                    // A decided switch rebuilds the entry from its raw
+                    // records by the ids its store holds, outside the lock,
+                    // and installs only if the layout is still the one it
+                    // replaces (a racing session's switch wins). No map, no
+                    // ids or a failed build means no switch.
+                    if let Some((to, data)) = hit.switch {
+                        if let Some((new_data, ns)) = switch_layout(&table.file, to, &data) {
+                            let switch = (data.layout(), new_data.layout());
+                            if self
+                                .registry
+                                .replace_data_if(id, Some(switch.0), new_data, ns)
+                            {
+                                caching_ns += ns;
+                                summary.layout_switch = Some(switch);
+                            }
                         }
                     }
-                    if route.was_offsets {
-                        // Lazy entry reused: upgrade to eager, with the
-                        // store its by-id scan built, or else by re-reading
-                        // its records now. Either may fail (e.g. injected
-                        // faults, a damaged record); the query's answer is
-                        // already computed, so a failed upgrade is counted
-                        // and skipped — the entry simply stays lazy.
-                        let upgraded = match built {
-                            Some(built) => built.map(|data| {
-                                self.registry.replace_data_if(
-                                    id,
-                                    Some(LayoutKind::Offsets),
-                                    data,
-                                    stats.build_ns,
-                                );
-                            }),
-                            None => self.upgrade_entry(table, id).map(|ns| caching_ns += ns),
-                        };
-                        match upgraded {
-                            Ok(()) => summary.admission = Some(AdmissionDecision::Eager),
-                            Err(_) => self.registry.note_failed_scan(),
+                    if let Some(store) = hit.lazy.filter(|_| !failed) {
+                        match self.upgrade_entry(&table.file, id, &store) {
+                            Ok(ns) => caching_ns += ns,
+                            Err(_) => failed = true,
                         }
+                    }
+                    if failed {
+                        self.registry.note_failed_scan();
+                    } else if route.was_offsets {
+                        summary.admission = Some(AdmissionDecision::Eager);
                     }
                 }
                 None if self.caching => {
@@ -686,7 +684,7 @@ impl ReCache {
         }
 
         let total_ns = t_run.elapsed().as_nanos() as u64;
-        Ok(QueryResult {
+        let result = QueryResult {
             rows: output.values,
             rows_aggregated: output.rows_aggregated,
             stats: QueryStats {
@@ -698,7 +696,8 @@ impl ReCache {
                 tables: summaries,
                 exec: output.stats,
             },
-        })
+        };
+        Ok((result, resolved))
     }
 
     /// Routes one table of a query: looks it up in the cache and, on a
@@ -823,61 +822,11 @@ impl ReCache {
         }
     }
 
-    /// Applies the §4.2 layout model to a nested entry; returns the switch
-    /// performed and its cost in nanoseconds. A switch rebuilds the entry
-    /// in the new layout from `file`'s raw records, by the ids the current
-    /// store holds ([`switch_layout`]), outside the registry lock; the swap
-    /// installs only if the layout is still the one the build replaces,
-    /// so racing sessions cannot clobber each other's switches. No map,
-    /// no ids or a failed build means no switch: the entry keeps its
-    /// layout, and the query's answer is already computed.
-    fn maybe_switch_layout(
-        &self,
-        file: &RawFile,
-        id: EntryId,
-    ) -> Option<((LayoutKind, LayoutKind), u64)> {
-        // Take the decision (the write side: deciding updates the layout
-        // model's cost memo) and an `Arc` of the store under the registry
-        // lock; the rebuild needs no further locking.
-        let (to, data) = self.registry.with_entry_mut(id, |entry| {
-            let decision = entry
-                .history
-                .decide_nested(entry.data.layout(), entry.data.flattened_rows());
-            let to = match (decision, &entry.data) {
-                (LayoutDecision::SwitchToColumnar, CacheData::Dremel(_)) => StoreChoice::Columnar,
-                (LayoutDecision::SwitchToDremel, CacheData::Columnar(_)) => StoreChoice::Dremel,
-                _ => return None,
-            };
-            Some((to, entry.data.clone()))
-        })??;
-        let (new_data, ns) = switch_layout(file, to, &data)?;
-        let switch = (data.layout(), new_data.layout());
-        if !self
-            .registry
-            .replace_data_if(id, Some(switch.0), new_data, ns)
-        {
-            // Evicted, or another session switched first: discard.
-            return None;
-        }
-        self.registry.with_entry_mut(id, |entry| {
-            entry.history.reset_window();
-        });
-        Some((switch, ns))
-    }
-
-    /// Replaces a lazy entry's offsets with an eager store. Guarded the
-    /// same way as layout switches: only the first concurrent upgrader
-    /// installs, later ones drop their redundant build.
-    fn upgrade_entry(&self, table: &ResolvedTable, id: EntryId) -> Result<u64> {
-        let store = match self.registry.with_entry(id, |entry| match &entry.data {
-            CacheData::Offsets(store) => Some(Arc::clone(store)),
-            _ => None,
-        }) {
-            Some(Some(store)) => store,
-            _ => return Ok(0),
-        };
-        let choice = self.store_choice(&table.file);
-        let (data, ns) = upgrade_to_eager(&table.file, choice, &store)?;
+    /// Replaces a lazy entry's offsets with an eager store re-read from
+    /// `file`. Guarded the same way as layout switches: only the first
+    /// concurrent upgrader installs, later ones drop their redundant build.
+    fn upgrade_entry(&self, file: &RawFile, id: EntryId, store: &OffsetStore) -> Result<u64> {
+        let (data, ns) = upgrade_to_eager(file, self.store_choice(file), store)?;
         self.registry
             .replace_data_if(id, Some(LayoutKind::Offsets), data, ns);
         Ok(ns)
@@ -1078,6 +1027,45 @@ mod tests {
         assert_eq!(first.rows, second.rows);
         assert!(second.stats.cache_hit);
         assert!(second.stats.tables.iter().all(|t| t.hit.is_some()));
+    }
+
+    /// A join's scans build nothing in the pass, so reusing its lazy
+    /// entries takes the re-read upgrade.
+    #[test]
+    fn lazy_join_entries_upgrade_on_reuse() {
+        let mut session = ReCache::builder()
+            .admission(AdmissionConfig::lazy_only())
+            .build();
+        let (orders, lineitems) = tpch::gen_orders_and_lineitems(0.0002, 11);
+        let li_schema = tpch::lineitem_schema();
+        let o_schema = tpch::orders_schema();
+        session.register_csv_bytes(
+            "lineitem",
+            csv::write_csv(&li_schema, &lineitems),
+            li_schema,
+        );
+        session.register_csv_bytes("orders", csv::write_csv(&o_schema, &orders), o_schema);
+        let q = "SELECT count(*), sum(l_quantity) FROM orders \
+                 JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey \
+                 WHERE o_totalprice > 1000 AND l_quantity >= 10";
+        let first = session.execute(&QueryRequest::sql(q)).unwrap();
+        let lazy = session.cache().snapshot();
+        assert_eq!(lazy.len(), 2);
+        assert!(lazy.iter().all(|e| matches!(e.data, CacheData::Offsets(_))));
+        let second = session.execute(&QueryRequest::sql(q)).unwrap();
+        assert!(second.stats.tables.iter().all(|t| t.hit.is_some()));
+        assert!(second
+            .stats
+            .tables
+            .iter()
+            .all(|t| t.admission == Some(AdmissionDecision::Eager)));
+        let entries = session.cache().snapshot();
+        assert_eq!(entries.len(), 2);
+        assert!(entries
+            .iter()
+            .all(|e| !matches!(e.data, CacheData::Offsets(_)) && e.layout_switches == 0));
+        assert_eq!(first.rows, second.rows);
+        session.cache().check_invariants().unwrap();
     }
 
     #[test]

@@ -373,7 +373,9 @@ impl ColumnStore {
             .map(|&leaf| self.columns[leaf].valid.all_set())
             .collect();
         let mut selection = SelectionVector::new();
-        let mut record_ids: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
+        // Reserved only when ids are wanted (a cache hit wants none).
+        let mut record_ids: Vec<u32> =
+            Vec::with_capacity(if want_record_ids { BATCH_ROWS } else { 0 });
         let mut start = chunk_lo.saturating_mul(BATCH_ROWS);
         // Record containing the first row of the range.
         let mut rec = self

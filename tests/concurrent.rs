@@ -425,7 +425,7 @@ fn registry_races_keep_budget_and_counters_consistent() {
                     );
                     let (m, lookup_ns) = registry.lookup("t", &signature, &ranges);
                     if let Some(hit) = m.entry() {
-                        registry.record_reuse(hit, 10, lookup_ns);
+                        registry.record_hit(hit, 10, lookup_ns, None, None);
                     }
                     // Occasionally remove our own entry; `remove` reports
                     // whether this call won (evictions race with it).
